@@ -42,6 +42,7 @@ from .ensemble import (
     ensemble_gap,
     ensemble_group_rate,
     ensemble_report,
+    member_counts,
     mixture_accuracy,
     sample,
     uniform_ensemble,
@@ -149,6 +150,7 @@ __all__ = [
     "indicator_profile",
     "load_dataset",
     "load_prediction_matrix",
+    "member_counts",
     "mixture_accuracy",
     "ppv_counterexample_search",
     "prediction_matrix",

@@ -10,13 +10,14 @@ are deterministic and immutable.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .dataset import Dataset, Instance, PathArg
-from .errors import CompatibilityError, DataFormatError
+from .errors import CompatibilityError, DataFormatError, FairmixError
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,8 @@ class LinearClassifier:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        if not all(map(math.isfinite, (*self.weights, self.sensitive_weight, self.bias))):
+            raise FairmixError(f"non-finite classifier parameter in {self!r}")
 
     def score(self, features: Sequence[float], sensitive: int) -> float:
         if len(features) != len(self.weights):
@@ -137,14 +140,9 @@ class TableClassifier:
 Classifier = Union[LinearClassifier, TableClassifier]
 
 
-def predict_all(classifier: Classifier, dataset: Dataset) -> np.ndarray:
-    """Elementwise predictions for every row, order preserved."""
-    return classifier.predict_all(dataset)
-
-
 def prediction_matrix(members: Sequence[Classifier], dataset: Dataset) -> np.ndarray:
     """(M, N) matrix of member predictions on the dataset."""
-    return np.stack([predict_all(c, dataset) for c in members])
+    return np.stack([c.predict_all(dataset) for c in members])
 
 
 def _matrix_header(m: int) -> list[str]:

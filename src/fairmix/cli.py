@@ -175,6 +175,9 @@ def _load_weights(path: str) -> list[float]:
     for w in weights:
         if isinstance(w, bool) or not isinstance(w, (int, float)):
             raise FairmixError(f"{path}: non-numeric weight {w!r}")
+        # false for NaN, Infinity, 1e999 and integers past the float range
+        if not abs(w) <= sys.float_info.max:
+            raise FairmixError(f"{path}: non-finite weight {w!r}")
     return [float(w) for w in weights]
 
 
@@ -351,27 +354,18 @@ def cmd_counterexample(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_FOUND
-    ens = Ensemble(witness.members, np.asarray(witness.weights))
+    counts = ensemble_mod.member_counts(witness.members, witness.dataset)
+    weights = np.asarray(witness.weights)
+    ppv = [counts.counts(MetricKind.PPV, z) for z in (0, 1)]  # (hits, sizes) by group
     verification = {
-        "member_ppv": [],
-        "ensemble_ppv_z0": ensemble_mod.ensemble_group_rate(
-            ens, MetricKind.PPV, witness.dataset, 0
-        ),
-        "ensemble_ppv_z1": ensemble_mod.ensemble_group_rate(
-            ens, MetricKind.PPV, witness.dataset, 1
-        ),
-        "ensemble_gap_recomputed": ensemble_mod.ensemble_gap(
-            ens, MetricKind.PPV, witness.dataset
-        ),
+        "member_ppv": [
+            {f"z{z}": {"hits": int(h[j]), "size": int(s[j])} for z, (h, s) in enumerate(ppv)}
+            for j in range(len(witness.members))
+        ],
+        "ensemble_ppv_z0": counts.mixed_rate(weights, MetricKind.PPV, 0),
+        "ensemble_ppv_z1": counts.mixed_rate(weights, MetricKind.PPV, 1),
+        "ensemble_gap_recomputed": counts.mixed_gap(weights, MetricKind.PPV),
     }
-    for member in witness.members:
-        counts = {}
-        for z in (0, 1):
-            num, den = metrics.rate_counts(
-                MetricKind.PPV, member.predictions, witness.dataset, z
-            )
-            counts[f"z{z}"] = {"hits": num, "size": den}
-        verification["member_ppv"].append(counts)
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
         save_dataset(os.path.join(args.out_dir, "dataset.csv"), witness.dataset)
@@ -397,6 +391,8 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if not args.tol >= 0:  # also rejects NaN
+            parser.error(f"argument --tol: must be >= 0, got {args.tol!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,8 +11,8 @@ only for validation and demonstration, never as the measurement path.
 Acceptance rate, TPR and TNR are averages over fixed conditioning sets,
 so the ensemble value is the p-weighted average of member values.
 PPV/NPV condition on the *predicted* class, which varies per member;
-their ensemble value is the ratio of weighted counts and is not linear
-in p.
+their ensemble value is a ratio of weighted counts, not linear in p.
+Both come from the members' cell counts (:func:`member_counts`).
 """
 
 from __future__ import annotations
@@ -24,15 +24,15 @@ import numpy as np
 
 from .classifiers import Classifier, prediction_matrix
 from .dataset import CounterfactualPair, Dataset, group_indices
-from .distributional import DispersionReport, dispersion
+from .distributional import dispersion
 from .errors import FairmixError
 from . import metrics
 from .metrics import (
+    CellCounts,
     DEFAULT_TOLERANCE,
     FairnessReport,
     LINEAR_KINDS,
     MetricKind,
-    rate_counts,
 )
 
 WEIGHT_SUM_TOLERANCE = 1e-12
@@ -57,8 +57,8 @@ class Ensemble:
             raise FairmixError(
                 f"{len(members)} members but {w.shape} weights"
             )
-        if np.any(w < 0):
-            raise FairmixError(f"negative weight in {w.tolist()}")
+        if not np.all((w >= 0) & (w < np.inf)):  # false for NaN too
+            raise FairmixError(f"non-finite or negative weight in {w.tolist()}")
         if abs(float(np.sum(w)) - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise FairmixError(
                 f"weights sum to {float(np.sum(w))!r}, expected 1"
@@ -85,58 +85,43 @@ def uniform_ensemble(members: Sequence[Classifier]) -> Ensemble:
     return Ensemble(members, np.full(m, 1.0 / m))
 
 
+def _accept_matrix(members: Sequence[Classifier], dataset: Dataset) -> np.ndarray:
+    # boolean rows: an eighth of the memory of the integer prediction matrix
+    return np.stack([member.predict_all(dataset) == 1 for member in members])
+
+
 def acceptance_probability(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
     """Benefit profile q: per-instance probability of the +1 outcome.
 
     q_i is the total weight of the members that accept instance i,
     computed analytically with no sampling.
     """
-    accepts = prediction_matrix(ensemble.members, dataset) == 1
-    return ensemble.weights @ accepts
+    return ensemble.weights @ _accept_matrix(ensemble.members, dataset)
+
+
+def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts:
+    """The members' (M, 4) accepted cell counts, in one counting pass."""
+    if not members:
+        raise FairmixError("need at least one member")
+    return metrics.cell_counts(_accept_matrix(members, dataset), dataset)
 
 
 def ensemble_group_rate(
     ensemble: Ensemble, kind: MetricKind, dataset: Dataset, z: int
 ) -> Optional[float]:
-    """Analytic group rate of the ensemble for one metric kind.
-
-    Linear kinds are weighted averages of member rates. PPV/NPV use the
-    weighted-ratio form: expected hits over expected conditioning-set
-    size under the random member draw. Returns ``None`` when undefined.
-    """
-    if kind in LINEAR_KINDS:
-        rates = []
-        for member in ensemble.members:
-            r = metrics.group_rate(kind, member.predict_all(dataset), dataset, z)
-            if r is None:
-                return None
-            rates.append(r)
-        return float(np.dot(ensemble.weights, rates))
-    num = 0.0
-    den = 0.0
-    for w, member in zip(ensemble.weights, ensemble.members):
-        hits, size = rate_counts(kind, member.predict_all(dataset), dataset, z)
-        num += w * hits
-        den += w * size
-    if den == 0.0:
-        return None
-    return num / den
+    """Analytic group rate of the ensemble for one metric kind."""
+    return member_counts(ensemble.members, dataset).mixed_rate(ensemble.weights, kind, z)
 
 
 def ensemble_gap(
     ensemble: Ensemble, kind: MetricKind, dataset: Dataset
 ) -> Optional[float]:
-    r0 = ensemble_group_rate(ensemble, kind, dataset, 0)
-    r1 = ensemble_group_rate(ensemble, kind, dataset, 1)
-    if r0 is None or r1 is None:
-        return None
-    return r0 - r1
+    return member_counts(ensemble.members, dataset).mixed_gap(ensemble.weights, kind)
 
 
 def mixture_accuracy(ensemble: Ensemble, dataset: Dataset) -> float:
     """Ensemble accuracy: the p-weighted average of member accuracies."""
-    accs = [metrics.accuracy(m.predict_all(dataset), dataset) for m in ensemble.members]
-    return float(np.dot(ensemble.weights, accs))
+    return member_counts(ensemble.members, dataset).mixed_accuracy(ensemble.weights)
 
 
 @dataclass(frozen=True)
@@ -166,15 +151,10 @@ class ClosureReport:
 def closure_check(
     ensemble: Ensemble, kind: MetricKind, dataset: Dataset
 ) -> ClosureReport:
-    gap_ens = ensemble_gap(ensemble, kind, dataset)
-    member_gaps = [
-        metrics.fairness_gap(kind, m.predict_all(dataset), dataset)
-        for m in ensemble.members
-    ]
-    if any(g is None for g in member_gaps):
-        weighted = None
-    else:
-        weighted = float(np.dot(ensemble.weights, member_gaps))
+    counts = member_counts(ensemble.members, dataset)
+    gap_ens = counts.mixed_gap(ensemble.weights, kind)
+    # NaN member gaps (an undefined member rate) make the sum undefined
+    weighted = metrics.defined(np.dot(ensemble.weights, counts.gaps(kind)))
     linear = kind in LINEAR_KINDS
     if linear and gap_ens is not None and weighted is not None:
         if abs(gap_ens - weighted) > CLOSURE_IDENTITY_TOLERANCE:
@@ -294,18 +274,9 @@ def ensemble_report(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FairnessReport:
     """Fairness report for the ensemble, including intra-group dispersion."""
-    entries = []
-    for kind in MetricKind:
-        r0 = ensemble_group_rate(ensemble, kind, dataset, 0)
-        r1 = ensemble_group_rate(ensemble, kind, dataset, 1)
-        entries.append(metrics._group_metric(kind, r0, r1, tolerance))
-    q = acceptance_probability(ensemble, dataset)
-    violations = metrics.treatment_violations(q, pairs, tolerance)
-    return FairnessReport(
-        accuracy=mixture_accuracy(ensemble, dataset),
-        metrics=tuple(entries),
-        treatment_pairs_checked=len(pairs),
-        treatment_violations=tuple(violations),
-        tolerance=tolerance,
-        distributional=dispersion(q, dataset),
+    accepts = _accept_matrix(ensemble.members, dataset)
+    q = ensemble.weights @ accepts
+    counts = metrics.cell_counts(accepts, dataset)
+    return metrics.mixture_report(
+        counts, ensemble.weights, q, pairs, tolerance, dispersion(q, dataset)
     )

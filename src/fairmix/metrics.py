@@ -1,4 +1,4 @@
-"""Group fairness measures for deterministic prediction vectors.
+"""Group fairness measures, all derived from (M, 4) confusion-cell counts.
 
 Five per-group benefit rates are supported: acceptance rate into the
 positive class, true positive rate, true negative rate, and positive /
@@ -13,6 +13,7 @@ stated in every serialized report.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -43,20 +44,110 @@ LINEAR_KINDS = frozenset(
 RATIO_KINDS = frozenset({MetricKind.PPV, MetricKind.NPV})
 
 
-def _check_length(predictions: np.ndarray, dataset: Dataset) -> np.ndarray:
+def _vector_counts(predictions, dataset: Dataset) -> CellCounts:
+    """Cell counts of one prediction vector, as a single-row matrix."""
     predictions = np.asarray(predictions)
     if predictions.shape != (len(dataset),):
         raise ValueError(
             f"prediction vector of length {predictions.shape} does not match "
             f"dataset size {len(dataset)}"
         )
-    return predictions
+    return cell_counts(predictions[None, :] == 1, dataset)
 
 
 def accuracy(predictions, dataset: Dataset) -> float:
     """Fraction of instances whose prediction equals the true label."""
-    predictions = _check_length(predictions, dataset)
-    return int(np.sum(predictions == dataset.labels)) / len(dataset)
+    return float(_vector_counts(predictions, dataset).accuracies()[0])
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
+class CellCounts:
+    """Accepted counts of M prediction rows in the four (z, y) cells.
+
+    Cell ``k = 2*z + (y == +1)`` orders the cells (z0,y-), (z0,y+),
+    (z1,y-), (z1,y+). ``accepted[j, k]`` counts the instances of cell k
+    that row j accepts and ``sizes[k]`` counts the cell. Every group
+    rate and the accuracy of a row, and of any random mixture of rows,
+    follow from these integers.
+    """
+
+    accepted: np.ndarray
+    sizes: np.ndarray
+
+    def counts(self, kind: MetricKind, z: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row integer (numerator, denominator) of a group rate."""
+        if z not in (0, 1):
+            raise ValueError(f"sensitive value must be 0 or 1, got {z!r}")
+        k = 2 * z
+        acc_neg, acc_pos = self.accepted[:, k], self.accepted[:, k + 1]
+        size_neg, size_pos = np.broadcast_to(self.sizes[k:k + 2], (len(acc_neg), 2)).T
+        rej_neg, rej_pos = size_neg - acc_neg, size_pos - acc_pos
+        return {
+            MetricKind.ACCEPTANCE_RATE: (acc_neg + acc_pos, size_neg + size_pos),
+            MetricKind.TPR: (acc_pos, size_pos),
+            MetricKind.TNR: (rej_neg, size_neg),
+            MetricKind.PPV: (acc_pos, acc_neg + acc_pos),
+            MetricKind.NPV: (rej_neg, rej_neg + rej_pos),
+        }[kind]
+
+    def rates(self, kind: MetricKind, z: int) -> np.ndarray:
+        """Per-row group rates; NaN where the conditioning set is empty."""
+        num, den = self.counts(kind, z)
+        with np.errstate(invalid="ignore"):
+            return num / den
+
+    def gaps(self, kind: MetricKind) -> np.ndarray:
+        """Per-row ``rate(z=0) - rate(z=1)``; NaN where either is undefined."""
+        return self.rates(kind, 0) - self.rates(kind, 1)
+
+    def accuracies(self) -> np.ndarray:
+        """Per-row fraction of instances predicted correctly."""
+        a, s = self.accepted, self.sizes
+        correct = a[:, 1] + a[:, 3] + (s[0] - a[:, 0]) + (s[2] - a[:, 2])
+        return correct / int(s.sum())
+
+    def mixed_rate(self, weights, kind: MetricKind, z: int) -> Optional[float]:
+        """Group rate of the random mixture ``weights`` over the rows.
+
+        Linear kinds are weighted averages of row rates. PPV/NPV use the
+        weighted-ratio form: expected hits over expected conditioning-set
+        size under the random draw. ``None`` when undefined. One row with
+        weight 1 gives exactly that row's own rate.
+        """
+        if kind in LINEAR_KINDS:
+            # every row has the same conditioning set, so the rates are
+            # all defined or all NaN
+            return defined(np.dot(weights, self.rates(kind, z)))
+        hits, size = self.counts(kind, z)
+        # summed strictly in row order, so the value does not move with
+        # numpy's pairwise or BLAS summation order
+        hits = np.cumsum(weights * hits)[-1]
+        size = np.cumsum(weights * size)[-1]
+        return None if size == 0.0 else float(hits / size)
+
+    def mixed_gap(self, weights, kind: MetricKind) -> Optional[float]:
+        """``mixed_rate(z=0) - mixed_rate(z=1)``; ``None`` if either is undefined."""
+        r0, r1 = (self.mixed_rate(weights, kind, z) for z in (0, 1))
+        return None if r0 is None or r1 is None else r0 - r1
+
+    def mixed_accuracy(self, weights) -> float:
+        """Accuracy of the mixture: the weighted average of row accuracies."""
+        return float(np.dot(weights, self.accuracies()))
+
+
+def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
+    """Count an (M, N) boolean accept matrix into the four (z, y) cells."""
+    cell = 2 * dataset.sensitive + (dataset.labels == 1)
+    accepted = np.stack(
+        [np.count_nonzero(accepts[:, cell == k], axis=1) for k in range(4)], axis=1
+    )
+    return CellCounts(accepted, np.bincount(cell, minlength=4))
+
+
+def defined(value) -> Optional[float]:
+    """A rate or gap as a float, or ``None`` when it is undefined (NaN)."""
+    value = float(value)
+    return None if math.isnan(value) else value
 
 
 def rate_counts(
@@ -66,50 +157,21 @@ def rate_counts(
 
     The rate itself is ``numerator / denominator``; a zero denominator
     means the rate is undefined. Exposing the counts keeps exact
-    rational arithmetic available to oracles and to the weighted-ratio
-    ensemble formulas.
+    rational arithmetic available, e.g. to certify a zero PPV gap by
+    cross-multiplication.
     """
-    predictions = _check_length(predictions, dataset)
-    in_group = dataset.sensitive == z
-    pos_label = dataset.labels == 1
-    accepted = predictions == 1
-    if kind is MetricKind.ACCEPTANCE_RATE:
-        cond = in_group
-        hit = accepted
-    elif kind is MetricKind.TPR:
-        cond = in_group & pos_label
-        hit = accepted
-    elif kind is MetricKind.TNR:
-        cond = in_group & ~pos_label
-        hit = ~accepted
-    elif kind is MetricKind.PPV:
-        cond = in_group & accepted
-        hit = pos_label
-    elif kind is MetricKind.NPV:
-        cond = in_group & ~accepted
-        hit = ~pos_label
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown metric kind {kind!r}")
-    return int(np.sum(cond & hit)), int(np.sum(cond))
+    num, den = _vector_counts(predictions, dataset).counts(kind, z)
+    return int(num[0]), int(den[0])
 
 
 def group_rate(kind: MetricKind, predictions, dataset: Dataset, z: int) -> Optional[float]:
     """Per-group benefit rate, or ``None`` when the conditioning set is empty."""
-    if z not in (0, 1):
-        raise ValueError(f"sensitive value must be 0 or 1, got {z!r}")
-    num, den = rate_counts(kind, predictions, dataset, z)
-    if den == 0:
-        return None
-    return num / den
+    return defined(_vector_counts(predictions, dataset).rates(kind, z)[0])
 
 
 def fairness_gap(kind: MetricKind, predictions, dataset: Dataset) -> Optional[float]:
     """``group_rate(z=0) - group_rate(z=1)``; ``None`` if either side is undefined."""
-    r0 = group_rate(kind, predictions, dataset, 0)
-    r1 = group_rate(kind, predictions, dataset, 1)
-    if r0 is None or r1 is None:
-        return None
-    return r0 - r1
+    return defined(_vector_counts(predictions, dataset).gaps(kind)[0])
 
 
 def treatment_violations(
@@ -199,13 +261,33 @@ class FairnessReport:
         return doc
 
 
-def _group_metric(
-    kind: MetricKind, rate0: Optional[float], rate1: Optional[float], tolerance: float
-) -> GroupMetric:
-    if rate0 is None or rate1 is None:
-        return GroupMetric(kind, rate0, rate1, None, None)
-    gap = rate0 - rate1
-    return GroupMetric(kind, rate0, rate1, gap, abs(gap) <= tolerance)
+def mixture_report(
+    counts: CellCounts,
+    weights,
+    profile,
+    pairs: Sequence[CounterfactualPair],
+    tolerance: float,
+    distributional: Optional[object] = None,
+) -> FairnessReport:
+    """Report on the random mixture ``weights`` over the counted rows.
+
+    ``profile`` is the mixture's per-instance acceptance probability,
+    which the treatment test compares across twin pairs.
+    """
+    entries = []
+    for kind in MetricKind:
+        r0, r1 = (counts.mixed_rate(weights, kind, z) for z in (0, 1))
+        gap = counts.mixed_gap(weights, kind)
+        passed = None if gap is None else abs(gap) <= tolerance
+        entries.append(GroupMetric(kind, r0, r1, gap, passed))
+    return FairnessReport(
+        accuracy=counts.mixed_accuracy(weights),
+        metrics=tuple(entries),
+        treatment_pairs_checked=len(pairs),
+        treatment_violations=tuple(treatment_violations(profile, pairs, tolerance)),
+        tolerance=tolerance,
+        distributional=distributional,
+    )
 
 
 def classifier_report(
@@ -214,18 +296,10 @@ def classifier_report(
     pairs: Sequence[CounterfactualPair] = (),
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FairnessReport:
-    """Full fairness report for one deterministic prediction vector."""
-    predictions = _check_length(predictions, dataset)
-    entries = []
-    for kind in MetricKind:
-        r0 = group_rate(kind, predictions, dataset, 0)
-        r1 = group_rate(kind, predictions, dataset, 1)
-        entries.append(_group_metric(kind, r0, r1, tolerance))
-    violations = treatment_violations(indicator_profile(predictions), pairs, tolerance)
-    return FairnessReport(
-        accuracy=accuracy(predictions, dataset),
-        metrics=tuple(entries),
-        treatment_pairs_checked=len(pairs),
-        treatment_violations=tuple(violations),
-        tolerance=tolerance,
-    )
+    """Full fairness report for one deterministic prediction vector.
+
+    A deterministic classifier is the mixture of itself with weight 1.
+    """
+    counts = _vector_counts(predictions, dataset)
+    profile = indicator_profile(predictions)
+    return mixture_report(counts, np.ones(1), profile, pairs, tolerance)

@@ -28,9 +28,9 @@ import numpy as np
 from . import metrics
 from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset
-from .ensemble import Ensemble, ensemble_gap, mixture_accuracy
+from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
-from .metrics import LINEAR_KINDS, MetricKind
+from .metrics import CellCounts, LINEAR_KINDS, MetricKind
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -76,28 +76,22 @@ class MixtureSolution:
         }
 
 
-def _member_gap_table(
-    members: Sequence[Classifier],
-    dataset: Dataset,
-    constrained: Sequence[MetricKind],
-) -> dict:
-    table = {}
+def _gap_rows(counts: CellCounts, constrained: Sequence[MetricKind]) -> list:
+    """Per-member gap vector of each constrained kind, all defined."""
+    rows = []
     for kind in constrained:
-        gaps = []
-        for j, member in enumerate(members):
-            g = metrics.fairness_gap(kind, member.predict_all(dataset), dataset)
-            if g is None:
-                raise FairmixError(
-                    f"{kind} is undefined for member {j + 1}; cannot constrain it"
-                )
-            gaps.append(g)
-        table[kind] = np.asarray(gaps)
-    return table
+        gaps = counts.gaps(kind)
+        undefined = np.flatnonzero(np.isnan(gaps))
+        if undefined.size:
+            raise FairmixError(
+                f"{kind} is undefined for member {undefined[0] + 1}; cannot constrain it"
+            )
+        rows.append(gaps)
+    return rows
 
 
 def build_mixture_program(
-    members: Sequence[Classifier],
-    dataset: Dataset,
+    counts: CellCounts,
     constrained: Sequence[MetricKind],
     tolerance: float,
     objective: Objective,
@@ -108,27 +102,14 @@ def build_mixture_program(
     constrained kind contributes the pair +/- (sum_j p_j gap_j) <= tol.
     A tolerance of infinity drops the gap rows entirely.
     """
-    m = len(members)
-    if objective is Objective.MAX_ACCURACY:
-        c = np.array(
-            [metrics.accuracy(mem.predict_all(dataset), dataset) for mem in members]
-        )
-    else:
-        c = np.zeros(m)
-    a_ub_rows = []
-    b_ub = []
-    if math.isfinite(tolerance):
-        for kind, gaps in _member_gap_table(members, dataset, constrained).items():
-            a_ub_rows.append(gaps)
-            a_ub_rows.append(-gaps)
-            b_ub.extend([tolerance, tolerance])
-    else:
-        _member_gap_table(members, dataset, constrained)  # still reject undefined
-    a_ub = np.asarray(a_ub_rows) if a_ub_rows else None
-    b_ub_arr = np.asarray(b_ub) if b_ub else None
-    return LinearProgram(
-        c, a_ub=a_ub, b_ub=b_ub_arr, a_eq=np.ones((1, m)), b_eq=np.array([1.0])
-    )
+    m = counts.accepted.shape[0]
+    c = counts.accuracies() if objective is Objective.MAX_ACCURACY else np.zeros(m)
+    gap_rows = _gap_rows(counts, constrained)  # rejects undefined gaps even at inf
+    if not math.isfinite(tolerance):
+        gap_rows = []
+    a_ub = [row for gaps in gap_rows for row in (gaps, -gaps)]
+    b_ub = [tolerance] * len(a_ub)
+    return LinearProgram(c, a_ub, b_ub, a_eq=np.ones((1, m)), b_eq=np.array([1.0]))
 
 
 def solve_fair_mixture(
@@ -141,8 +122,8 @@ def solve_fair_mixture(
     """Solve for fair mixture weights and re-verify the result analytically.
 
     The solution is never reported straight from the tableau: the
-    returned weights are pushed back through the ensemble module and the
-    recomputed accuracy and gaps must agree with the LP's view within
+    returned weights are pushed back through the members' cell counts and
+    the recomputed accuracy and gaps must agree with the LP's view within
     1e-9, otherwise this raises rather than returning a bad certificate.
     """
     constrained = sorted(set(constrained), key=lambda k: k.value)
@@ -152,9 +133,10 @@ def solve_fair_mixture(
             f"cannot constrain {', '.join(str(k) for k in bad)}: only kinds "
             "linear in the weights are supported"
         )
-    if tolerance < 0:
+    if not tolerance >= 0:  # also rejects NaN
         raise FairmixError(f"tolerance must be >= 0, got {tolerance!r}")
-    program = build_mixture_program(members, dataset, constrained, tolerance, objective)
+    counts = member_counts(members, dataset)
+    program = build_mixture_program(counts, constrained, tolerance, objective)
     result: SimplexResult = simplex_solve(program)
     if result.status is not SolveStatus.OPTIMAL:
         return MixtureSolution(
@@ -169,11 +151,11 @@ def solve_fair_mixture(
         )
     weights = np.asarray(result.x, dtype=float)
     weights = weights / weights.sum()  # simplex row holds within 1e-9; make it exact
-    ens = Ensemble(members, weights)
-    accuracy = mixture_accuracy(ens, dataset)
+    Ensemble(members, weights)  # rejects weights that are not a distribution
+    accuracy = counts.mixed_accuracy(weights)
     gaps = {}
     for kind in constrained:
-        g = ensemble_gap(ens, kind, dataset)
+        g = counts.mixed_gap(weights, kind)
         if g is None or abs(g) > tolerance + VALIDATION_TOLERANCE:
             raise FairmixError(
                 f"solver returned weights violating the {kind} constraint: "
@@ -188,7 +170,7 @@ def solve_fair_mixture(
             f"mixture accuracy {accuracy!r}"
         )
     post_hoc = {
-        kind: ensemble_gap(ens, kind, dataset)
+        kind: counts.mixed_gap(weights, kind)
         for kind in (MetricKind.PPV, MetricKind.NPV)
     }
     return MixtureSolution(
@@ -258,20 +240,20 @@ def grid_oracle(
         raise FairmixError(
             f"grid resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}"
         )
+    if not tolerance >= 0:  # also rejects NaN
+        raise FairmixError(f"tolerance must be >= 0, got {tolerance!r}")
     constrained = sorted(set(constrained), key=lambda k: k.value)
-    gap_table = _member_gap_table(members, dataset, constrained)
-    acc = np.array(
-        [metrics.accuracy(mem.predict_all(dataset), dataset) for mem in members]
-    )
+    counts = member_counts(members, dataset)
+    gap_rows = _gap_rows(counts, constrained)
     lattice = np.asarray(list(_compositions(resolution, m)), dtype=float) / resolution
     feasible = np.ones(lattice.shape[0], dtype=bool)
-    for gaps in gap_table.values():
+    for gaps in gap_rows:
         mixed = lattice @ gaps
         feasible &= np.abs(mixed) <= tolerance + 1e-12
     count = int(np.sum(feasible))
     if count == 0:
         return GridOracleResult(None, None, 0, resolution)
-    values = lattice @ acc
+    values = lattice @ counts.accuracies()
     values[~feasible] = -np.inf
     best = int(np.argmax(values))  # first max = lexicographically smallest
     return GridOracleResult(

@@ -34,6 +34,7 @@ from .ensemble import (
     Ensemble,
     acceptance_probability,
     ensemble_group_rate,
+    member_counts,
     mixture_accuracy,
 )
 from .errors import FairmixError
@@ -296,25 +297,14 @@ def _actuals_figure1(s: Scenario) -> dict:
 
 
 def _actuals_figure2(s: Scenario) -> dict:
-    rates0, rates1, gaps = [], [], []
-    for member in s.members:
-        predictions = member.predict_all(s.dataset)
-        rates0.append(
-            metrics.group_rate(MetricKind.ACCEPTANCE_RATE, predictions, s.dataset, 0)
-        )
-        rates1.append(
-            metrics.group_rate(MetricKind.ACCEPTANCE_RATE, predictions, s.dataset, 1)
-        )
-        gaps.append(
-            metrics.fairness_gap(MetricKind.ACCEPTANCE_RATE, predictions, s.dataset)
-        )
+    counts = member_counts(s.members, s.dataset)
     ens = s.ensemble()
     r0 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 0)
     r1 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 1)
     return {
-        "member_acceptance_z0": rates0,
-        "member_acceptance_z1": rates1,
-        "member_gaps": gaps,
+        "member_acceptance_z0": counts.rates(MetricKind.ACCEPTANCE_RATE, 0).tolist(),
+        "member_acceptance_z1": counts.rates(MetricKind.ACCEPTANCE_RATE, 1).tolist(),
+        "member_gaps": counts.gaps(MetricKind.ACCEPTANCE_RATE).tolist(),
         "ensemble_acceptance_z0": r0,
         "ensemble_acceptance_z1": r1,
         "ensemble_gap": r0 - r1,
@@ -322,24 +312,15 @@ def _actuals_figure2(s: Scenario) -> dict:
 
 
 def _actuals_figure3(s: Scenario) -> dict:
-    accuracies, rates0, rates1 = [], [], []
-    for member in s.members:
-        predictions = member.predict_all(s.dataset)
-        accuracies.append(metrics.accuracy(predictions, s.dataset))
-        rates0.append(
-            metrics.group_rate(MetricKind.ACCEPTANCE_RATE, predictions, s.dataset, 0)
-        )
-        rates1.append(
-            metrics.group_rate(MetricKind.ACCEPTANCE_RATE, predictions, s.dataset, 1)
-        )
+    counts = member_counts(s.members, s.dataset)
     ens = s.ensemble()
     r0 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 0)
     r1 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 1)
     sweep = optimizer.best_fair_single_threshold(s.dataset, 0, 1e-9)
     return {
-        "member_accuracies": accuracies,
-        "member_rates_z0": rates0,
-        "member_rates_z1": rates1,
+        "member_accuracies": counts.accuracies().tolist(),
+        "member_rates_z0": counts.rates(MetricKind.ACCEPTANCE_RATE, 0).tolist(),
+        "member_rates_z1": counts.rates(MetricKind.ACCEPTANCE_RATE, 1).tolist(),
         "ensemble_accuracy": mixture_accuracy(ens, s.dataset),
         "ensemble_rate_z0": r0,
         "ensemble_rate_z1": r1,
@@ -349,12 +330,7 @@ def _actuals_figure3(s: Scenario) -> dict:
 
 
 def _actuals_figure4(s: Scenario) -> dict:
-    gaps = [
-        metrics.fairness_gap(
-            MetricKind.ACCEPTANCE_RATE, member.predict_all(s.dataset), s.dataset
-        )
-        for member in s.members
-    ]
+    gaps = member_counts(s.members, s.dataset).gaps(MetricKind.ACCEPTANCE_RATE)
     ens = s.ensemble()
     r0 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 0)
     r1 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 1)
@@ -363,7 +339,7 @@ def _actuals_figure4(s: Scenario) -> dict:
     q1 = q[s.dataset.sensitive == 1]
     constant = float(q1[0]) if q1.size and np.all(q1 == q1[0]) else None
     return {
-        "member_gaps": gaps,
+        "member_gaps": gaps.tolist(),
         "ensemble_rate_z0": r0,
         "ensemble_rate_z1": r1,
         "ensemble_gap": r0 - r1,

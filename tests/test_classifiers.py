@@ -1,5 +1,7 @@
 """Classifier behaviour: linear scoring, tables, matrix serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fairmix import (
     CompatibilityError,
     DataFormatError,
     Dataset,
+    FairmixError,
     Instance,
     LinearClassifier,
     TableClassifier,
@@ -71,6 +74,15 @@ class TestLinearClassifier:
         assert clf.weights == (1.0, 2.0)
         assert all(isinstance(w, float) for w in clf.weights)
 
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(FairmixError, match="non-finite classifier parameter"):
+            LinearClassifier((1.0, bad))
+        with pytest.raises(FairmixError, match="non-finite classifier parameter"):
+            LinearClassifier((1.0,), sensitive_weight=bad)
+        with pytest.raises(FairmixError, match="non-finite classifier parameter"):
+            LinearClassifier((1.0,), bias=bad)
 
 class TestTableClassifier:
     def test_predictions_returned_verbatim(self, ds):

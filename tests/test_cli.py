@@ -6,12 +6,14 @@ codes under test: 0 success, 1 input error, 2 infeasible, 3 not found.
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fairmix
 from fairmix import (
     Dataset,
     TableClassifier,
@@ -375,6 +377,22 @@ class TestSolveCommands:
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_invalid_tolerance_names_the_flag(self, fig2_dir, capsys, value):
+        code, out, err = run(
+            [
+                "optimize",
+                str(fig2_dir / "dataset.csv"),
+                str(fig2_dir / "predictions.csv"),
+                "--tol",
+                value,
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "argument --tol: must be >= 0" in err
+
 class TestSample:
     def test_json_run(self, fig2_dir, capsys):
         code, out, _ = run(
@@ -471,6 +489,29 @@ class TestSample:
         assert "n_draws" in err
 
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["NaN", "Infinity", "-Infinity", "1e999", "int_past_float_range"],
+    )
+    def test_non_finite_weights_rejected(self, fig2_dir, tmp_path, capsys, literal):
+        # NaN used to pass the sign and sum checks and report z0=0, z1=0.667
+        bad = tmp_path / "w.json"
+        bad.write_text('{"weights": [%s, 0.5, 0.5]}' % literal)
+        code, out, err = run(
+            [
+                "sample",
+                str(fig2_dir / "dataset.csv"),
+                str(fig2_dir / "predictions.csv"),
+                str(bad),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"fairmix: error: {bad}: non-finite weight" in err
+        assert "Traceback" not in err
+
 class TestCounterexample:
     def test_witness_found_and_verified(self, tmp_path, capsys):
         out_dir = tmp_path / "wit"
@@ -545,10 +586,15 @@ class TestParsing:
         assert "audit" in out and "counterexample" in out
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same fairmix as this process, whether it
+        # came from PYTHONPATH or from pytest's own pythonpath setting
+        src = os.path.dirname(os.path.dirname(fairmix.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fairmix", "figure", "3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True

@@ -2,14 +2,18 @@
 
 The analytic formulas are float implementations of rational quantities:
 weighted averages of count ratios (linear kinds) and ratios of weighted
-counts (PPV/NPV). The oracles below redo both in ``Fraction`` arithmetic
-over the exact rational values of the float weights.
+counts (PPV/NPV). The oracles below recount every member from the raw
+label, group and prediction arrays, one instance at a time, and redo
+both formulas in ``Fraction`` arithmetic over the exact rational values
+of the float weights. They share no code with the cell-count core.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmix import (
     Ensemble,
@@ -20,8 +24,8 @@ from fairmix import (
     ensemble_gap,
     ensemble_group_rate,
     ensemble_report,
+    member_counts,
     mixture_accuracy,
-    rate_counts,
     sample,
     uniform_ensemble,
 )
@@ -31,10 +35,35 @@ from fairmix.ensemble import GENERATOR_NAME
 from conftest import make_random_dataset, make_random_members, random_weights
 
 
+def oracle_counts(kind, labels, groups, preds, z):
+    """(hits, size) of one member's group rate, counted instance by instance."""
+    hits = size = 0
+    for y, g, p in zip(labels.tolist(), groups.tolist(), preds.tolist()):
+        if g != z:
+            continue
+        in_set, hit = {
+            MetricKind.ACCEPTANCE_RATE: (True, p == 1),
+            MetricKind.TPR: (y == 1, p == 1),
+            MetricKind.TNR: (y == -1, p == -1),
+            MetricKind.PPV: (p == 1, y == 1),
+            MetricKind.NPV: (p == -1, y == -1),
+        }[kind]
+        if in_set:
+            size += 1
+            hits += hit
+    return hits, size
+
+
+def member_oracle_counts(ensemble, kind, ds, z):
+    return [
+        oracle_counts(kind, ds.labels, ds.sensitive, m.predict_all(ds), z)
+        for m in ensemble.members
+    ]
+
+
 def fraction_linear_rate(ensemble, kind, ds, z):
     total = Fraction(0)
-    for w, member in zip(ensemble.weights, ensemble.members):
-        h, s = rate_counts(kind, member.predict_all(ds), ds, z)
+    for w, (h, s) in zip(ensemble.weights, member_oracle_counts(ensemble, kind, ds, z)):
         if s == 0:
             return None
         total += Fraction(w) * Fraction(h, s)
@@ -44,13 +73,20 @@ def fraction_linear_rate(ensemble, kind, ds, z):
 def fraction_ratio_rate(ensemble, kind, ds, z):
     num = Fraction(0)
     den = Fraction(0)
-    for w, member in zip(ensemble.weights, ensemble.members):
-        h, s = rate_counts(kind, member.predict_all(ds), ds, z)
+    for w, (h, s) in zip(ensemble.weights, member_oracle_counts(ensemble, kind, ds, z)):
         num += Fraction(w) * h
         den += Fraction(w) * s
     if den == 0:
         return None
     return num / den
+
+
+def fraction_accuracy(ensemble, ds):
+    total = Fraction(0)
+    for w, m in zip(ensemble.weights, ensemble.members):
+        correct = sum(int(p == y) for p, y in zip(m.predict_all(ds), ds.labels))
+        total += Fraction(w) * Fraction(correct, len(ds))
+    return total
 
 
 class TestConstruction:
@@ -65,6 +101,15 @@ class TestConstruction:
             Ensemble(members, [1.5, -0.5])
         with pytest.raises(FairmixError, match="sum to"):
             Ensemble(members, [0.6, 0.6])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, rng, bad):
+        # NaN compares false with everything, so the sign and sum checks
+        # alone let [NaN, 0.5, 0.5] through
+        ds = make_random_dataset(rng, 8)
+        members = make_random_members(rng, ds, 3)
+        with pytest.raises(FairmixError, match="non-finite or negative weight"):
+            Ensemble(members, [bad, 0.5, 0.5])
 
     def test_weights_read_only_copy(self, rng):
         ds = make_random_dataset(rng, 8)
@@ -178,17 +223,100 @@ class TestAnalyticRates:
                 assert g == r0 - r1
 
     def test_mixture_accuracy_weighted(self, rng):
-        from fairmix import accuracy
-
         for _ in range(20):
             ds = make_random_dataset(rng, 12)
             members = make_random_members(rng, ds, int(rng.integers(1, 5)))
             ens = Ensemble(members, random_weights(rng, len(members)))
-            want = sum(
-                Fraction(w) * Fraction(accuracy(m.predict_all(ds), ds))
-                for w, m in zip(ens.weights, members)
-            )
+            want = fraction_accuracy(ens, ds)
             assert mixture_accuracy(ens, ds) == pytest.approx(float(want), abs=1e-12)
+
+
+@st.composite
+def small_ensembles(draw):
+    """A tiny dataset (empty cells are common) and a weighted ensemble."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=4))
+    signs = st.sampled_from((-1, 1))
+    labels = draw(st.lists(signs, min_size=n, max_size=n))
+    groups = draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+    ds = Dataset.from_arrays([[float(i)] for i in range(n)], labels, groups)
+    members = [
+        TableClassifier(draw(st.lists(signs, min_size=n, max_size=n)), ds)
+        for _ in range(m)
+    ]
+    ticks = draw(
+        st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any)
+    )
+    return ds, Ensemble(members, np.asarray(ticks) / sum(ticks))
+
+
+class TestCountDifferential:
+    """The (M, 4) cell-count core against instance-level ``Fraction`` oracles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ensembles())
+    def test_cell_matrix_is_the_instance_tally(self, case):
+        ds, ens = case
+        counts = member_counts(ens.members, ds)
+        cells = [(z, y) for z in (0, 1) for y in (-1, 1)]
+        assert counts.sizes.tolist() == [
+            sum(1 for g, l in zip(ds.sensitive, ds.labels) if (g, l) == c)
+            for c in cells
+        ]
+        for j, member in enumerate(ens.members):
+            preds = member.predict_all(ds)
+            assert counts.accepted[j].tolist() == [
+                sum(
+                    1
+                    for g, l, p in zip(ds.sensitive, ds.labels, preds)
+                    if (g, l) == c and p == 1
+                )
+                for c in cells
+            ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ensembles())
+    def test_member_rates_and_accuracy_are_exact(self, case):
+        ds, ens = case
+        counts = member_counts(ens.members, ds)
+        for kind in MetricKind:
+            for z in (0, 1):
+                want = member_oracle_counts(ens, kind, ds, z)
+                num, den = counts.counts(kind, z)
+                assert list(zip(num.tolist(), den.tolist())) == want
+                for rate, (h, s) in zip(counts.rates(kind, z), want):
+                    if s == 0:
+                        assert np.isnan(rate)  # undefined, never 0
+                    else:
+                        assert rate == float(Fraction(h, s))
+        for j, member in enumerate(ens.members):
+            correct = sum(int(p == y) for p, y in zip(member.predict_all(ds), ds.labels))
+            assert counts.accuracies()[j] == float(Fraction(correct, len(ds)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_ensembles())
+    def test_ensemble_rates_match_fraction_oracles(self, case):
+        ds, ens = case
+        for kind in MetricKind:
+            oracle = (
+                fraction_ratio_rate
+                if kind in (MetricKind.PPV, MetricKind.NPV)
+                else fraction_linear_rate
+            )
+            wants = [oracle(ens, kind, ds, z) for z in (0, 1)]
+            for z, want in zip((0, 1), wants):
+                got = ensemble_group_rate(ens, kind, ds, z)
+                if want is None:
+                    assert got is None  # an empty conditioning set, never 0
+                else:
+                    assert got == pytest.approx(float(want), abs=1e-12)
+            gap = ensemble_gap(ens, kind, ds)
+            if None in wants:
+                assert gap is None
+            else:
+                assert gap == pytest.approx(float(wants[0] - wants[1]), abs=1e-12)
+        want = fraction_accuracy(ens, ds)
+        assert mixture_accuracy(ens, ds) == pytest.approx(float(want), abs=1e-12)
 
 
 class TestClosure:

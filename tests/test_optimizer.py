@@ -19,6 +19,7 @@ from fairmix import (
     build_mixture_program,
     ensemble_gap,
     grid_oracle,
+    member_counts,
     mixture_accuracy,
     ppv_counterexample_search,
     rate_counts,
@@ -57,7 +58,10 @@ class TestBuildProgram:
         members = make_random_members(rng, ds, 3)
         for tol in (0.0, 0.1, math.inf):
             program = build_mixture_program(
-                members, ds, [MetricKind.ACCEPTANCE_RATE], tol, Objective.MAX_ACCURACY
+                member_counts(members, ds),
+                [MetricKind.ACCEPTANCE_RATE],
+                tol,
+                Objective.MAX_ACCURACY,
             )
             assert program.a_eq.tolist() == [[1.0, 1.0, 1.0]]
             assert program.b_eq.tolist() == [1.0]
@@ -66,7 +70,7 @@ class TestBuildProgram:
         ds = make_random_dataset(rng, 10)
         members = make_random_members(rng, ds, 2)
         program = build_mixture_program(
-            members, ds, ALL_LINEAR, 0.25, Objective.MAX_ACCURACY
+            member_counts(members, ds), ALL_LINEAR, 0.25, Objective.MAX_ACCURACY
         )
         assert program.a_ub.shape == (6, 2)
         assert program.b_ub.tolist() == [0.25] * 6
@@ -78,7 +82,7 @@ class TestBuildProgram:
         ds = make_random_dataset(rng, 10)
         members = make_random_members(rng, ds, 2)
         program = build_mixture_program(
-            members, ds, ALL_LINEAR, math.inf, Objective.MAX_ACCURACY
+            member_counts(members, ds), ALL_LINEAR, math.inf, Objective.MAX_ACCURACY
         )
         assert program.a_ub.shape[0] == 0
 
@@ -88,7 +92,7 @@ class TestBuildProgram:
             ds = make_random_dataset(rng, 12)
             members = make_random_members(rng, ds, 3)
             program = build_mixture_program(
-                members, ds, ALL_LINEAR, 1.0, Objective.MAX_ACCURACY
+                member_counts(members, ds), ALL_LINEAR, 1.0, Objective.MAX_ACCURACY
             )
             p = random_weights(rng, 3)
             ens = Ensemble(members, p)
@@ -102,7 +106,7 @@ class TestBuildProgram:
         ds = make_random_dataset(rng, 10)
         members = make_random_members(rng, ds, 2)
         program = build_mixture_program(
-            members, ds, [], 0.1, Objective.FEASIBILITY_ONLY
+            member_counts(members, ds), [], 0.1, Objective.FEASIBILITY_ONLY
         )
         assert program.c.tolist() == [0.0, 0.0]
 
@@ -186,6 +190,18 @@ class TestSolveFairMixture:
         ds, members = opposed_pair()
         with pytest.raises(FairmixError, match="must be >= 0"):
             solve_fair_mixture(members, ds, [MetricKind.ACCEPTANCE_RATE], -0.1)
+
+    def test_no_members_rejected(self):
+        ds, _ = opposed_pair()
+        with pytest.raises(FairmixError, match="at least one member"):
+            solve_fair_mixture([], ds, [MetricKind.ACCEPTANCE_RATE], 0.1)
+
+    def test_nan_tolerance_rejected(self):
+        # NaN fails every comparison, so it once passed both the sign
+        # check and the post-solve verification
+        ds, members = opposed_pair()
+        with pytest.raises(FairmixError, match="must be >= 0"):
+            solve_fair_mixture(members, ds, [MetricKind.ACCEPTANCE_RATE], math.nan)
 
     def test_undefined_member_gap_rejected(self):
         # no positive labels in group 0: TPR gap undefined for everyone
@@ -277,6 +293,13 @@ class TestGridOracle:
         members = make_random_members(rng, ds, 2)
         with pytest.raises(FairmixError, match="resolution must be >= 10"):
             grid_oracle(members, ds, [], 0.1, 9)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -0.1])
+    def test_invalid_tolerance_rejected(self, rng, tolerance):
+        ds = make_random_dataset(rng, 8)
+        members = make_random_members(rng, ds, 2)
+        with pytest.raises(FairmixError, match="must be >= 0"):
+            grid_oracle(members, ds, [MetricKind.ACCEPTANCE_RATE], tolerance, 10)
 
     def test_never_beats_the_lp(self, rng):
         # the lattice is a subset of the LP's feasible region, so the
