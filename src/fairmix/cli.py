@@ -391,8 +391,8 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not args.tol >= 0:  # also rejects NaN
-            parser.error(f"argument --tol: must be >= 0, got {args.tol!r}")
+        if not 0 <= args.tol < float("inf"):  # also rejects NaN
+            parser.error(f"argument --tol: must be >= 0 and finite, got {args.tol!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

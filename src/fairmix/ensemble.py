@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, prediction_matrix
+from .classifiers import Classifier
 from .dataset import CounterfactualPair, Dataset, group_indices
 from .distributional import dispersion
 from .errors import FairmixError
@@ -171,12 +171,14 @@ class SampleResult:
 
     ``labels`` has one row per draw. In per-draw mode one member is
     selected per draw and applied to the whole dataset, and
-    ``member_indices`` records the selection; in per-instance mode every
-    instance draws its own member independently and ``member_indices``
-    is None. Identical seeds give bit-identical results.
+    ``member_indices`` records the selection; ``labels`` is then built on
+    access from the members' label rows, so the result holds
+    O(draws + N*M) values. In per-instance mode every instance draws its
+    own member independently, ``member_indices`` is None and the
+    (draws, N) labels are stored. Identical seeds give bit-identical
+    results.
     """
 
-    labels: np.ndarray
     member_indices: Optional[np.ndarray]
     per_draw_rates: dict
     group_rates: dict
@@ -185,6 +187,14 @@ class SampleResult:
     seed: int
     per_instance: bool
     generator: str
+    #: the (M, N) member label rows in per-draw mode, the labels otherwise
+    _rows: np.ndarray
+
+    @property
+    def labels(self) -> np.ndarray:
+        if self.member_indices is None:
+            return self._rows
+        return self._rows[self.member_indices]
 
     def to_json_dict(self) -> dict:
         return {
@@ -222,21 +232,24 @@ def sample(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    matrix = prediction_matrix(ensemble.members, dataset).astype(np.int8)
+    # int8 label rows, one member at a time: no (M, N) int64 matrix
+    rows = np.stack([m.predict_all(dataset).astype(np.int8) for m in ensemble.members])
     n = len(dataset)
     cumulative = np.cumsum(ensemble.weights)
     rng = np.random.default_rng(seed)
     if per_instance:
         uniforms = rng.random((n_draws, n))
         chosen = _select_members(cumulative, uniforms)
-        labels = matrix[chosen, np.arange(n)]
+        rows = rows[chosen, np.arange(n)]
+        accepted = rows == 1
         member_indices = None
     else:
         uniforms = rng.random(n_draws)
         chosen = _select_members(cumulative, uniforms)
-        labels = matrix[chosen]
+        # a draw's group rate is its member's: accepted count / group size,
+        # the same float as the mean over the draw's labels
+        counts = metrics.cell_counts(rows == 1, dataset)
         member_indices = chosen
-    accepted = labels == 1
     per_draw_rates = {}
     group_rates = {}
     standard_errors = {}
@@ -247,7 +260,10 @@ def sample(
             group_rates[z] = None
             standard_errors[z] = None
             continue
-        rates = accepted[:, idx].mean(axis=1)
+        if per_instance:
+            rates = accepted[:, idx].mean(axis=1)
+        else:
+            rates = counts.rates(MetricKind.ACCEPTANCE_RATE, z)[chosen]
         per_draw_rates[z] = rates
         group_rates[z] = float(rates.mean())
         if n_draws > 1:
@@ -255,7 +271,6 @@ def sample(
         else:
             standard_errors[z] = None
     return SampleResult(
-        labels=labels,
         member_indices=member_indices,
         per_draw_rates=per_draw_rates,
         group_rates=group_rates,
@@ -264,6 +279,7 @@ def sample(
         seed=seed,
         per_instance=per_instance,
         generator=GENERATOR_NAME,
+        _rows=rows,
     )
 
 

@@ -377,7 +377,7 @@ class TestSolveCommands:
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
 
 
-    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "inf"])
     def test_invalid_tolerance_names_the_flag(self, fig2_dir, capsys, value):
         code, out, err = run(
             [
@@ -391,7 +391,7 @@ class TestSolveCommands:
         )
         assert code == 1
         assert out == ""
-        assert "argument --tol: must be >= 0" in err
+        assert "argument --tol: must be >= 0 and finite" in err
 
 class TestSample:
     def test_json_run(self, fig2_dir, capsys):

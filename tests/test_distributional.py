@@ -60,11 +60,23 @@ class TestGroupDispersion:
 
     def test_gini_matches_double_loop(self):
         rng = np.random.default_rng(4)
-        for _ in range(30):
-            q = rng.random(int(rng.integers(1, 12)))
+        profiles = [rng.random(int(rng.integers(1, 12))) for _ in range(30)]
+        # tie-heavy dyadic profiles k / 2**bits, as mixtures of few members give
+        for _ in range(20):
+            bits = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 300))
+            profiles.append(rng.integers(1, 2**bits + 1, size=n) / 2**bits)
+        # constant profiles at non-dyadic values
+        constants = [
+            np.full(int(rng.integers(1, 300)), rng.random()) for _ in range(20)
+        ]
+        for q in profiles + constants:
             got = _group_dispersion(q)
+            assert got.gini_q >= 0
             assert got.gini_q == pytest.approx(gini_oracle(q.tolist()), abs=1e-12)
             assert got.variance_q == pytest.approx(np.var(q), abs=1e-12)
+        for q in constants:
+            assert _group_dispersion(q).gini_q == 0.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(5)

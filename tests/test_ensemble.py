@@ -383,6 +383,33 @@ class TestSampler:
         for k in range(50):
             assert np.array_equal(result.labels[k], matrix[result.member_indices[k]])
 
+    def test_per_draw_rates_equal_label_means(self, rng):
+        """Member counts give the exact floats of the draws x N label means."""
+        from fairmix import prediction_matrix
+
+        ds, ens = self.small_case(rng)
+        # group z0 is empty, so its rates stay None
+        one_group = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [1, 1, 1])
+        members = make_random_members(rng, one_group, 3)
+        cases = [(ds, ens), (one_group, Ensemble(members, [0.2, 0.3, 0.5]))]
+        for dataset, ensemble in cases:
+            for seed in (0, 1, 7, 12345):
+                result = sample(ensemble, dataset, n_draws=300, seed=seed)
+                matrix = prediction_matrix(ensemble.members, dataset)
+                accepted = matrix[result.member_indices] == 1
+                for z in (0, 1):
+                    idx = np.flatnonzero(dataset.sensitive == z)
+                    if idx.size == 0:
+                        assert result.per_draw_rates[z] is None
+                        assert result.group_rates[z] is None
+                        assert result.standard_errors[z] is None
+                        continue
+                    rates = accepted[:, idx].mean(axis=1)
+                    assert np.array_equal(result.per_draw_rates[z], rates)
+                    assert result.group_rates[z] == float(rates.mean())
+                    stderr = float(rates.std(ddof=1) / np.sqrt(300))
+                    assert result.standard_errors[z] == stderr
+
     def test_per_instance_mode(self, rng):
         ds, ens = self.small_case(rng)
         result = sample(ens, ds, n_draws=50, seed=3, per_instance=True)
