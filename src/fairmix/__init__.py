@@ -21,7 +21,6 @@ from .classifiers import (
 from .dataset import (
     CounterfactualPair,
     Dataset,
-    Instance,
     build_counterfactual_pairs,
     group_indices,
     load_dataset,
@@ -111,7 +110,6 @@ __all__ = [
     "GridOracleResult",
     "GroupDispersion",
     "GroupMetric",
-    "Instance",
     "LINEAR_KINDS",
     "LinearClassifier",
     "LinearProgram",

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .dataset import Dataset, Instance, PathArg
+from .dataset import Dataset, PathArg, _as_given, _read_cells
 from .errors import CompatibilityError, DataFormatError, FairmixError
 
 
@@ -38,21 +38,6 @@ class LinearClassifier:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not all(map(math.isfinite, (*self.weights, self.sensitive_weight, self.bias))):
             raise FairmixError(f"non-finite classifier parameter in {self!r}")
-
-    def score(self, features: Sequence[float], sensitive: int) -> float:
-        if len(features) != len(self.weights):
-            raise CompatibilityError(
-                f"dimension mismatch: classifier expects {len(self.weights)} "
-                f"features, got {len(features)}"
-            )
-        return (
-            float(np.dot(self.weights, features))
-            + self.sensitive_weight * sensitive
-            + self.bias
-        )
-
-    def predict(self, instance: Instance) -> int:
-        return 1 if self.score(instance.features, instance.sensitive) >= 0 else -1
 
     def predict_all(self, dataset: Dataset) -> np.ndarray:
         if dataset.dimension != len(self.weights):
@@ -87,7 +72,7 @@ class TableClassifier:
     __slots__ = ("_predictions", "_dataset")
 
     def __init__(self, predictions, dataset: Dataset):
-        preds = np.asarray(predictions, dtype=int)
+        preds = _as_given(predictions)
         if preds.ndim != 1 or preds.shape[0] != len(dataset):
             raise DataFormatError(
                 f"prediction vector length {preds.shape} does not match "
@@ -96,7 +81,7 @@ class TableClassifier:
         if not np.all(np.isin(preds, (-1, 1))):
             bad = int(np.flatnonzero(~np.isin(preds, (-1, 1)))[0])
             raise DataFormatError(f"invalid prediction at row {bad + 1}: must be -1 or 1")
-        preds = preds.copy()
+        preds = preds.astype(int)
         preds.setflags(write=False)
         self._predictions = preds
         self._dataset = dataset
@@ -108,15 +93,6 @@ class TableClassifier:
     @property
     def dataset(self) -> Dataset:
         return self._dataset
-
-    def predict_index(self, i: int) -> int:
-        return int(self._predictions[i])
-
-    def predict(self, instance: Instance) -> int:
-        raise CompatibilityError(
-            "treatment test unsupported for table classifiers: a prediction "
-            "table cannot evaluate instances outside its bound dataset"
-        )
 
     def predict_all(self, dataset: Dataset) -> np.ndarray:
         if dataset is not self._dataset and dataset != self._dataset:
@@ -153,56 +129,44 @@ def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassif
     """Load table classifiers from CSV with header ``clf_1,...,clf_M``.
 
     The file must have exactly one row per dataset instance, entries in
-    {-1, +1}. Column order is preserved.
+    {-1, +1} (Python ``int()`` syntax, so ``+1`` and ``01`` are read as
+    1). Column order is preserved.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    _, cells = _read_cells(
+        path, lambda m: _matrix_header(m) if m else None, "clf_1,...,clf_M"
+    )
+    accepted = cells == "1"
+    # Only rows with a cell other than the two plain tokens go through int().
+    for k in np.flatnonzero(~np.all(accepted | (cells == "-1"), axis=1)):
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        m = len(header)
-        if m == 0 or header != _matrix_header(m):
+            values = [int(v) for v in cells[k].tolist()]
+        except ValueError:
             raise DataFormatError(
-                f"{path}: header must be clf_1,...,clf_M; got {','.join(header)}"
-            )
-        rows = []
-        for k, row in enumerate(reader, start=1):
-            if len(row) != m:
+                f"{path}: row {k + 1}: malformed prediction value"
+            ) from None
+        for v in values:
+            if v not in (-1, 1):
                 raise DataFormatError(
-                    f"{path}: row {k}: expected {m} fields, got {len(row)}"
+                    f"{path}: row {k + 1}: prediction must be -1 or 1, got {v}"
                 )
-            try:
-                values = [int(v) for v in row]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {k}: malformed prediction value"
-                ) from None
-            for v in values:
-                if v not in (-1, 1):
-                    raise DataFormatError(
-                        f"{path}: row {k}: prediction must be -1 or 1, got {v}"
-                    )
-            rows.append(values)
-    if len(rows) != len(dataset):
+        accepted[k] = np.array(values) == 1
+    if len(cells) != len(dataset):
         raise DataFormatError(
-            f"{path}: row count mismatch: {len(rows)} rows for a dataset "
+            f"{path}: row count mismatch: {len(cells)} rows for a dataset "
             f"of {len(dataset)} instances"
         )
-    matrix = np.asarray(rows, dtype=int)
-    return [TableClassifier(matrix[:, j], dataset) for j in range(m)]
+    matrix = np.where(accepted, 1, -1)
+    return [TableClassifier(matrix[:, j], dataset) for j in range(matrix.shape[1])]
 
 
 def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
-    """Write an (M, N) or (N, M) prediction matrix as ``clf_1..clf_M`` CSV.
+    """Write an (M, N) prediction matrix as ``clf_1..clf_M`` CSV.
 
-    The matrix is interpreted as (M, N): one row per classifier, as
-    produced by :func:`prediction_matrix`.
+    The matrix has one row per classifier, as produced by
+    :func:`prediction_matrix`; the file has one row per instance.
     """
     matrix = np.asarray(matrix, dtype=int)
-    m, n = matrix.shape
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_matrix_header(m))
-        for i in range(n):
-            writer.writerow([str(int(matrix[j, i])) for j in range(m)])
+        writer.writerow(_matrix_header(matrix.shape[0]))
+        writer.writerows(matrix.T.tolist())

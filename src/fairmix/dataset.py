@@ -1,18 +1,17 @@
 """Data model: labeled instances with a binary sensitive attribute.
 
-A dataset is an ordered collection of instances ``(features, label,
-sensitive)`` with labels in {-1, +1} and the sensitive attribute in
-{0, 1}. Instance order is stable: the row index identifies a user.
-Indices are 0-based throughout the library; human-facing reports add 1.
+A dataset holds parallel arrays: an (N, d) feature matrix, labels in
+{-1, +1} and the sensitive attribute in {0, 1}. Row order is stable:
+the row index identifies a user. Indices are 0-based throughout the
+library; human-facing reports add 1.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from os import PathLike
-from typing import Iterable, Iterator, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -23,25 +22,17 @@ PathArg = Union[str, PathLike]
 VALID_LABELS = (-1, 1)
 VALID_SENSITIVE = (0, 1)
 
+#: What ``Dataset.from_arrays`` reports, in the order it checks a row.
+_FAULTS = ("non-finite feature value", "invalid label", "invalid sensitive value")
 
-@dataclass(frozen=True)
-class Instance:
-    """One user: feature vector, true label in {-1,+1}, group in {0,1}."""
 
-    features: tuple[float, ...]
-    label: int
-    sensitive: int
+def _as_given(values) -> np.ndarray:
+    """``values`` as an array, without coercing one element to another's type.
 
-    def __post_init__(self):
-        if self.label not in VALID_LABELS:
-            raise DataFormatError(f"invalid label {self.label!r}: must be -1 or 1")
-        if self.sensitive not in VALID_SENSITIVE:
-            raise DataFormatError(
-                f"invalid sensitive value {self.sensitive!r}: must be 0 or 1"
-            )
-        for v in self.features:
-            if not math.isfinite(v):
-                raise DataFormatError(f"non-finite feature value {v!r}")
+    ``np.asarray([1, "1"])`` would turn the 1 into a string as well, so a
+    sequence that is not already an array keeps its elements as objects.
+    """
+    return values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -65,54 +56,45 @@ class Dataset:
 
     __slots__ = ("_features", "_labels", "_sensitive")
 
-    def __init__(self, instances: Iterable[Instance]):
-        rows = list(instances)
-        if not rows:
-            raise DataFormatError("dataset must contain at least one instance")
-        d = len(rows[0].features)
-        for k, inst in enumerate(rows):
-            if len(inst.features) != d:
-                raise DataFormatError(
-                    f"inconsistent feature dimension at row {k + 1}: "
-                    f"expected {d}, got {len(inst.features)}"
-                )
-        self._features = np.array([inst.features for inst in rows], dtype=float)
-        self._features.setflags(write=False)
-        self._labels = np.array([inst.label for inst in rows], dtype=int)
-        self._labels.setflags(write=False)
-        self._sensitive = np.array([inst.sensitive for inst in rows], dtype=int)
-        self._sensitive.setflags(write=False)
-
     @classmethod
     def from_arrays(cls, features, labels, sensitive) -> "Dataset":
-        """Build a dataset from parallel arrays, validating every field."""
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        labels = np.asarray(labels, dtype=int)
-        sensitive = np.asarray(sensitive, dtype=int)
+        """Build a dataset from parallel arrays, validating every field.
+
+        This is the only constructor, so it is the one place that checks
+        labels, groups and features. Labels and groups are checked as
+        given, before the cast to int, so 1.7, NaN or the string "1" is
+        rejected instead of truncated. An error names the first faulty
+        1-based row.
+        """
+        try:
+            features = np.atleast_2d(np.array(features, dtype=float))
+            if features.ndim != 2:
+                raise ValueError(f"got shape {features.shape}")
+        except ValueError as exc:
+            raise DataFormatError(
+                f"features must be an (N, d) array of numbers: {exc}"
+            ) from None
+        labels = _as_given(labels)
+        sensitive = _as_given(sensitive)
         n = features.shape[0]
         if n == 0:
             raise DataFormatError("dataset must contain at least one instance")
         if labels.shape != (n,) or sensitive.shape != (n,):
             raise DataFormatError("features, labels and sensitive must have equal length")
-        if not np.all(np.isin(labels, VALID_LABELS)):
-            bad = int(np.flatnonzero(~np.isin(labels, VALID_LABELS))[0])
-            raise DataFormatError(f"invalid label at row {bad + 1}")
-        if not np.all(np.isin(sensitive, VALID_SENSITIVE)):
-            bad = int(np.flatnonzero(~np.isin(sensitive, VALID_SENSITIVE))[0])
-            raise DataFormatError(f"invalid sensitive value at row {bad + 1}")
-        if not np.all(np.isfinite(features)):
-            bad = int(np.flatnonzero(~np.all(np.isfinite(features), axis=1))[0])
-            raise DataFormatError(f"non-finite feature value at row {bad + 1}")
+        faults = np.column_stack((
+            ~np.all(np.isfinite(features), axis=1),
+            ~np.isin(labels, VALID_LABELS),
+            ~np.isin(sensitive, VALID_SENSITIVE),
+        ))
+        if faults.any():
+            row, fault = np.argwhere(faults)[0]
+            raise DataFormatError(f"{_FAULTS[fault]} at row {row + 1}")
+        labels = labels.astype(int)
+        sensitive = sensitive.astype(int)
+        for array in (features, labels, sensitive):
+            array.setflags(write=False)
         ds = object.__new__(cls)
-        features = features.copy()
-        features.setflags(write=False)
-        labels = labels.copy()
-        labels.setflags(write=False)
-        sensitive = sensitive.copy()
-        sensitive.setflags(write=False)
-        ds._features = features
-        ds._labels = labels
-        ds._sensitive = sensitive
+        ds._features, ds._labels, ds._sensitive = features, labels, sensitive
         return ds
 
     @property
@@ -137,16 +119,6 @@ class Dataset:
     def __len__(self) -> int:
         return self._features.shape[0]
 
-    def instance(self, i: int) -> Instance:
-        return Instance(
-            features=tuple(self._features[i].tolist()),
-            label=int(self._labels[i]),
-            sensitive=int(self._sensitive[i]),
-        )
-
-    def __iter__(self) -> Iterator[Instance]:
-        return (self.instance(i) for i in range(len(self)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -165,74 +137,103 @@ def _expected_header(d: int) -> list[str]:
     return [f"f_{k}" for k in range(1, d + 1)] + ["y", "z"]
 
 
-def load_dataset(path: PathArg) -> Dataset:
-    """Load a dataset from CSV with header ``f_1,...,f_d,y,z``.
+def _read_cells(
+    path: PathArg, header_for: Callable[[int], Optional[list[str]]], pattern: str
+) -> tuple[list[str], np.ndarray]:
+    """Read a CSV file into its stripped header and an (n, k) str array.
 
-    Row order is preserved; the feature dimension is inferred from the
-    header. Raises :class:`DataFormatError` with the offending 1-based
-    data-row number on any malformed value.
+    ``header_for(k)`` is the header a file of k columns must have, or
+    None when no file may have k columns; ``pattern`` describes it in
+    the error. Every row must have as many fields as the header.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(header) < 3 or header[-2:] != ["y", "z"]:
+        width = len(header)
+        if header != header_for(width):
             raise DataFormatError(
-                f"{path}: header must be f_1,...,f_d,y,z; got {','.join(header)}"
+                f"{path}: header must be {pattern}; got {','.join(header)}"
             )
-        d = len(header) - 2
-        if header != _expected_header(d):
-            raise DataFormatError(
-                f"{path}: header must be f_1,...,f_d,y,z; got {','.join(header)}"
-            )
-        instances = []
+        rows = []
         for k, row in enumerate(reader, start=1):
-            if len(row) != d + 2:
+            if len(row) != width:
                 raise DataFormatError(
-                    f"{path}: row {k}: expected {d + 2} fields, got {len(row)}"
+                    f"{path}: row {k}: expected {width} fields, got {len(row)}"
                 )
+            rows.append(row)
+    return header, np.array(rows, dtype=str).reshape(len(rows), width)
+
+
+def _int_tokens(tokens: np.ndarray) -> np.ndarray:
+    """``int()`` of each token; a token that does not parse stays a str.
+
+    Integers past int64 stay Python ints, so ``Dataset.from_arrays``
+    rejects both kinds as values outside the valid set.
+    """
+    try:
+        return tokens.astype(np.int64)
+    except (ValueError, OverflowError):
+        return np.array([_int_or_token(t) for t in tokens.tolist()], dtype=object)
+
+
+def _int_or_token(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def load_dataset(path: PathArg) -> Dataset:
+    """Load a dataset from CSV with header ``f_1,...,f_d,y,z``.
+
+    Row order is preserved; the feature dimension is inferred from the
+    header. Numbers follow Python's ``float()`` and ``int()`` syntax.
+    Raises :class:`DataFormatError` with the offending 1-based data-row
+    number on any malformed value.
+    """
+    header, cells = _read_cells(
+        path, lambda k: _expected_header(k - 2) if k >= 3 else None, "f_1,...,f_d,y,z"
+    )
+    if not len(cells):
+        raise DataFormatError(f"{path}: no data rows")
+    d = len(header) - 2
+    try:
+        features = cells[:, :d].astype(float)
+    except ValueError:
+        for k, row in enumerate(cells[:, :d], start=1):
             try:
-                feats = tuple(float(v) for v in row[:d])
+                row.astype(float)
             except ValueError:
                 raise DataFormatError(f"{path}: row {k}: malformed feature value") from None
-            if any(not math.isfinite(v) for v in feats):
-                raise DataFormatError(f"{path}: row {k}: non-finite feature value")
-            try:
-                y = int(row[d])
-            except ValueError:
-                raise DataFormatError(f"{path}: invalid label at row {k}") from None
-            if y not in VALID_LABELS:
-                raise DataFormatError(f"{path}: invalid label at row {k}")
-            try:
-                z = int(row[d + 1])
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: invalid sensitive value at row {k}"
-                ) from None
-            if z not in VALID_SENSITIVE:
-                raise DataFormatError(f"{path}: invalid sensitive value at row {k}")
-            instances.append(Instance(feats, y, z))
-    if not instances:
-        raise DataFormatError(f"{path}: no data rows")
-    return Dataset(instances)
+        raise  # not reached: a cast that fails fails on some row
+    try:
+        return Dataset.from_arrays(
+            features, _int_tokens(cells[:, d]), _int_tokens(cells[:, d + 1])
+        )
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def save_dataset(path: PathArg, dataset: Dataset) -> None:
     """Write a dataset to CSV; ``load_dataset`` of the result is identity.
 
-    Floats are written with ``repr`` so parsing restores them exactly.
+    Floats are written with ``repr`` (what ``csv`` writes for a float) so
+    parsing restores them exactly.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_expected_header(dataset.dimension))
-        for i in range(len(dataset)):
-            row = [repr(float(v)) for v in dataset.features[i]]
-            row.append(str(int(dataset.labels[i])))
-            row.append(str(int(dataset.sensitive[i])))
-            writer.writerow(row)
+        writer.writerows(
+            features + [y, z]
+            for features, y, z in zip(
+                dataset.features.tolist(),
+                dataset.labels.tolist(),
+                dataset.sensitive.tolist(),
+            )
+        )
 
 
 def group_indices(dataset: Dataset, z: int) -> np.ndarray:

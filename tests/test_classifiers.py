@@ -10,7 +10,6 @@ from fairmix import (
     DataFormatError,
     Dataset,
     FairmixError,
-    Instance,
     LinearClassifier,
     TableClassifier,
     load_prediction_matrix,
@@ -28,21 +27,28 @@ def ds() -> Dataset:
     )
 
 
+def one_row(features, label=1, sensitive=0) -> Dataset:
+    return Dataset.from_arrays([features], [label], [sensitive])
+
+
 class TestLinearClassifier:
     def test_zero_score_is_positive(self):
         clf = LinearClassifier((1.0,), bias=0.0)
-        assert clf.predict(Instance((0.0,), 1, 0)) == 1
+        assert clf.predict_all(one_row([0.0])).tolist() == [1]
 
     def test_predict_matches_score_sign(self):
         clf = LinearClassifier((2.0, -1.0), sensitive_weight=0.5, bias=-1.0)
-        inst = Instance((1.0, 0.25), -1, 1)
-        assert clf.score(inst.features, inst.sensitive) == 2.0 - 0.25 + 0.5 - 1.0
-        assert clf.predict(inst) == 1
+        score = 2.0 * 1.0 - 1.0 * 0.25 + 0.5 * 1 - 1.0
+        expected = 1 if score >= 0 else -1
+        assert clf.predict_all(one_row([1.0, 0.25], -1, 1)).tolist() == [expected]
 
     def test_predict_all_agrees_with_predict(self, ds):
         clf = LinearClassifier((0.3, -0.7), sensitive_weight=-0.2, bias=0.1)
         vec = clf.predict_all(ds)
-        assert vec.tolist() == [clf.predict(inst) for inst in ds]
+        for x, y, z, got in zip(ds.features.tolist(), ds.labels, ds.sensitive, vec):
+            score = sum(w * v for w, v in zip(clf.weights, x)) - 0.2 * z + 0.1
+            assert got == (1 if score >= 0 else -1)
+            assert clf.predict_all(one_row(x, y, z)).tolist() == [got]
 
     def test_sensitive_weight_reads_group(self, ds):
         aware = LinearClassifier((0.0, 0.0), sensitive_weight=1.0, bias=-0.5)
@@ -51,23 +57,21 @@ class TestLinearClassifier:
     def test_negated_flips_off_boundary_points(self, ds):
         clf = LinearClassifier((0.3, -0.7), sensitive_weight=-0.2, bias=0.1)
         flipped = clf.negated()
-        scores = [clf.score(i.features, i.sensitive) for i in ds]
-        for inst, s in zip(ds, scores):
-            if s != 0:
-                assert flipped.predict(inst) == -clf.predict(inst)
+        scores = ds.features @ np.asarray(clf.weights) - 0.2 * ds.sensitive + 0.1
+        off = scores != 0
+        assert off.any()
+        assert np.array_equal(flipped.predict_all(ds)[off], -clf.predict_all(ds)[off])
 
     def test_negated_boundary_stays_positive(self):
         clf = LinearClassifier((1.0,), bias=-2.0)
-        on_boundary = Instance((2.0,), 1, 0)
-        assert clf.predict(on_boundary) == 1
-        assert clf.negated().predict(on_boundary) == 1
+        on_boundary = one_row([2.0])
+        assert clf.predict_all(on_boundary).tolist() == [1]
+        assert clf.negated().predict_all(on_boundary).tolist() == [1]
 
     def test_dimension_mismatch(self, ds):
         clf = LinearClassifier((1.0,))
         with pytest.raises(CompatibilityError, match="dimension mismatch"):
             clf.predict_all(ds)
-        with pytest.raises(CompatibilityError, match="dimension mismatch"):
-            clf.score((1.0, 2.0, 3.0), 0)
 
     def test_weights_coerced_to_floats(self):
         clf = LinearClassifier((1, 2))
@@ -88,7 +92,7 @@ class TestTableClassifier:
     def test_predictions_returned_verbatim(self, ds):
         table = TableClassifier([1, -1, -1, 1], ds)
         assert table.predict_all(ds).tolist() == [1, -1, -1, 1]
-        assert table.predict_index(3) == 1
+        assert table.predictions[3] == 1
 
     def test_equal_dataset_accepted(self, ds):
         clone = Dataset.from_arrays(ds.features, ds.labels, ds.sensitive)
@@ -101,18 +105,17 @@ class TestTableClassifier:
         with pytest.raises(CompatibilityError, match="not bound to"):
             table.predict_all(other)
 
-    def test_single_instance_prediction_unsupported(self, ds):
-        table = TableClassifier([1, 1, 1, 1], ds)
-        with pytest.raises(CompatibilityError, match="table classifiers"):
-            table.predict(ds.instance(0))
-
     def test_length_checked(self, ds):
         with pytest.raises(DataFormatError, match="does not match"):
             TableClassifier([1, -1], ds)
 
     def test_values_checked(self, ds):
-        with pytest.raises(DataFormatError, match="invalid prediction at row 2"):
-            TableClassifier([1, 0, 1, 1], ds)
+        # checked as given: a float or a string is not truncated to +-1
+        for bad in (0, math.nan, 1.7, -1.5, 10**30, "1"):
+            with pytest.raises(DataFormatError, match="invalid prediction at row 2"):
+                TableClassifier([1, bad, 1, 1], ds)
+        with pytest.raises(DataFormatError, match="invalid prediction at row 1"):
+            TableClassifier(np.array([1.9, -1.0, 1.0, 1.0]), ds)
 
     def test_predictions_read_only(self, ds):
         table = TableClassifier([1, -1, 1, -1], ds)

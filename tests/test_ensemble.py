@@ -149,7 +149,7 @@ class TestBenefitProfile:
                 expect = sum(
                     w
                     for w, m in zip(ens.weights, members)
-                    if m.predict_index(i) == 1
+                    if m.predictions[i] == 1
                 )
                 assert q[i] == pytest.approx(expect, abs=1e-15)
 

@@ -41,18 +41,19 @@ def dataset_and_predictions(draw):
 def oracle_counts(kind, preds, ds, z):
     """Recount from scratch, one instance at a time."""
     num = den = 0
-    for i, inst in enumerate(ds):
-        p = int(preds[i])
+    for p, label, sensitive in zip(
+        preds.tolist(), ds.labels.tolist(), ds.sensitive.tolist()
+    ):
         if kind is MetricKind.ACCEPTANCE_RATE:
-            in_set, hit = inst.sensitive == z, p == 1
+            in_set, hit = sensitive == z, p == 1
         elif kind is MetricKind.TPR:
-            in_set, hit = inst.sensitive == z and inst.label == 1, p == 1
+            in_set, hit = sensitive == z and label == 1, p == 1
         elif kind is MetricKind.TNR:
-            in_set, hit = inst.sensitive == z and inst.label == -1, p == -1
+            in_set, hit = sensitive == z and label == -1, p == -1
         elif kind is MetricKind.PPV:
-            in_set, hit = inst.sensitive == z and p == 1, inst.label == 1
+            in_set, hit = sensitive == z and p == 1, label == 1
         else:
-            in_set, hit = inst.sensitive == z and p == -1, inst.label == -1
+            in_set, hit = sensitive == z and p == -1, label == -1
         if in_set:
             den += 1
             if hit:
