@@ -29,7 +29,6 @@ from .dataset import (
 from .distributional import (
     DispersionReport,
     GroupDispersion,
-    compare_dispersion,
     dispersion,
 )
 from .ensemble import (
@@ -44,7 +43,6 @@ from .ensemble import (
     member_counts,
     mixture_accuracy,
     sample,
-    uniform_ensemble,
 )
 from .errors import CompatibilityError, DataFormatError, FairmixError
 from .metrics import (
@@ -57,9 +55,7 @@ from .metrics import (
     accuracy,
     classifier_report,
     fairness_gap,
-    group_rate,
     indicator_profile,
-    rate_counts,
     treatment_violations,
 )
 from .optimizer import (
@@ -82,8 +78,6 @@ from .scenarios import (
     figure3,
     figure4,
     scenario_by_name,
-    scenario_names,
-    scenario_prediction_matrix,
     verify_scenario,
 )
 from .simplex import (
@@ -132,7 +126,6 @@ __all__ = [
     "build_mixture_program",
     "classifier_report",
     "closure_check",
-    "compare_dispersion",
     "dispersion",
     "ensemble_gap",
     "ensemble_group_rate",
@@ -144,7 +137,6 @@ __all__ = [
     "figure4",
     "grid_oracle",
     "group_indices",
-    "group_rate",
     "indicator_profile",
     "load_dataset",
     "load_prediction_matrix",
@@ -152,17 +144,13 @@ __all__ = [
     "mixture_accuracy",
     "ppv_counterexample_search",
     "prediction_matrix",
-    "rate_counts",
     "sample",
     "save_dataset",
     "save_prediction_matrix",
     "scenario_by_name",
-    "scenario_names",
-    "scenario_prediction_matrix",
     "simplex_solve",
     "solve_fair_mixture",
     "treatment_violations",
-    "uniform_ensemble",
     "verify_scenario",
     "__version__",
 ]

@@ -52,12 +52,6 @@ class LinearClassifier:
         )
         return np.where(scores >= 0, 1, -1)
 
-    def negated(self) -> "LinearClassifier":
-        """Classifier with all parameters negated (flips non-boundary points)."""
-        return LinearClassifier(
-            tuple(-w for w in self.weights), -self.sensitive_weight, -self.bias
-        )
-
 
 class TableClassifier:
     """A column of precomputed labels bound to one dataset.
@@ -117,8 +111,15 @@ Classifier = Union[LinearClassifier, TableClassifier]
 
 
 def prediction_matrix(members: Sequence[Classifier], dataset: Dataset) -> np.ndarray:
-    """(M, N) matrix of member predictions on the dataset."""
-    return np.stack([c.predict_all(dataset) for c in members])
+    """(M, N) int8 matrix of member predictions (+1/-1) on the dataset.
+
+    Each member's row is cast as it is stored, so no (M, N) int64 matrix
+    is ever built.
+    """
+    matrix = np.empty((len(members), len(dataset)), dtype=np.int8)
+    for row, member in zip(matrix, members):
+        row[:] = member.predict_all(dataset)
+    return matrix
 
 
 def _matrix_header(m: int) -> list[str]:
@@ -163,9 +164,17 @@ def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
     """Write an (M, N) prediction matrix as ``clf_1..clf_M`` CSV.
 
     The matrix has one row per classifier, as produced by
-    :func:`prediction_matrix`; the file has one row per instance.
+    :func:`prediction_matrix`; the file has one row per instance. Every
+    entry must be -1 or 1; anything else is rejected, not truncated.
     """
-    matrix = np.asarray(matrix, dtype=int)
+    matrix = np.asarray(matrix)
+    bad = ~np.isin(matrix, (-1, 1))
+    if bad.any():
+        row, column = np.argwhere(bad.T)[0]
+        raise DataFormatError(
+            f"invalid prediction for clf_{column + 1} at row {row + 1}: must be -1 or 1"
+        )
+    matrix = matrix.astype(int)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(_matrix_header(matrix.shape[0]))

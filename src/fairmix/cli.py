@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from typing import Optional, Sequence
@@ -21,13 +22,17 @@ import numpy as np
 
 from . import ensemble as ensemble_mod
 from . import jsonio, metrics, optimizer
-from .classifiers import load_prediction_matrix, save_prediction_matrix
+from .classifiers import (
+    load_prediction_matrix,
+    prediction_matrix,
+    save_prediction_matrix,
+)
 from .dataset import Dataset, build_counterfactual_pairs, load_dataset, save_dataset
 from .ensemble import Ensemble, ensemble_report
 from .errors import FairmixError
 from .metrics import LINEAR_KINDS, MetricKind
-from .optimizer import Objective
-from .scenarios import scenario_by_name, scenario_prediction_matrix, verify_scenario
+from .optimizer import GRID_MIN_RESOLUTION, Objective
+from .scenarios import scenario_by_name, verify_scenario
 from .simplex import SolveStatus
 
 EXIT_OK = 0
@@ -47,10 +52,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+def _at_least(minimum: int, parse=int):
+    """argparse type: a number >= ``minimum``, and finite when a float.
+
+    argparse reports a rejected value as ``argument --flag: <message>``.
+    """
+    finite = " and finite" if parse is float else ""
+
+    def check(text: str):
+        value = parse(text)
+        if not minimum <= value < math.inf:  # also rejects NaN
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}{finite}, got {value!r}"
+            )
+        return value
+
+    check.__name__ = parse.__name__  # named in argparse's "invalid float value"
+    return check
+
+
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--tol", type=float, default=metrics.DEFAULT_TOLERANCE,
+        "--tol", type=_at_least(0, float), default=metrics.DEFAULT_TOLERANCE,
         help="fairness tolerance (default 1e-9)",
     )
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
@@ -108,7 +132,9 @@ def _build_parser() -> _Parser:
                 "--verify", action="store_true",
                 help="cross-check against the exhaustive grid oracle",
             )
-            p.add_argument("--oracle-resolution", type=int, default=200)
+            p.add_argument(
+                "--oracle-resolution", type=_at_least(GRID_MIN_RESOLUTION), default=200
+            )
 
     p = sub.add_parser(
         "sample", parents=[common],
@@ -117,7 +143,7 @@ def _build_parser() -> _Parser:
     p.add_argument("dataset")
     p.add_argument("predictions")
     p.add_argument("weights")
-    p.add_argument("--n", type=int, default=1000, help="number of draws")
+    p.add_argument("--n", type=_at_least(1), default=1000, help="number of draws")
     p.add_argument(
         "--per-instance", action="store_true",
         help="draw an independent member per instance instead of per decision",
@@ -139,7 +165,7 @@ def _build_parser() -> _Parser:
         "counterexample", parents=[common],
         help="search for a PPV non-closure witness",
     )
-    p.add_argument("--max-trials", type=int, default=10000)
+    p.add_argument("--max-trials", type=_at_least(0), default=10000)
     p.add_argument(
         "--out-dir", default=None,
         help="write the witness dataset/predictions/weights here",
@@ -321,7 +347,7 @@ def cmd_figure(args) -> int:
         save_dataset(os.path.join(args.out_dir, "dataset.csv"), scenario.dataset)
         save_prediction_matrix(
             os.path.join(args.out_dir, "predictions.csv"),
-            scenario_prediction_matrix(scenario),
+            prediction_matrix(scenario.members, scenario.dataset),
         )
         _dump_weights(
             os.path.join(args.out_dir, "weights.json"), scenario.prescribed_weights
@@ -345,8 +371,6 @@ def cmd_figure(args) -> int:
 def cmd_counterexample(args) -> int:
     if args.fmt == "csv":
         raise FairmixError("counterexample supports only JSON output")
-    if args.max_trials < 0:
-        raise FairmixError(f"--max-trials must be >= 0, got {args.max_trials}")
     witness = optimizer.ppv_counterexample_search(args.seed, args.max_trials)
     if witness is None:
         print(
@@ -369,9 +393,9 @@ def cmd_counterexample(args) -> int:
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
         save_dataset(os.path.join(args.out_dir, "dataset.csv"), witness.dataset)
-        matrix = np.stack([m.predictions for m in witness.members])
         save_prediction_matrix(
-            os.path.join(args.out_dir, "predictions.csv"), matrix
+            os.path.join(args.out_dir, "predictions.csv"),
+            prediction_matrix(witness.members, witness.dataset),
         )
         _dump_weights(os.path.join(args.out_dir, "weights.json"), witness.weights)
     doc = {
@@ -391,8 +415,6 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if not 0 <= args.tol < float("inf"):  # also rejects NaN
-            parser.error(f"argument --tol: must be >= 0 and finite, got {args.tol!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

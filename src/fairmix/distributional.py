@@ -95,28 +95,3 @@ def dispersion(benefit_profile, dataset: Dataset) -> DispersionReport:
         group_z1=_group_dispersion(q[group_indices(dataset, 1)]),
     )
 
-
-def _delta(a: Optional[float], b: Optional[float]) -> Optional[float]:
-    if a is None or b is None:
-        return None
-    return a - b
-
-
-def compare_dispersion(profile_a, profile_b, dataset: Dataset) -> dict:
-    """Field-by-field dispersion deltas (a minus b) per group.
-
-    Returns numbers only, no judgment: whether a delta is an improvement
-    depends on the field and on the caller's notion of fairness.
-    """
-    rep_a = dispersion(profile_a, dataset)
-    rep_b = dispersion(profile_b, dataset)
-    out = {}
-    for z in (0, 1):
-        ga, gb = rep_a.group(z), rep_b.group(z)
-        out[z] = {
-            "mean_q": _delta(ga.mean_q, gb.mean_q),
-            "variance_q": _delta(ga.variance_q, gb.variance_q),
-            "gini_q": _delta(ga.gini_q, gb.gini_q),
-            "determinism_index": _delta(ga.determinism_index, gb.determinism_index),
-        }
-    return out

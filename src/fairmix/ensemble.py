@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier
-from .dataset import CounterfactualPair, Dataset, group_indices
+from .classifiers import Classifier, prediction_matrix
+from .dataset import CounterfactualPair, Dataset
 from .distributional import dispersion
 from .errors import FairmixError
 from . import metrics
@@ -80,30 +80,20 @@ class Ensemble:
         return len(self._members)
 
 
-def uniform_ensemble(members: Sequence[Classifier]) -> Ensemble:
-    m = len(members)
-    return Ensemble(members, np.full(m, 1.0 / m))
-
-
-def _accept_matrix(members: Sequence[Classifier], dataset: Dataset) -> np.ndarray:
-    # boolean rows: an eighth of the memory of the integer prediction matrix
-    return np.stack([member.predict_all(dataset) == 1 for member in members])
-
-
 def acceptance_probability(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
     """Benefit profile q: per-instance probability of the +1 outcome.
 
     q_i is the total weight of the members that accept instance i,
     computed analytically with no sampling.
     """
-    return ensemble.weights @ _accept_matrix(ensemble.members, dataset)
+    return ensemble.weights @ (prediction_matrix(ensemble.members, dataset) == 1)
 
 
 def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts:
     """The members' (M, 4) accepted cell counts, in one counting pass."""
     if not members:
         raise FairmixError("need at least one member")
-    return metrics.cell_counts(_accept_matrix(members, dataset), dataset)
+    return metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
 
 
 def ensemble_group_rate(
@@ -232,8 +222,7 @@ def sample(
     """
     if n_draws < 1:
         raise ValueError("n_draws must be >= 1")
-    # int8 label rows, one member at a time: no (M, N) int64 matrix
-    rows = np.stack([m.predict_all(dataset).astype(np.int8) for m in ensemble.members])
+    rows = prediction_matrix(ensemble.members, dataset)
     n = len(dataset)
     cumulative = np.cumsum(ensemble.weights)
     rng = np.random.default_rng(seed)
@@ -241,29 +230,26 @@ def sample(
         uniforms = rng.random((n_draws, n))
         chosen = _select_members(cumulative, uniforms)
         rows = rows[chosen, np.arange(n)]
-        accepted = rows == 1
         member_indices = None
     else:
         uniforms = rng.random(n_draws)
         chosen = _select_members(cumulative, uniforms)
-        # a draw's group rate is its member's: accepted count / group size,
-        # the same float as the mean over the draw's labels
-        counts = metrics.cell_counts(rows == 1, dataset)
         member_indices = chosen
+    # a draw's group rate is accepted count / group size, the same float as
+    # the mean over the draw's labels; per-draw, a draw's count is its member's
+    counts = metrics.cell_counts(rows == 1, dataset)
     per_draw_rates = {}
     group_rates = {}
     standard_errors = {}
     for z in (0, 1):
-        idx = group_indices(dataset, z)
-        if idx.size == 0:
+        rates = counts.rates(MetricKind.ACCEPTANCE_RATE, z)
+        if np.isnan(rates[0]):  # an empty group: 0 / 0 on every row
             per_draw_rates[z] = None
             group_rates[z] = None
             standard_errors[z] = None
             continue
-        if per_instance:
-            rates = accepted[:, idx].mean(axis=1)
-        else:
-            rates = counts.rates(MetricKind.ACCEPTANCE_RATE, z)[chosen]
+        if member_indices is not None:
+            rates = rates[member_indices]
         per_draw_rates[z] = rates
         group_rates[z] = float(rates.mean())
         if n_draws > 1:
@@ -290,7 +276,7 @@ def ensemble_report(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FairnessReport:
     """Fairness report for the ensemble, including intra-group dispersion."""
-    accepts = _accept_matrix(ensemble.members, dataset)
+    accepts = prediction_matrix(ensemble.members, dataset) == 1
     q = ensemble.weights @ accepts
     counts = metrics.cell_counts(accepts, dataset)
     return metrics.mixture_report(

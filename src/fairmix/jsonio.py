@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from typing import IO
 
 import numpy as np
 
@@ -21,36 +20,28 @@ FLOAT_FORMAT = ".12g"
 _INDENT = "  "
 
 
-def _normalize(value):
-    if isinstance(value, enum.Enum):
-        return _normalize(value.value)
-    if isinstance(value, np.ndarray):
-        return [_normalize(v) for v in value.tolist()]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return _normalize(float(value))
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {value!r} is not representable")
-        return value
-    if isinstance(value, dict):
-        out = {}
-        for k, v in value.items():
-            if not isinstance(k, str):
-                k = str(_normalize(k))
-            out[k] = _normalize(v)
-        return out
-    if isinstance(value, (list, tuple)):
-        return [_normalize(v) for v in value]
-    if value is None or isinstance(value, (str, bool, int)):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+def _scalar(value):
+    """An enum as its value, numpy data as Python data; floats must be finite."""
+    while isinstance(value, enum.Enum):
+        value = value.value
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite value {value!r} is not representable")
+    return value
+
+
+def _key(key) -> str:
+    if isinstance(key, str):
+        return key
+    key = _scalar(key)
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"cannot serialize {type(key).__name__} as a key")
+    return str(key)
 
 
 def _emit(value, parts: list[str], depth: int) -> None:
+    value = _scalar(value)
     pad = _INDENT * depth
     inner = _INDENT * (depth + 1)
     if value is None:
@@ -69,13 +60,15 @@ def _emit(value, parts: list[str], depth: int) -> None:
         if not value:
             parts.append("{}")
             return
+        # keys are stringified before sorting; a later equal key wins
+        entries = {_key(k): v for k, v in value.items()}
         parts.append("{\n")
-        for i, key in enumerate(sorted(value)):
+        for i, key in enumerate(sorted(entries)):
             parts.append(f"{inner}{json.dumps(key)}: ")
-            _emit(value[key], parts, depth + 1)
-            parts.append(",\n" if i < len(value) - 1 else "\n")
+            _emit(entries[key], parts, depth + 1)
+            parts.append(",\n" if i < len(entries) - 1 else "\n")
         parts.append(pad + "}")
-    else:  # list
+    elif isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
             return
@@ -85,20 +78,18 @@ def _emit(value, parts: list[str], depth: int) -> None:
             _emit(item, parts, depth + 1)
             parts.append(",\n" if i < len(value) - 1 else "\n")
         parts.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dumps(obj) -> str:
     """Canonical JSON text with a trailing newline."""
     parts: list[str] = []
-    _emit(_normalize(obj), parts, 0)
+    _emit(obj, parts, 0)
     parts.append("\n")
     return "".join(parts)
 
 
-def dump(obj, fh: IO[str]) -> None:
-    fh.write(dumps(obj))
-
-
 def dump_path(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        dump(obj, fh)
+        fh.write(dumps(obj))

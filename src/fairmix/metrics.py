@@ -135,9 +135,14 @@ class CellCounts:
         return float(np.dot(weights, self.accuracies()))
 
 
+def cell_index(dataset: Dataset) -> np.ndarray:
+    """Each instance's cell ``k = 2*z + (y == +1)``, as in :class:`CellCounts`."""
+    return 2 * dataset.sensitive + (dataset.labels == 1)
+
+
 def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
     """Count an (M, N) boolean accept matrix into the four (z, y) cells."""
-    cell = 2 * dataset.sensitive + (dataset.labels == 1)
+    cell = cell_index(dataset)
     accepted = np.stack(
         [np.count_nonzero(accepts[:, cell == k], axis=1) for k in range(4)], axis=1
     )
@@ -150,27 +155,8 @@ def defined(value) -> Optional[float]:
     return None if math.isnan(value) else value
 
 
-def rate_counts(
-    kind: MetricKind, predictions, dataset: Dataset, z: int
-) -> tuple[int, int]:
-    """Integer (numerator, denominator) of a group rate.
-
-    The rate itself is ``numerator / denominator``; a zero denominator
-    means the rate is undefined. Exposing the counts keeps exact
-    rational arithmetic available, e.g. to certify a zero PPV gap by
-    cross-multiplication.
-    """
-    num, den = _vector_counts(predictions, dataset).counts(kind, z)
-    return int(num[0]), int(den[0])
-
-
-def group_rate(kind: MetricKind, predictions, dataset: Dataset, z: int) -> Optional[float]:
-    """Per-group benefit rate, or ``None`` when the conditioning set is empty."""
-    return defined(_vector_counts(predictions, dataset).rates(kind, z)[0])
-
-
 def fairness_gap(kind: MetricKind, predictions, dataset: Dataset) -> Optional[float]:
-    """``group_rate(z=0) - group_rate(z=1)``; ``None`` if either side is undefined."""
+    """Group rate at z=0 minus z=1; ``None`` if either side is undefined."""
     return defined(_vector_counts(predictions, dataset).gaps(kind)[0])
 
 
@@ -233,12 +219,6 @@ class FairnessReport:
     tolerance: float
     #: optional intra-group dispersion section (anything with to_json_dict)
     distributional: Optional[object] = None
-
-    def metric(self, kind: MetricKind) -> GroupMetric:
-        for m in self.metrics:
-            if m.kind is kind:
-                return m
-        raise KeyError(kind)
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -18,19 +18,19 @@ mixture does not.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import metrics
 from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
-from .metrics import CellCounts, LINEAR_KINDS, MetricKind
+from .metrics import CellCounts, LINEAR_KINDS, MetricKind, cell_index
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -207,14 +207,21 @@ class GridOracleResult:
         }
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All integer compositions of ``total`` into ``parts``, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _lattice(total: int, parts: int) -> np.ndarray:
+    """All integer compositions of ``total`` into ``parts``, one per row, lexicographic.
+
+    Stars and bars: ``parts - 1`` bars among ``total + parts - 1`` slots
+    leave ``total`` stars in ``parts`` runs. Bar positions come in
+    lexicographic order, and so do the run lengths they encode.
+    """
+    slots = total + parts - 1
+    count = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),  # without it, parts=1 cannot be reshaped
+    ).reshape(count, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
 
 
 def grid_oracle(
@@ -245,7 +252,7 @@ def grid_oracle(
     constrained = sorted(set(constrained), key=lambda k: k.value)
     counts = member_counts(members, dataset)
     gap_rows = _gap_rows(counts, constrained)
-    lattice = np.asarray(list(_compositions(resolution, m)), dtype=float) / resolution
+    lattice = _lattice(resolution, m) / resolution
     feasible = np.ones(lattice.shape[0], dtype=bool)
     for gaps in gap_rows:
         mixed = lattice @ gaps
@@ -308,22 +315,33 @@ def best_fair_single_threshold(
             f"feature index {feature_index} out of range for dimension "
             f"{dataset.dimension}"
         )
-    values = np.unique(dataset.features[:, feature_index])
-    candidates = [float(values[0]) - 1.0, *map(float, values), float(values[-1]) + 1.0]
-    best: Optional[ThresholdRule] = None
-    for threshold in candidates:
-        for direction in ("+", "-"):
-            rule = _threshold_classifier(
-                dataset.dimension, feature_index, threshold, direction
-            )
-            predictions = rule.predict_all(dataset)
-            gap = metrics.fairness_gap(MetricKind.ACCEPTANCE_RATE, predictions, dataset)
-            if gap is None or abs(gap) > tolerance:
-                continue
-            acc = metrics.accuracy(predictions, dataset)
-            if best is None or acc > best.accuracy:
-                best = ThresholdRule(threshold, direction, acc, gap, rule)
-    return best
+    x = dataset.features[:, feature_index]
+    values = np.unique(x)
+    candidates = np.concatenate([values[:1] - 1.0, values, values[-1:] + 1.0])
+    # Rule (t, "+") accepts x >= t and (t, "-") accepts x <= t: the score
+    # x - t or t - x is >= 0 exactly then, for finite doubles. Count both
+    # per (z, y) cell from the cell's sorted values; row 2i is (t_i, "+"),
+    # row 2i + 1 is (t_i, "-").
+    cell = cell_index(dataset)
+    accepted = np.empty((2 * len(candidates), 4), dtype=np.int64)
+    for k in range(4):
+        in_cell = np.sort(x[cell == k])
+        accepted[0::2, k] = in_cell.size - np.searchsorted(in_cell, candidates, "left")
+        accepted[1::2, k] = np.searchsorted(in_cell, candidates, "right")
+    counts = CellCounts(accepted, np.bincount(cell, minlength=4))
+    gaps = counts.gaps(MetricKind.ACCEPTANCE_RATE)
+    fair = np.flatnonzero(~(np.isnan(gaps) | (np.abs(gaps) > tolerance)))
+    if fair.size == 0:
+        return None
+    accuracies = counts.accuracies()
+    # first maximum: the smallest threshold, then direction "+"
+    best = int(fair[np.argmax(accuracies[fair])])
+    threshold = float(candidates[best // 2])
+    direction = "+-"[best % 2]
+    rule = _threshold_classifier(dataset.dimension, feature_index, threshold, direction)
+    return ThresholdRule(
+        threshold, direction, float(accuracies[best]), float(gaps[best]), rule
+    )
 
 
 @dataclass(frozen=True)
@@ -343,10 +361,13 @@ class PPVWitness:
     trial_index: int
 
 
-def _exact_ppv_gap_is_zero(predictions, dataset: Dataset) -> bool:
-    n0, d0 = metrics.rate_counts(MetricKind.PPV, predictions, dataset, 0)
-    n1, d1 = metrics.rate_counts(MetricKind.PPV, predictions, dataset, 1)
-    return d0 > 0 and d1 > 0 and n0 * d1 == n1 * d0
+def _exact_ppv_gap_is_zero(counts: CellCounts) -> bool:
+    """Whether every counted row has equal, defined PPVs in both groups.
+
+    Cross-multiplied integer counts, so no rounding can fake a zero gap.
+    """
+    (n0, d0), (n1, d1) = (counts.counts(MetricKind.PPV, z) for z in (0, 1))
+    return bool(np.all((d0 > 0) & (d1 > 0) & (n0 * d1 == n1 * d0)))
 
 
 MIN_WITNESS_GAP = Fraction(1, 20)
@@ -406,10 +427,7 @@ def ppv_counterexample_search(seed: int, max_trials: int) -> Optional[PPVWitness
             continue  # identical members can never witness non-closure
         member_a = TableClassifier(pred_a, dataset)
         member_b = TableClassifier(pred_b, dataset)
-        if not (
-            _exact_ppv_gap_is_zero(member_a.predictions, dataset)
-            and _exact_ppv_gap_is_zero(member_b.predictions, dataset)
-        ):
+        if not _exact_ppv_gap_is_zero(member_counts((member_a, member_b), dataset)):
             continue
         return PPVWitness(
             dataset=dataset,

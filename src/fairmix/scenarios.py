@@ -30,13 +30,7 @@ from . import metrics, optimizer
 from .classifiers import LinearClassifier, prediction_matrix
 from .dataset import Dataset, build_counterfactual_pairs
 from .distributional import dispersion
-from .ensemble import (
-    Ensemble,
-    acceptance_probability,
-    ensemble_group_rate,
-    member_counts,
-    mixture_accuracy,
-)
+from .ensemble import Ensemble, acceptance_probability, member_counts
 from .errors import FairmixError
 from .metrics import MetricKind
 
@@ -265,10 +259,6 @@ _GENERATORS: dict[str, Callable[[], Scenario]] = {
 }
 
 
-def scenario_names() -> tuple[str, ...]:
-    return tuple(_GENERATORS)
-
-
 def scenario_by_name(name: str) -> Scenario:
     try:
         return _GENERATORS[name]()
@@ -281,8 +271,8 @@ def scenario_by_name(name: str) -> Scenario:
 def _actuals_figure1(s: Scenario) -> dict:
     pairs = build_counterfactual_pairs(s.dataset)
     fractions = []
-    for member in s.members:
-        profile = metrics.indicator_profile(member.predict_all(s.dataset))
+    for predictions in prediction_matrix(s.members, s.dataset):
+        profile = metrics.indicator_profile(predictions)
         violated = metrics.treatment_violations(profile, pairs)
         fractions.append(len(violated) / len(pairs))
     q = acceptance_probability(s.ensemble(), s.dataset)
@@ -298,9 +288,8 @@ def _actuals_figure1(s: Scenario) -> dict:
 
 def _actuals_figure2(s: Scenario) -> dict:
     counts = member_counts(s.members, s.dataset)
-    ens = s.ensemble()
-    r0 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 0)
-    r1 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 1)
+    w = s.prescribed_weights
+    r0, r1 = (counts.mixed_rate(w, MetricKind.ACCEPTANCE_RATE, z) for z in (0, 1))
     return {
         "member_acceptance_z0": counts.rates(MetricKind.ACCEPTANCE_RATE, 0).tolist(),
         "member_acceptance_z1": counts.rates(MetricKind.ACCEPTANCE_RATE, 1).tolist(),
@@ -313,15 +302,14 @@ def _actuals_figure2(s: Scenario) -> dict:
 
 def _actuals_figure3(s: Scenario) -> dict:
     counts = member_counts(s.members, s.dataset)
-    ens = s.ensemble()
-    r0 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 0)
-    r1 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 1)
+    w = s.prescribed_weights
+    r0, r1 = (counts.mixed_rate(w, MetricKind.ACCEPTANCE_RATE, z) for z in (0, 1))
     sweep = optimizer.best_fair_single_threshold(s.dataset, 0, 1e-9)
     return {
         "member_accuracies": counts.accuracies().tolist(),
         "member_rates_z0": counts.rates(MetricKind.ACCEPTANCE_RATE, 0).tolist(),
         "member_rates_z1": counts.rates(MetricKind.ACCEPTANCE_RATE, 1).tolist(),
-        "ensemble_accuracy": mixture_accuracy(ens, s.dataset),
+        "ensemble_accuracy": counts.mixed_accuracy(w),
         "ensemble_rate_z0": r0,
         "ensemble_rate_z1": r1,
         "ensemble_gap": r0 - r1,
@@ -330,16 +318,15 @@ def _actuals_figure3(s: Scenario) -> dict:
 
 
 def _actuals_figure4(s: Scenario) -> dict:
-    gaps = member_counts(s.members, s.dataset).gaps(MetricKind.ACCEPTANCE_RATE)
-    ens = s.ensemble()
-    r0 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 0)
-    r1 = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, s.dataset, 1)
-    q = acceptance_probability(ens, s.dataset)
+    counts = member_counts(s.members, s.dataset)
+    w = s.prescribed_weights
+    r0, r1 = (counts.mixed_rate(w, MetricKind.ACCEPTANCE_RATE, z) for z in (0, 1))
+    q = acceptance_probability(s.ensemble(), s.dataset)
     report = dispersion(q, s.dataset)
     q1 = q[s.dataset.sensitive == 1]
     constant = float(q1[0]) if q1.size and np.all(q1 == q1[0]) else None
     return {
-        "member_gaps": gaps.tolist(),
+        "member_gaps": counts.gaps(MetricKind.ACCEPTANCE_RATE).tolist(),
         "ensemble_rate_z0": r0,
         "ensemble_rate_z1": r1,
         "ensemble_gap": r0 - r1,
@@ -389,8 +376,3 @@ def verify_scenario(scenario: Scenario) -> list[ScenarioCheck]:
         actual = actuals[key]
         checks.append(ScenarioCheck(key, expected, actual, _values_match(expected, actual)))
     return checks
-
-
-def scenario_prediction_matrix(scenario: Scenario) -> np.ndarray:
-    """(M, N) member predictions for export alongside the dataset."""
-    return prediction_matrix(scenario.members, scenario.dataset)

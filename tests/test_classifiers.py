@@ -54,20 +54,6 @@ class TestLinearClassifier:
         aware = LinearClassifier((0.0, 0.0), sensitive_weight=1.0, bias=-0.5)
         assert aware.predict_all(ds).tolist() == [-1, -1, 1, 1]
 
-    def test_negated_flips_off_boundary_points(self, ds):
-        clf = LinearClassifier((0.3, -0.7), sensitive_weight=-0.2, bias=0.1)
-        flipped = clf.negated()
-        scores = ds.features @ np.asarray(clf.weights) - 0.2 * ds.sensitive + 0.1
-        off = scores != 0
-        assert off.any()
-        assert np.array_equal(flipped.predict_all(ds)[off], -clf.predict_all(ds)[off])
-
-    def test_negated_boundary_stays_positive(self):
-        clf = LinearClassifier((1.0,), bias=-2.0)
-        on_boundary = one_row([2.0])
-        assert clf.predict_all(on_boundary).tolist() == [1]
-        assert clf.negated().predict_all(on_boundary).tolist() == [1]
-
     def test_dimension_mismatch(self, ds):
         clf = LinearClassifier((1.0,))
         with pytest.raises(CompatibilityError, match="dimension mismatch"):
@@ -138,6 +124,7 @@ class TestPredictionMatrix:
         ]
         matrix = prediction_matrix(members, ds)
         assert matrix.shape == (2, 4)
+        assert matrix.dtype == np.int8
         assert matrix[0].tolist() == [1, 1, -1, 1]
         assert matrix[1].tolist() == [-1, -1, -1, -1]
 
@@ -149,6 +136,15 @@ class TestPredictionMatrix:
         assert len(tables) == 3
         rebuilt = prediction_matrix(tables, ds)
         assert np.array_equal(rebuilt, matrix)
+
+    def test_save_rejects_values_other_than_signs(self, tmp_path):
+        # used to be truncated and written as the rows 1,0 and -1,1
+        path = tmp_path / "preds.csv"
+        with pytest.raises(DataFormatError, match="clf_1 at row 1: must be -1 or 1"):
+            save_prediction_matrix(path, [[1.7, -1.2], [0.4, 1.0]])
+        with pytest.raises(DataFormatError, match="clf_2 at row 2: must be -1 or 1"):
+            save_prediction_matrix(path, [[1, -1], [1, 0]])
+        assert not path.exists()
 
     def test_bad_header(self, ds, tmp_path):
         path = tmp_path / "preds.csv"

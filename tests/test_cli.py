@@ -486,7 +486,7 @@ class TestSample:
             capsys,
         )
         assert code == 1
-        assert "n_draws" in err
+        assert "argument --n: must be >= 1, got 0" in err
 
 
     @pytest.mark.parametrize(
@@ -579,6 +579,31 @@ class TestParsing:
     def test_bad_flag_value(self, capsys):
         code, _, err = run(["figure", "2", "--tol", "abc"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["sample", "d.csv", "p.csv", "w.json", "--n", "0"],
+                "--n: must be >= 1, got 0",
+            ),
+            (
+                ["optimize", "d.csv", "p.csv", "--verify", "--oracle-resolution", "5"],
+                "--oracle-resolution: must be >= 10, got 5",
+            ),
+            (
+                ["counterexample", "--max-trials", "-5"],
+                "--max-trials: must be >= 0, got -5",
+            ),
+        ],
+        ids=["n", "oracle-resolution", "max-trials"],
+    )
+    def test_out_of_range_number_names_the_flag(self, capsys, argv, message):
+        # rejected while parsing, before any input file is opened
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert f"argument {message}" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairmix import Dataset, compare_dispersion, dispersion
+from fairmix import Dataset, dispersion
 from fairmix.distributional import DETERMINISM_CLAMP, _group_dispersion
 
 
@@ -118,22 +118,3 @@ class TestDispersionReport:
         assert set(doc) == {"extension", "z0", "z1"}
         assert set(doc["z0"]) == {"mean_q", "variance_q", "gini_q", "determinism_index"}
 
-
-class TestCompare:
-    def test_deltas(self):
-        ds = two_group_dataset(2, 2)
-        a = np.array([0.0, 1.0, 0.5, 0.5])  # z0 deterministic coin, z1 constant
-        b = np.array([0.5, 0.5, 0.5, 0.5])
-        out = compare_dispersion(a, b, ds)
-        assert out[0]["mean_q"] == 0.0
-        assert out[0]["variance_q"] == pytest.approx(0.25)
-        assert out[0]["determinism_index"] == 1.0
-        assert out[1]["variance_q"] == 0.0
-
-    def test_none_propagates(self):
-        ds = two_group_dataset(2, 2)
-        a = np.array([0.0, 0.0, 0.5, 0.5])  # z0 mean 0: gini undefined
-        b = np.array([0.5, 0.5, 0.5, 0.5])
-        out = compare_dispersion(a, b, ds)
-        assert out[0]["gini_q"] is None
-        assert out[1]["gini_q"] == 0.0

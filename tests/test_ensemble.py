@@ -27,7 +27,6 @@ from fairmix import (
     member_counts,
     mixture_accuracy,
     sample,
-    uniform_ensemble,
 )
 from fairmix import Dataset, TableClassifier, build_counterfactual_pairs
 from fairmix.ensemble import GENERATOR_NAME
@@ -123,7 +122,7 @@ class TestConstruction:
 
     def test_uniform(self, rng):
         ds = make_random_dataset(rng, 8)
-        ens = uniform_ensemble(make_random_members(rng, ds, 4))
+        ens = Ensemble(make_random_members(rng, ds, 4), np.full(4, 0.25))
         assert len(ens) == 4
         assert np.allclose(ens.weights, 0.25)
 
@@ -409,6 +408,39 @@ class TestSampler:
                     assert result.group_rates[z] == float(rates.mean())
                     stderr = float(rates.std(ddof=1) / np.sqrt(300))
                     assert result.standard_errors[z] == stderr
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_ensembles(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_per_instance_rates_equal_label_means(self, case, seed, n_draws):
+        """Per-instance rates from counts against the label-mean reference."""
+        ds, ens = case
+        # the per-instance sampler as it was before it read cell counts
+        rows = np.stack([m.predict_all(ds).astype(np.int8) for m in ens.members])
+        rng = np.random.default_rng(seed)
+        uniforms = rng.random((n_draws, len(ds)))
+        chosen = np.searchsorted(np.cumsum(ens.weights), uniforms, side="right")
+        labels = rows[np.minimum(chosen, len(rows) - 1), np.arange(len(ds))]
+        accepted = labels == 1
+
+        result = sample(ens, ds, n_draws, seed, per_instance=True)
+        assert result.labels.dtype == labels.dtype
+        assert np.array_equal(result.labels, labels)
+        assert result.member_indices is None
+        for z in (0, 1):
+            idx = np.flatnonzero(ds.sensitive == z)
+            if idx.size == 0:
+                assert result.per_draw_rates[z] is None
+                assert result.group_rates[z] is None
+                assert result.standard_errors[z] is None
+                continue
+            rates = accepted[:, idx].mean(axis=1)
+            assert np.array_equal(result.per_draw_rates[z], rates)
+            assert result.group_rates[z] == float(rates.mean())
+            if n_draws > 1:
+                stderr = float(rates.std(ddof=1) / np.sqrt(n_draws))
+                assert result.standard_errors[z] == stderr
+            else:
+                assert result.standard_errors[z] is None
 
     def test_per_instance_mode(self, rng):
         ds, ens = self.small_case(rng)

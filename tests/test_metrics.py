@@ -20,12 +20,15 @@ from fairmix import (
     build_counterfactual_pairs,
     classifier_report,
     fairness_gap,
-    group_rate,
     indicator_profile,
-    rate_counts,
     treatment_violations,
 )
-from fairmix.metrics import LINEAR_KINDS, RATIO_KINDS
+from fairmix.metrics import LINEAR_KINDS, RATIO_KINDS, cell_counts
+
+
+def vector_counts(preds, ds):
+    """Cell counts of one prediction vector: a single-row matrix."""
+    return cell_counts(preds[None, :] == 1, ds)
 
 
 @st.composite
@@ -66,22 +69,23 @@ class TestCounts:
     @given(dataset_and_predictions())
     def test_counts_match_instance_level_oracle(self, case):
         ds, preds = case
+        counts = vector_counts(preds, ds)
         for kind in MetricKind:
             for z in (0, 1):
-                assert rate_counts(kind, preds, ds, z) == oracle_counts(
-                    kind, preds, ds, z
-                )
+                num, den = counts.counts(kind, z)
+                assert (int(num[0]), int(den[0])) == oracle_counts(kind, preds, ds, z)
 
     @settings(max_examples=200)
     @given(dataset_and_predictions())
     def test_rate_is_exact_fraction(self, case):
         ds, preds = case
+        counts = vector_counts(preds, ds)
         for kind in MetricKind:
             for z in (0, 1):
-                num, den = rate_counts(kind, preds, ds, z)
-                r = group_rate(kind, preds, ds, z)
+                num, den = oracle_counts(kind, preds, ds, z)
+                r = counts.rates(kind, z)[0]
                 if den == 0:
-                    assert r is None
+                    assert np.isnan(r)  # undefined, never 0
                 else:
                     assert r == float(Fraction(num, den))
 
@@ -90,19 +94,20 @@ class TestCounts:
     def test_acceptance_complement(self, case):
         ds, preds = case
         for z in (0, 1):
-            num, den = rate_counts(MetricKind.ACCEPTANCE_RATE, preds, ds, z)
-            cnum, cden = rate_counts(MetricKind.ACCEPTANCE_RATE, -preds, ds, z)
-            assert cden == den
-            assert cnum == den - num
+            num, den = vector_counts(preds, ds).counts(MetricKind.ACCEPTANCE_RATE, z)
+            cnum, cden = vector_counts(-preds, ds).counts(MetricKind.ACCEPTANCE_RATE, z)
+            assert cden[0] == den[0]
+            assert cnum[0] == den[0] - num[0]
 
     @settings(max_examples=200)
     @given(dataset_and_predictions())
     def test_accuracy_is_tp_plus_tn(self, case):
         ds, preds = case
+        counts = vector_counts(preds, ds)
         correct = 0
         for kind in (MetricKind.TPR, MetricKind.TNR):
             for z in (0, 1):
-                correct += rate_counts(kind, preds, ds, z)[0]
+                correct += int(counts.counts(kind, z)[0][0])
         assert accuracy(preds, ds) == correct / len(ds)
 
 
@@ -135,22 +140,24 @@ class TestGap:
             [0, 0, 0, 1, 1],
         )
         preds = np.array([1, 1, -1, 1, -1])
-        assert group_rate(MetricKind.ACCEPTANCE_RATE, preds, ds, 0) == 2 / 3
-        assert group_rate(MetricKind.ACCEPTANCE_RATE, preds, ds, 1) == 1 / 2
-        assert group_rate(MetricKind.TPR, preds, ds, 0) == 1.0
-        assert group_rate(MetricKind.TPR, preds, ds, 1) == 0.0
-        assert group_rate(MetricKind.PPV, preds, ds, 0) == 1.0
-        assert group_rate(MetricKind.PPV, preds, ds, 1) == 0.0
-        assert group_rate(MetricKind.NPV, preds, ds, 0) == 1.0
-        assert group_rate(MetricKind.NPV, preds, ds, 1) == 0.0
+        counts = vector_counts(preds, ds)
+        assert counts.rates(MetricKind.ACCEPTANCE_RATE, 0)[0] == 2 / 3
+        assert counts.rates(MetricKind.ACCEPTANCE_RATE, 1)[0] == 1 / 2
+        assert counts.rates(MetricKind.TPR, 0)[0] == 1.0
+        assert counts.rates(MetricKind.TPR, 1)[0] == 0.0
+        assert counts.rates(MetricKind.PPV, 0)[0] == 1.0
+        assert counts.rates(MetricKind.PPV, 1)[0] == 0.0
+        assert counts.rates(MetricKind.NPV, 0)[0] == 1.0
+        assert counts.rates(MetricKind.NPV, 1)[0] == 0.0
         assert fairness_gap(MetricKind.ACCEPTANCE_RATE, preds, ds) == 2 / 3 - 1 / 2
 
     def test_undefined_rate_gives_none_not_zero(self):
         ds = Dataset.from_arrays([[0.0], [1.0]], [-1, 1], [0, 1])
         preds = np.array([1, 1])
         # group 0 has no positives: TPR undefined there
-        assert group_rate(MetricKind.TPR, preds, ds, 0) is None
-        assert group_rate(MetricKind.TPR, preds, ds, 1) == 1.0
+        counts = vector_counts(preds, ds)
+        assert np.isnan(counts.rates(MetricKind.TPR, 0)[0])
+        assert counts.rates(MetricKind.TPR, 1)[0] == 1.0
         assert fairness_gap(MetricKind.TPR, preds, ds) is None
         # nothing rejected: NPV undefined on both sides
         assert fairness_gap(MetricKind.NPV, preds, ds) is None
@@ -158,12 +165,14 @@ class TestGap:
     def test_group_argument_validated(self):
         ds = Dataset.from_arrays([[0.0]], [1], [0])
         with pytest.raises(ValueError, match="must be 0 or 1"):
-            group_rate(MetricKind.TPR, np.array([1]), ds, 2)
+            vector_counts(np.array([1]), ds).counts(MetricKind.TPR, 2)
 
     def test_prediction_length_validated(self):
         ds = Dataset.from_arrays([[0.0]], [1], [0])
         with pytest.raises(ValueError, match="does not match"):
-            group_rate(MetricKind.TPR, np.array([1, 1]), ds, 0)
+            fairness_gap(MetricKind.TPR, np.array([1, 1]), ds)
+        with pytest.raises(ValueError, match="does not match"):
+            accuracy(np.array([1, 1]), ds)
 
 
 class TestKindTaxonomy:
@@ -205,10 +214,10 @@ class TestReport:
         return classifier_report(preds, ds, build_counterfactual_pairs(ds))
 
     def test_metric_lookup(self):
+        # one entry per kind, in MetricKind order
         report = self.make()
-        assert report.metric(MetricKind.ACCEPTANCE_RATE).value_z0 == 1.0
-        with pytest.raises(KeyError):
-            report.metric("nope")
+        assert [m.kind for m in report.metrics] == list(MetricKind)
+        assert report.metrics[0].value_z0 == 1.0
 
     def test_json_shape(self):
         doc = self.make().to_json_dict()
@@ -229,7 +238,7 @@ class TestReport:
         # no rejections anywhere: NPV has empty conditioning sets
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, 1], [0, 1])
         report = classifier_report(np.array([1, 1]), ds)
-        npv = report.metric(MetricKind.NPV)
+        (npv,) = [m for m in report.metrics if m.kind is MetricKind.NPV]
         assert npv.value_z0 is None and npv.value_z1 is None
         assert npv.gap is None and npv.passed is None
         doc = npv.to_json_dict()

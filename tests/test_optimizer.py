@@ -5,27 +5,31 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmix import (
     Dataset,
     Ensemble,
     FairmixError,
     GridOracleResult,
+    LinearClassifier,
     MetricKind,
     Objective,
     SolveStatus,
     TableClassifier,
+    accuracy,
     best_fair_single_threshold,
     build_mixture_program,
     ensemble_gap,
+    fairness_gap,
     grid_oracle,
     member_counts,
     mixture_accuracy,
     ppv_counterexample_search,
-    rate_counts,
     solve_fair_mixture,
 )
-from fairmix.optimizer import _exact_ppv_gap_is_zero
+from fairmix.optimizer import _exact_ppv_gap_is_zero, _lattice
 
 from conftest import make_random_dataset, make_random_members, random_weights
 
@@ -230,7 +234,23 @@ class TestSolveFairMixture:
         assert doc["post_hoc_gaps"].keys() == {"ppv", "npv"}
 
 
+def recursive_compositions(total, parts):
+    """The recursive generator the stars-and-bars lattice replaced."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in recursive_compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 class TestGridOracle:
+    def test_lattice_matches_recursive_compositions(self):
+        for total in (10, 13, 50):
+            for parts in (1, 2, 3, 4):
+                want = np.array(list(recursive_compositions(total, parts)))
+                assert np.array_equal(_lattice(total, parts), want)
+
     def test_single_member(self, rng):
         ds = make_random_dataset(rng, 8)
         members = make_random_members(rng, ds, 1)
@@ -328,7 +348,75 @@ class TestGridOracle:
         assert agreements >= 10
 
 
+def reference_sweep(dataset, feature_index, tolerance):
+    """The per-candidate loop the count-based sweep replaced.
+
+    Builds, predicts and counts every rule; the first strictly better
+    fair rule wins. Returns (threshold, direction, accuracy, gap, rule).
+    """
+    values = np.unique(dataset.features[:, feature_index])
+    candidates = [float(values[0]) - 1.0, *map(float, values), float(values[-1]) + 1.0]
+    best = None
+    for threshold in candidates:
+        for direction, sign in (("+", 1.0), ("-", -1.0)):
+            weights = [0.0] * dataset.dimension
+            weights[feature_index] = sign
+            rule = LinearClassifier(tuple(weights), 0.0, -sign * threshold)
+            predictions = rule.predict_all(dataset)
+            gap = fairness_gap(MetricKind.ACCEPTANCE_RATE, predictions, dataset)
+            if gap is None or abs(gap) > tolerance:
+                continue
+            acc = accuracy(predictions, dataset)
+            if best is None or acc > best[2]:
+                best = (threshold, direction, acc, gap, rule)
+    return best
+
+
+#: ties, signed zeros, the extremes of the double range and a subnormal
+FEATURE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 5e-324, 0.5]),
+    st.integers(-3, 3).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: round(v, 1)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def sweep_cases(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    features = [[draw(FEATURE_VALUES) for _ in range(d)] for _ in range(n)]
+    labels = draw(st.lists(st.sampled_from((-1, 1)), min_size=n, max_size=n))
+    # all-one-group datasets leave a group empty, so every gap is undefined
+    groups = draw(
+        st.one_of(
+            st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n),
+            st.sampled_from((0, 1)).map(lambda z: [z] * n),
+        )
+    )
+    ds = Dataset.from_arrays(np.asarray(features), labels, groups)
+    tolerance = draw(st.sampled_from([0.0, 1e-9, 0.1, 1 / 3, 0.5, 1.0]))
+    return ds, draw(st.integers(0, d - 1)), tolerance
+
+
 class TestThresholdSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(sweep_cases())
+    def test_matches_per_candidate_loop(self, case):
+        ds, feature_index, tolerance = case
+        with np.errstate(over="ignore"):  # x - t overflows near 1e308
+            want = reference_sweep(ds, feature_index, tolerance)
+        rule = best_fair_single_threshold(ds, feature_index, tolerance)
+        if want is None:
+            assert rule is None
+            return
+        threshold, direction, acc, gap, classifier = want
+        assert rule.threshold.hex() == threshold.hex()
+        assert rule.direction == direction
+        assert rule.accuracy.hex() == acc.hex()
+        assert rule.gap.hex() == gap.hex()
+        assert rule.classifier == classifier
+
     def test_perfect_fair_split(self):
         ds = Dataset.from_arrays(
             [[0.0], [1.0], [2.0], [3.0]], [-1, -1, 1, 1], [0, 1, 0, 1]
@@ -425,20 +513,20 @@ class TestWitnessSearch:
         ds = witness.dataset
         a, b = witness.members
         # member gaps: exactly zero on integer counts
-        assert _exact_ppv_gap_is_zero(a.predictions, ds)
-        assert _exact_ppv_gap_is_zero(b.predictions, ds)
+        assert _exact_ppv_gap_is_zero(member_counts([a], ds))
+        assert _exact_ppv_gap_is_zero(member_counts([b], ds))
         # accept sets are disjoint and non-empty
         assert not np.any((a.predictions == 1) & (b.predictions == 1))
         assert np.any(a.predictions == 1) and np.any(b.predictions == 1)
         # ensemble gap: exact rational recomputation
         gap = Fraction(0)
         parts = {}
+        counts = member_counts([a, b], ds)
         for z in (0, 1):
             num = den = Fraction(0)
-            for member in (a, b):
-                h, s = rate_counts(MetricKind.PPV, member.predictions, ds, z)
-                num += Fraction(1, 2) * h
-                den += Fraction(1, 2) * s
+            for h, s in zip(*counts.counts(MetricKind.PPV, z)):
+                num += Fraction(1, 2) * int(h)
+                den += Fraction(1, 2) * int(s)
             parts[z] = num / den
         gap = parts[0] - parts[1]
         assert float(gap) == witness.ensemble_gap

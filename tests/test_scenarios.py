@@ -21,11 +21,13 @@ from fairmix import (
     SolveStatus,
     acceptance_probability,
     build_counterfactual_pairs,
+    dispersion,
     ensemble_group_rate,
+    indicator_profile,
+    member_counts,
     mixture_accuracy,
+    prediction_matrix,
     scenario_by_name,
-    scenario_names,
-    scenario_prediction_matrix,
     simplex_solve,
     verify_scenario,
 )
@@ -33,7 +35,8 @@ from fairmix import (
 
 class TestRegistry:
     def test_names(self):
-        assert scenario_names() == ("figure1", "figure2", "figure3", "figure4")
+        for name in ("figure1", "figure2", "figure3", "figure4"):
+            assert scenario_by_name(name).name == name
 
     def test_unknown_name(self):
         with pytest.raises(FairmixError, match="unknown scenario"):
@@ -59,7 +62,7 @@ class TestRegistry:
     @pytest.mark.parametrize("name", ["figure1", "figure2", "figure3", "figure4"])
     def test_prediction_matrix_shape(self, name):
         s = scenario_by_name(name)
-        matrix = scenario_prediction_matrix(s)
+        matrix = prediction_matrix(s.members, s.dataset)
         assert matrix.shape == (len(s.members), len(s.dataset))
         assert set(np.unique(matrix)) <= {-1, 1}
         for j, member in enumerate(s.members):
@@ -115,14 +118,9 @@ class TestFigure2:
 
     def test_member_rates(self):
         s = scenario_by_name("figure2")
-        preds1 = s.members[0].predict_all(s.dataset)
-        preds2 = s.members[1].predict_all(s.dataset)
-        from fairmix import group_rate
-
-        assert group_rate(MetricKind.ACCEPTANCE_RATE, preds1, s.dataset, 1) == 2 / 3
-        assert group_rate(MetricKind.ACCEPTANCE_RATE, preds1, s.dataset, 0) == 0.0
-        assert group_rate(MetricKind.ACCEPTANCE_RATE, preds2, s.dataset, 0) == 1 / 3
-        assert group_rate(MetricKind.ACCEPTANCE_RATE, preds2, s.dataset, 1) == 0.0
+        counts = member_counts(s.members[:2], s.dataset)
+        assert counts.rates(MetricKind.ACCEPTANCE_RATE, 0).tolist() == [0.0, 1 / 3]
+        assert counts.rates(MetricKind.ACCEPTANCE_RATE, 1).tolist() == [2 / 3, 0.0]
 
 
 class TestFigure4:
@@ -134,17 +132,16 @@ class TestFigure4:
         assert set(q[z == 0].tolist()) == {0.0, 1.0}
 
     def test_mixing_trades_variance_for_determinism(self):
-        from fairmix import compare_dispersion, indicator_profile
-
         s = scenario_by_name("figure4")
         q = acceptance_probability(s.ensemble(), s.dataset)
         solo = indicator_profile(s.members[0].predict_all(s.dataset))
-        deltas = compare_dispersion(q, solo, s.dataset)
+        mixed, single = dispersion(q, s.dataset), dispersion(solo, s.dataset)
         # group 1: the mixture removes all variance a single rule had
-        assert deltas[1]["variance_q"] == -0.25
-        assert deltas[1]["determinism_index"] == -1.0
+        assert (single.group(1).variance_q, mixed.group(1).variance_q) == (0.25, 0.0)
+        assert single.group(1).determinism_index == 1.0
+        assert mixed.group(1).determinism_index == 0.0
         # group 0: nothing changes, both members agree there
-        assert deltas[0]["variance_q"] == 0.0
+        assert mixed.group(0) == single.group(0)
 
 
 CLUSTERS = ((1.0, 0), (0.0, 0), (0.0, 1), (1.0, 1))
