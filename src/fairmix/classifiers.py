@@ -12,11 +12,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import Dataset, PathArg, _as_given, _read_cells
+from .dataset import (
+    Dataset,
+    PathArg,
+    _as_given,
+    _canonical_body,
+    _read_bytes,
+    _read_cells,
+)
 from .errors import CompatibilityError, DataFormatError, FairmixError
 
 
@@ -126,16 +133,36 @@ def _matrix_header(m: int) -> list[str]:
     return [f"clf_{j}" for j in range(1, m + 1)]
 
 
-def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassifier]:
-    """Load table classifiers from CSV with header ``clf_1,...,clf_M``.
+def _prediction_header(m: int) -> Optional[list[str]]:
+    return _matrix_header(m) if m else None
 
-    The file must have exactly one row per dataset instance, entries in
-    {-1, +1} (Python ``int()`` syntax, so ``+1`` and ``01`` are read as
-    1). Column order is preserved.
-    """
-    _, cells = _read_cells(
-        path, lambda m: _matrix_header(m) if m else None, "clf_1,...,clf_M"
-    )
+
+def _canonical_prediction_matrix(data: bytes) -> Optional[np.ndarray]:
+    """The (M, N) int8 matrix in ``data`` when every entry is spelled ``1``
+    or ``-1``, M to a row, else None."""
+    canonical = _canonical_body(data, _prediction_header)
+    if canonical is None:
+        return None
+    m, body = canonical
+    n = body.count(b"\n")
+    if body.translate(None, b"-") != (b"1," * (m - 1) + b"1\n") * n:
+        return None
+    # Without its dashes the body is all 1s, m to a line. So when every
+    # dash is followed by a 1, each dash starts a token "-1": a dash after
+    # a 1 would leave "11" in that pattern.
+    buf = np.frombuffer(body, dtype=np.uint8)
+    one = buf == ord("1")
+    after_dash = np.zeros(len(buf), dtype=bool)
+    after_dash[1:] = buf[:-1] == ord("-")
+    if np.any(after_dash & ~one):
+        return None
+    negative = np.compress(one, after_dash).view(np.int8)
+    return (1 - 2 * negative).reshape(n, m).T
+
+
+def _prediction_cells(path: PathArg, data: bytes) -> np.ndarray:
+    """The (M, N) int8 matrix in ``data``, parsed by ``_read_cells``."""
+    _, cells = _read_cells(path, data, _prediction_header, "clf_1,...,clf_M")
     accepted = cells == "1"
     # Only rows with a cell other than the two plain tokens go through int().
     for k in np.flatnonzero(~np.all(accepted | (cells == "-1"), axis=1)):
@@ -151,13 +178,26 @@ def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassif
                     f"{path}: row {k + 1}: prediction must be -1 or 1, got {v}"
                 )
         accepted[k] = np.array(values) == 1
-    if len(cells) != len(dataset):
+    return np.where(accepted, np.int8(1), np.int8(-1)).T
+
+
+def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassifier]:
+    """Load table classifiers from CSV with header ``clf_1,...,clf_M``.
+
+    The file must have exactly one row per dataset instance, entries in
+    {-1, +1} (Python ``int()`` syntax, so ``+1`` and ``01`` are read as
+    1). Column order is preserved.
+    """
+    data = _read_bytes(path)
+    matrix = _canonical_prediction_matrix(data)
+    if matrix is None:
+        matrix = _prediction_cells(path, data)
+    if matrix.shape[1] != len(dataset):
         raise DataFormatError(
-            f"{path}: row count mismatch: {len(cells)} rows for a dataset "
+            f"{path}: row count mismatch: {matrix.shape[1]} rows for a dataset "
             f"of {len(dataset)} instances"
         )
-    matrix = np.where(accepted, 1, -1)
-    return [TableClassifier(matrix[:, j], dataset) for j in range(matrix.shape[1])]
+    return [TableClassifier(row, dataset) for row in np.ascontiguousarray(matrix)]
 
 
 def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:

@@ -9,6 +9,7 @@ library; human-facing reports add 1.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from os import PathLike
 from typing import Callable, Optional, Union
@@ -137,34 +138,123 @@ def _expected_header(d: int) -> list[str]:
     return [f"f_{k}" for k in range(1, d + 1)] + ["y", "z"]
 
 
-def _read_cells(
-    path: PathArg, header_for: Callable[[int], Optional[list[str]]], pattern: str
-) -> tuple[list[str], np.ndarray]:
-    """Read a CSV file into its stripped header and an (n, k) str array.
+def _dataset_header(k: int) -> Optional[list[str]]:
+    return _expected_header(k - 2) if k >= 3 else None
 
-    ``header_for(k)`` is the header a file of k columns must have, or
-    None when no file may have k columns; ``pattern`` describes it in
-    the error. Every row must have as many fields as the header.
+
+def _read_bytes(path: PathArg) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _canonical_body(
+    data: bytes, header_for: Callable[[int], Optional[list[str]]]
+) -> Optional[tuple[int, bytes]]:
+    """The column count and data rows of a file in canonical layout, else None.
+
+    Canonical: the first line is exactly ``header_for(k)`` joined by
+    commas, at least one line follows it, and every line ends in LF or
+    CRLF (as ``csv.writer`` writes). The rows come back with CRLF turned
+    into LF, which ``csv.reader`` reads alike; any other CR stays in the
+    rows, for the caller's byte check to reject.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        width = len(header)
-        if header != header_for(width):
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    head, _, body = data.partition(b"\n")
+    width = head.count(b",") + 1
+    header = header_for(width)
+    if header is None or head != ",".join(header).encode() or not body.endswith(b"\n"):
+        return None
+    return width, body
+
+
+def _read_cells(
+    path: PathArg,
+    data: bytes,
+    header_for: Callable[[int], Optional[list[str]]],
+    pattern: str,
+) -> tuple[list[str], np.ndarray]:
+    """Parse the CSV bytes ``data`` read from ``path`` into its stripped
+    header and an (n, k) str array.
+
+    This is the general parser: it reads every spelling ``csv.reader``
+    reads, and it words every error the loaders raise. ``header_for(k)``
+    is the header a file of k columns must have, or None when no file may
+    have k columns; ``pattern`` describes it in the error. Every row must
+    have as many fields as the header.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(
+            f"{path}: line {line}: not UTF-8 text: "
+            f"byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    width = len(header)
+    if header != header_for(width):
+        raise DataFormatError(
+            f"{path}: header must be {pattern}; got {','.join(header)}"
+        )
+    rows = []
+    for k, row in enumerate(reader, start=1):
+        if len(row) != width:
             raise DataFormatError(
-                f"{path}: header must be {pattern}; got {','.join(header)}"
+                f"{path}: row {k}: expected {width} fields, got {len(row)}"
             )
-        rows = []
-        for k, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise DataFormatError(
-                    f"{path}: row {k}: expected {width} fields, got {len(row)}"
-                )
-            rows.append(row)
+        rows.append(row)
     return header, np.array(rows, dtype=str).reshape(len(rows), width)
+
+
+#: The bytes a canonical dataset row may hold: the digits, signs, point
+#: and exponent letters of decimal floats, commas and LF.
+_DATASET_BYTES = b"0123456789+-.eE,\n"
+#: The ways a canonical dataset row may end: label 1 or -1, then group 0 or 1.
+_ROW_ENDS = (b",1,0\n", b",1,1\n", b",-1,0\n", b",-1,1\n")
+
+
+def _canonical_table(data: bytes) -> Optional[np.ndarray]:
+    """The (N, k) float table of a dataset file spelled canonically, else None.
+
+    Canonical rows hold only ``_DATASET_BYTES`` and end in one of
+    ``_ROW_ENDS``. ``np.loadtxt`` then reads every token as a float, as
+    ``float()`` would (both call ``PyOS_string_to_double``); its integer
+    parsing is not used, as it has changed across numpy versions.
+    """
+    canonical = _canonical_body(data, _dataset_header)
+    if canonical is None:
+        return None
+    width, body = canonical
+    n = body.count(b"\n")
+    if body.translate(None, _DATASET_BYTES) or sum(map(body.count, _ROW_ENDS)) != n:
+        return None
+    try:
+        table = np.loadtxt(
+            io.BytesIO(body), delimiter=",", comments=None, dtype=float, ndmin=2
+        )
+    except ValueError:
+        return None
+    return table if table.shape == (n, width) else None
+
+
+def _load_canonical_dataset(data: bytes) -> Optional[Dataset]:
+    """The dataset in ``data`` when it is spelled canonically, else None.
+
+    A file that ``_canonical_table`` or ``Dataset.from_arrays`` rejects
+    gives None, so that ``_read_cells`` finds and words the fault.
+    """
+    table = _canonical_table(data)
+    if table is None:
+        return None
+    try:
+        return Dataset.from_arrays(table[:, :-2], table[:, -2], table[:, -1])
+    except DataFormatError:
+        return None
 
 
 def _int_tokens(tokens: np.ndarray) -> np.ndarray:
@@ -194,9 +284,11 @@ def load_dataset(path: PathArg) -> Dataset:
     Raises :class:`DataFormatError` with the offending 1-based data-row
     number on any malformed value.
     """
-    header, cells = _read_cells(
-        path, lambda k: _expected_header(k - 2) if k >= 3 else None, "f_1,...,f_d,y,z"
-    )
+    data = _read_bytes(path)
+    dataset = _load_canonical_dataset(data)
+    if dataset is not None:
+        return dataset
+    header, cells = _read_cells(path, data, _dataset_header, "f_1,...,f_d,y,z")
     if not len(cells):
         raise DataFormatError(f"{path}: no data rows")
     d = len(header) - 2

@@ -246,6 +246,20 @@ class TestAudit:
         assert code == 1
         assert "fairmix: error:" in err
 
+    @pytest.mark.parametrize("role", ["dataset", "predictions"])
+    def test_file_not_utf8(self, fig2_dir, role, capsys):
+        path = fig2_dir / f"{role}.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n\xff", 2))
+        code, out, err = run(
+            ["audit", str(fig2_dir / "dataset.csv"), str(fig2_dir / "predictions.csv")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            f"fairmix: error: {path}: line 2: not UTF-8 text: "
+            "byte 0xff (invalid start byte)\n"
+        )
+
 
 class TestSolveCommands:
     def test_optimize_fig2(self, fig2_dir, capsys):

@@ -20,6 +20,8 @@ from fairmix import (
     save_dataset,
     save_prediction_matrix,
 )
+from fairmix import classifiers as classifiers_module
+from fairmix import dataset as dataset_module
 
 
 def small_dataset() -> Dataset:
@@ -302,19 +304,56 @@ class TestCounterfactualPairs:
 
 
 FEATURE_TOKENS = ["0", "1.5", "-2.25", "1e-300", "-0.0", "4.9e-324", " 1.5", "1_0"]
-BAD_FEATURE_TOKENS = ["abc", "nan", "inf", "-inf", "1e999", ""]
+BAD_FEATURE_TOKENS = ["abc", "nan", "inf", "-inf", "1e999", "", "0x1", "-"]
 LABEL_TOKENS = ["1", "-1", "+1", " 1", "01", "-01"]
-BAD_LABEL_TOKENS = ["0", "7", "1.0", "abc", "99999999999999999999999"]
+BAD_LABEL_TOKENS = ["0", "7", "1.0", "1e0", "-", "abc", "99999999999999999999999"]
 SENSITIVE_TOKENS = ["0", "1", " 0", "+1", "00"]
-BAD_SENSITIVE_TOKENS = ["2", "maybe"]
+BAD_SENSITIVE_TOKENS = ["2", "maybe", "1.0", "1e0", "-"]
 PREDICTION_TOKENS = ["1", "-1", "+1", " 1", "01", "-01"]
-BAD_PREDICTION_TOKENS = ["0", "yes", "300", ""]
+BAD_PREDICTION_TOKENS = ["0", "yes", "300", "", "1.0", "1e0", "-", "--1", "1-"]
+
+# Tokens spelled only with the bytes the fast paths accept: canonical ones,
+# then ones that the byte checks let through and a later check must catch.
+PLAIN_FEATURE_TOKENS = [
+    "0", "1.5", "-2.25", "1e-300", "-0.0", "4.9e-324", "1.", ".5", "+1", "01", "1E5"
+]
+BAD_PLAIN_FEATURE_TOKENS = ["1e999", "-", "", ".", "e5", "1e", "1-2", "--1", "1.2.3"]
+PLAIN_LABEL_TOKENS = ["1", "-1"]
+BAD_PLAIN_LABEL_TOKENS = ["1.0", "1e0", "+1", "01", "-01", "-", "0", "--1", "11"]
+PLAIN_SENSITIVE_TOKENS = ["0", "1"]
+BAD_PLAIN_SENSITIVE_TOKENS = ["1.0", "1e0", "00", "+1", "-0", "-", "01"]
+PLAIN_PREDICTION_TOKENS = ["1", "-1"]
+BAD_PLAIN_PREDICTION_TOKENS = ["+1", "01", "-01", "-", "--1", "1-", "1-1", "0", "11", ""]
 
 
 def cell(tokens, bad_tokens):
     # mostly valid tokens, each maybe quoted
     token = st.sampled_from(tokens * 4 + bad_tokens)
     return st.tuples(token, st.booleans()).map(lambda tq: f'"{tq[0]}"' if tq[1] else tq[0])
+
+
+@st.composite
+def plain_lines(draw, columns):
+    """Data lines of canonical tokens, and at most one fault: a token from a
+    column's bad list, or a short, long or blank row. ``columns`` holds a
+    (tokens, bad tokens) pair for each column."""
+    rows = [
+        [draw(st.sampled_from(tokens)) for tokens, _ in columns]
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    k = draw(st.integers(0, len(rows) - 1))
+    fault = draw(st.sampled_from(["none"] * 3 + ["token"] * 5 + ["short", "long", "blank"]))
+    if fault == "token":
+        j = draw(st.integers(0, len(columns) - 1))
+        rows[k][j] = draw(st.sampled_from(columns[j][1]))
+    elif fault == "short":
+        rows[k].pop()
+    elif fault == "long":
+        rows[k].append(rows[k][-1])
+    lines = [",".join(row) for row in rows]
+    if fault == "blank":
+        lines[k] = ""
+    return lines
 
 
 @st.composite
@@ -332,6 +371,29 @@ def csv_lines(draw, cells):
     return lines
 
 
+@st.composite
+def csv_bytes(draw, header, lines, plain=False):
+    """The file of ``header`` and ``lines``: the header maybe after a BOM or
+    a ``#`` or with a quoted cell, every line ending in LF, or every one in
+    CRLF, or each in either, and the last maybe in neither. When ``plain``,
+    the canonical layouts are likelier."""
+    cells = header.split(",")
+    header = draw(
+        st.sampled_from(
+            [header] * (20 if plain else 5)
+            + ["\ufeff" + header, "#" + header, ",".join([f'"{cells[0]}"', *cells[1:]])]
+        )
+    )
+    ending = draw(st.sampled_from(["\n", "\r\n"] * (5 if plain else 1) + ["mixed"]))
+    text = "".join(
+        line + (draw(st.sampled_from(["\n", "\r\n"])) if ending == "mixed" else ending)
+        for line in [header, *lines]
+    )
+    if draw(st.integers(0, 19 if plain else 4)) == 0:
+        text = text.rstrip("\r\n")
+    return text.encode("utf-8")
+
+
 def outcome(load, path):
     try:
         return load(path), None
@@ -340,25 +402,27 @@ def outcome(load, path):
 
 
 def row_of(message):
-    return int(re.search(r"row (\d+)", message).group(1))
+    match = re.search(r"row (\d+)", message)
+    return match and int(match.group(1))
 
 
-def check_against_reference(tmp_path, header, lines, load, reference, row_reference=None):
+def check_against_reference(
+    tmp_path, header, lines, data, load, reference, row_reference=None
+):
     """The new loader fails exactly when the reference does, on the same row
     when only one row is faulty, and otherwise returns the same arrays.
 
+    ``data`` is the file's bytes: ``header`` and ``lines`` in some layout.
     A row is faulty when ``row_reference`` (default: ``reference``) fails
-    on a file holding that row alone.
+    on a file holding ``header`` and that row alone.
     """
     path = tmp_path / "data.csv"
-    path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+    path.write_bytes(data)
     got, error = outcome(load, path)
     expected, expected_error = outcome(reference, path)
     assert (error is None) == (expected_error is None), (error, expected_error)
     if error is None:
-        for a, b in zip(got, expected):
-            assert a.dtype == b.dtype and a.shape == b.shape
-            assert a.tobytes() == b.tobytes()
+        assert_same_arrays(got, expected)
         return
     one = tmp_path / "one.csv"
     faulty = []
@@ -366,52 +430,92 @@ def check_against_reference(tmp_path, header, lines, load, reference, row_refere
         one.write_text(f"{header}\n{line}\n", encoding="utf-8")
         if outcome(row_reference or reference, one)[1] is not None:
             faulty.append(k)
-    if len(faulty) <= 1:
-        # from_arrays words the one non-finite message differently
-        expected_error = re.sub(
-            r"row (\d+): non-finite feature value",
-            r"non-finite feature value at row \1",
-            expected_error,
-        )
-        assert error == expected_error.replace(str(one), str(path))
+    # from_arrays words the one non-finite message differently
+    expected_error = re.sub(
+        r"row (\d+): non-finite feature value",
+        r"non-finite feature value at row \1",
+        expected_error,
+    )
+    if len(faulty) <= 1 or row_of(expected_error) is None:
+        assert error == expected_error
     else:
         assert row_of(error) in faulty, (error, faulty)
 
 
-class TestLoaderDifferential:
-    """The column-wise loaders against the row-by-row ones they replaced."""
+def assert_same_arrays(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
-    @settings(
-        max_examples=150,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+
+DIFFERENTIAL = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestLoaderDifferential:
+    """The loaders against the row-by-row ones they replaced, on files
+    spelled to reach, and to defeat, the byte checks of the fast paths."""
+
+    @DIFFERENTIAL
     @given(d=st.integers(1, 2), data=st.data())
     def test_load_dataset(self, tmp_path, d, data):
         cells = [cell(FEATURE_TOKENS, BAD_FEATURE_TOKENS)] * d + [
             cell(LABEL_TOKENS, BAD_LABEL_TOKENS),
             cell(SENSITIVE_TOKENS, BAD_SENSITIVE_TOKENS),
         ]
-        lines = data.draw(csv_lines(cells))
+        self.check_dataset(tmp_path, d, data.draw(csv_lines(cells)), data, plain=False)
+
+    @DIFFERENTIAL
+    @given(d=st.integers(1, 2), data=st.data())
+    def test_load_plain_dataset(self, tmp_path, d, data):
+        columns = [(PLAIN_FEATURE_TOKENS, BAD_PLAIN_FEATURE_TOKENS)] * d + [
+            (PLAIN_LABEL_TOKENS, BAD_PLAIN_LABEL_TOKENS),
+            (PLAIN_SENSITIVE_TOKENS, BAD_PLAIN_SENSITIVE_TOKENS),
+        ]
+        self.check_dataset(tmp_path, d, data.draw(plain_lines(columns)), data, plain=True)
+
+    @DIFFERENTIAL
+    @given(m=st.integers(1, 3), extra=st.integers(0, 1), data=st.data())
+    def test_load_prediction_matrix(self, tmp_path, m, extra, data):
+        lines = data.draw(csv_lines([cell(PREDICTION_TOKENS, BAD_PREDICTION_TOKENS)] * m))
+        self.check_prediction_matrix(tmp_path, m, extra, lines, data, plain=False)
+
+    @DIFFERENTIAL
+    @given(m=st.integers(1, 3), extra=st.integers(0, 1), data=st.data())
+    def test_load_plain_prediction_matrix(self, tmp_path, m, extra, data):
+        columns = [(PLAIN_PREDICTION_TOKENS, BAD_PLAIN_PREDICTION_TOKENS)] * m
+        lines = data.draw(plain_lines(columns))
+        self.check_prediction_matrix(tmp_path, m, extra, lines, data, plain=True)
+
+    @staticmethod
+    def check_dataset(tmp_path, d, lines, data, plain):
         header = ",".join([f"f_{k}" for k in range(1, d + 1)] + ["y", "z"])
+        file_bytes = data.draw(csv_bytes(header, lines, plain))
 
         def load(path):
             ds = load_dataset(path)
             return ds.features, ds.labels, ds.sensitive
 
-        check_against_reference(tmp_path, header, lines, load, reference_load_dataset)
+        check_against_reference(
+            tmp_path, header, lines, file_bytes, load, reference_load_dataset
+        )
+        # the fast path alone: when it accepts a file, it reads what the reference reads
+        fast = dataset_module._load_canonical_dataset(file_bytes)
+        if fast is not None:
+            assert_same_arrays(
+                (fast.features, fast.labels, fast.sensitive),
+                reference_load_dataset(tmp_path / "data.csv"),
+            )
 
-    @settings(
-        max_examples=150,
-        deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
-    @given(m=st.integers(1, 3), extra=st.integers(0, 1), data=st.data())
-    def test_load_prediction_matrix(self, tmp_path, m, extra, data):
-        lines = data.draw(csv_lines([cell(PREDICTION_TOKENS, BAD_PREDICTION_TOKENS)] * m))
+    @staticmethod
+    def check_prediction_matrix(tmp_path, m, extra, lines, data, plain):
         n = max(len(lines) + extra, 1)  # extra rows in the dataset: a count mismatch
         dataset = Dataset.from_arrays(np.zeros((n, 1)), [1] * n, [0] * n)
         header = ",".join(f"clf_{j}" for j in range(1, m + 1))
+        file_bytes = data.draw(csv_bytes(header, lines, plain))
 
         def load(path):
             tables = load_prediction_matrix(path, dataset)
@@ -421,8 +525,105 @@ class TestLoaderDifferential:
             return (reference_load_prediction_matrix(path, rows),)
 
         check_against_reference(
-            tmp_path, header, lines, load, reference, lambda path: reference(path, 1)
+            tmp_path,
+            header,
+            lines,
+            file_bytes,
+            load,
+            reference,
+            lambda path: reference(path, 1),
         )
+        fast = classifiers_module._canonical_prediction_matrix(file_bytes)
+        if fast is not None:
+            expected = reference(tmp_path / "data.csv", fast.shape[1])[0]
+            assert np.array_equal(fast.T, expected)
+
+
+#: Spellings that a byte check alone would misread, each put in turn into
+#: every column of an otherwise canonical file.
+ODD_TOKENS = [
+    "1_0", "0x1", "nan", "1e999", "-1e999", "1.", ".5", "+1", "01", "1.0", "1e0", "-", "", " 1"
+]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_odd_token_in_canonical_dataset(tmp_path, token, column, ending):
+    rows = [["0.5", "-1.5", "1", "0"], ["2", "3", "-1", "1"], ["-0.0", "1e-5", "1", "1"]]
+    rows[1][column] = token
+    header = "f_1,f_2,y,z"
+    lines = [",".join(row) for row in rows]
+    data = "".join(line + ending for line in [header, *lines]).encode()
+
+    def load(path):
+        ds = load_dataset(path)
+        return ds.features, ds.labels, ds.sensitive
+
+    check_against_reference(tmp_path, header, lines, data, load, reference_load_dataset)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("column", range(2))
+@pytest.mark.parametrize("token", ODD_TOKENS + ["-01", "--1", "1-", "1-1", "-1-"])
+def test_odd_token_in_canonical_prediction_matrix(tmp_path, token, column, ending):
+    rows = [["1", "-1"], ["-1", "-1"], ["1", "1"]]
+    rows[1][column] = token
+    header = "clf_1,clf_2"
+    lines = [",".join(row) for row in rows]
+    data = "".join(line + ending for line in [header, *lines]).encode()
+    dataset = Dataset.from_arrays(np.zeros((3, 1)), [1] * 3, [0] * 3)
+
+    def load(path):
+        tables = load_prediction_matrix(path, dataset)
+        return (np.stack([t.predictions for t in tables], axis=1),)
+
+    def reference(path):
+        return (reference_load_prediction_matrix(path, 3),)
+
+    check_against_reference(
+        tmp_path, header, lines, data, load, reference,
+        lambda path: (reference_load_prediction_matrix(path, 1),),
+    )
+
+
+def test_canonical_files_take_the_fast_paths(tmp_path, monkeypatch, rng):
+    """Files written by the save functions (CRLF) and by plain LF writers
+    load without the general parser."""
+
+    def general_parser(*args):
+        raise AssertionError("_read_cells called on a canonical file")
+
+    monkeypatch.setattr(dataset_module, "_read_cells", general_parser)
+    monkeypatch.setattr(classifiers_module, "_read_cells", general_parser)
+    n = 50
+    ds = Dataset.from_arrays(
+        rng.normal(size=(n, 3)), rng.choice((-1, 1), n), rng.integers(0, 2, n)
+    )
+    matrix = rng.choice((-1, 1), size=(4, n))
+
+    save_dataset(tmp_path / "data.csv", ds)
+    save_prediction_matrix(tmp_path / "preds.csv", matrix)
+    assert b"\r\n" in (tmp_path / "data.csv").read_bytes()
+    assert load_dataset(tmp_path / "data.csv") == ds
+    tables = load_prediction_matrix(tmp_path / "preds.csv", ds)
+    assert np.array_equal([t.predictions for t in tables], matrix)
+
+    # LF files in the style of perfbench/gen.py: fixed-point features
+    features = np.char.mod("%.6f", ds.features)
+    rows = [
+        ",".join([*f, str(y), str(z)])
+        for f, y, z in zip(features.tolist(), ds.labels, ds.sensitive)
+    ]
+    (tmp_path / "lf_data.csv").write_text("f_1,f_2,f_3,y,z\n" + "".join(r + "\n" for r in rows))
+    (tmp_path / "lf_preds.csv").write_text(
+        "clf_1,clf_2,clf_3,clf_4\n"
+        + "".join(",".join(map(str, r)) + "\n" for r in matrix.T.tolist())
+    )
+    lf = load_dataset(tmp_path / "lf_data.csv")
+    assert np.array_equal(lf.features, features.astype(float))
+    tables = load_prediction_matrix(tmp_path / "lf_preds.csv", lf)
+    assert np.array_equal([t.predictions for t in tables], matrix)
 
 
 def test_writers_match_per_cell_reference(tmp_path, rng):

@@ -1,10 +1,12 @@
 """Memory at scale: the per-draw sampler and the dispersion report hold
-O(draws + N*M) values, never a draws x N or an n x n buffer.
+O(draws + N*M) values, never a draws x N or an n x n buffer, and the CSV
+loaders hold a few copies of the file, never a Python object per cell.
 
 Measured with ``tracemalloc`` (numpy reports its buffers to it) at
 N=1e6 instances and M=8 members, after the inputs are built. A
 draws x N label buffer alone would be 10 GB here, and an n x n Gini
-matrix terabytes.
+matrix terabytes; a str per cell of the prediction file took about
+400 MB.
 """
 
 import tracemalloc
@@ -19,6 +21,8 @@ from fairmix import (
     acceptance_probability,
     dispersion,
     ensemble_group_rate,
+    load_dataset,
+    load_prediction_matrix,
     sample,
 )
 
@@ -54,3 +58,59 @@ def test_sampler_and_dispersion_memory_is_linear():
         analytic = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, ds, z)
         assert abs(result.group_rates[z] - analytic) < 5 * result.standard_errors[z]
         assert 0.0 <= report.group(z).gini_q < 1.0
+
+
+LOAD_BUDGET_MB = 192
+
+
+def _traced_peak_mb(load, *args):
+    """Peak ``tracemalloc`` memory of ``load(*args)`` above its entry, in MB."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = load(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, (peak - entry) / 2**20
+
+
+def test_loaders_memory_is_linear(tmp_path):
+    """Both loaders at N=1e6 (d=2 features, M=8 members) stay within a few
+    copies of the file and the arrays they return. The files are joined
+    from a pool of row strings, as ``save_dataset`` (CRLF, ``repr``
+    floats) and a plain LF writer would spell them."""
+    rng = np.random.default_rng(0)
+    pool = rng.integers(0, 1000, size=N)
+    features = rng.normal(size=(1000, 2))
+    labels = rng.choice((-1, 1), size=1000)
+    groups = rng.integers(0, 2, size=1000)
+    rows = [
+        f"{a!r},{b!r},{y},{z}\r\n".encode()
+        for (a, b), y, z in zip(features.tolist(), labels.tolist(), groups.tolist())
+    ]
+    (tmp_path / "data.csv").write_bytes(
+        b"f_1,f_2,y,z\r\n" + b"".join([rows[i] for i in pool.tolist()])
+    )
+    signs = rng.integers(0, 2**M, size=N)
+    patterns = [
+        ",".join("1" if bits >> j & 1 else "-1" for j in range(M)).encode() + b"\n"
+        for bits in range(2**M)
+    ]
+    header = ",".join(f"clf_{j}" for j in range(1, M + 1)).encode()
+    (tmp_path / "preds.csv").write_bytes(
+        header + b"\n" + b"".join([patterns[s] for s in signs.tolist()])
+    )
+
+    ds, dataset_mb = _traced_peak_mb(load_dataset, tmp_path / "data.csv")
+    members, predictions_mb = _traced_peak_mb(
+        load_prediction_matrix, tmp_path / "preds.csv", ds
+    )
+
+    assert dataset_mb < LOAD_BUDGET_MB
+    assert predictions_mb < LOAD_BUDGET_MB
+    assert np.array_equal(ds.features, features[pool])
+    assert np.array_equal(ds.labels, labels[pool])
+    assert np.array_equal(ds.sensitive, groups[pool])
+    for j, member in enumerate(members):
+        assert np.array_equal(member.predictions, np.where(signs >> j & 1, 1, -1))
