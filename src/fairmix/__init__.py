@@ -19,7 +19,6 @@ from .classifiers import (
     save_prediction_matrix,
 )
 from .dataset import (
-    CounterfactualPair,
     Dataset,
     build_counterfactual_pairs,
     group_indices,
@@ -93,7 +92,6 @@ __all__ = [
     "CompatibilityError",
     "ClosureReport",
     "Classifier",
-    "CounterfactualPair",
     "DEFAULT_TOLERANCE",
     "DataFormatError",
     "Dataset",

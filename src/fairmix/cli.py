@@ -71,21 +71,11 @@ def _at_least(minimum: int, parse=int):
     return check
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--tol", type=_at_least(0, float), default=metrics.DEFAULT_TOLERANCE,
-        help="fairness tolerance (default 1e-9)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument(
-        "--out", default=None, help="output path (default: stdout)"
-    )
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", dest="fmt",
-        help="output format (default json)",
-    )
-    return common
+def _flag(*args, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser with one flag, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*args, **kwargs)
+    return parent
 
 
 def _build_parser() -> _Parser:
@@ -96,11 +86,20 @@ def _build_parser() -> _Parser:
             "for fair mixture weights, and reproduce the built-in scenarios."
         ),
     )
-    common = _common_flags()
+    tol = _flag(
+        "--tol", type=_at_least(0, float), default=metrics.DEFAULT_TOLERANCE,
+        help="fairness tolerance (default 1e-9)",
+    )
+    seed = _flag("--seed", type=int, default=0, help="RNG seed (default 0)")
+    out = _flag("--out", default=None, help="output path (default: stdout)")
+    fmt = _flag(
+        "--format", choices=("json", "csv"), default="json", dest="fmt",
+        help="output format (default json)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "audit", parents=[common],
+        "audit", parents=[tol, out, fmt],
         help="fairness report for classifiers or a weighted ensemble",
     )
     p.add_argument("dataset", help="dataset CSV (f_1..f_d,y,z)")
@@ -115,7 +114,7 @@ def _build_parser() -> _Parser:
         ("mix", Objective.FEASIBILITY_ONLY, "solve for any fair mixture"),
         ("optimize", Objective.MAX_ACCURACY, "maximize accuracy under fairness"),
     ):
-        p = sub.add_parser(name, parents=[common], help=extra_help)
+        p = sub.add_parser(name, parents=[tol, out, fmt], help=extra_help)
         p.add_argument("dataset")
         p.add_argument("predictions")
         p.add_argument(
@@ -137,7 +136,7 @@ def _build_parser() -> _Parser:
             )
 
     p = sub.add_parser(
-        "sample", parents=[common],
+        "sample", parents=[seed, out, fmt],
         help="Monte Carlo simulation of a weighted ensemble",
     )
     p.add_argument("dataset")
@@ -151,7 +150,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser(
-        "figure", parents=[common],
+        "figure", parents=[out],
         help="emit a built-in scenario and run its self-test",
     )
     p.add_argument("number", choices=("1", "2", "3", "4"))
@@ -162,7 +161,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser(
-        "counterexample", parents=[common],
+        "counterexample", parents=[seed, out],
         help="search for a PPV non-closure witness",
     )
     p.add_argument("--max-trials", type=_at_least(0), default=10000)
@@ -190,10 +189,12 @@ def _dump_weights(path: str, weights) -> None:
 
 
 def _load_weights(path: str) -> list[float]:
+    # ValueError covers bad JSON, bad UTF-8 and integers past
+    # sys.get_int_max_str_digits(); deep nesting raises RecursionError
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FairmixError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("weights"), list):
         raise FairmixError(f'{path}: expected an object with a "weights" array')
@@ -337,8 +338,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    if args.fmt == "csv":
-        raise FairmixError("figure emits files plus a JSON summary; use --format json")
     scenario = scenario_by_name(f"figure{args.number}")
     checks = verify_scenario(scenario)
     ok = all(c.ok for c in checks)
@@ -369,8 +368,6 @@ def cmd_figure(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    if args.fmt == "csv":
-        raise FairmixError("counterexample supports only JSON output")
     witness = optimizer.ppv_counterexample_search(args.seed, args.max_trials)
     if witness is None:
         print(
@@ -419,10 +416,7 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FairmixError as exc:
-        print(f"fairmix: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (FairmixError, ValueError, OSError) as exc:
         print(f"fairmix: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

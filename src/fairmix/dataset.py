@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from os import PathLike
 from typing import Callable, Optional, Union
 
@@ -34,18 +33,6 @@ def _as_given(values) -> np.ndarray:
     sequence that is not already an array keeps its elements as objects.
     """
     return values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
-
-
-@dataclass(frozen=True)
-class CounterfactualPair:
-    """Two instance indices with identical features and differing groups.
-
-    Used by treatment tests: a fair decision rule must not distinguish
-    the two sides. ``left < right`` always holds.
-    """
-
-    left: int
-    right: int
 
 
 class Dataset:
@@ -175,7 +162,7 @@ def _read_cells(
     pattern: str,
 ) -> tuple[list[str], np.ndarray]:
     """Parse the CSV bytes ``data`` read from ``path`` into its stripped
-    header and an (n, k) str array.
+    header and an (n, k) object array of each cell's exact text.
 
     This is the general parser: it reads every spelling ``csv.reader``
     reads, and it words every error the loaders raise. ``header_for(k)``
@@ -191,7 +178,7 @@ def _read_cells(
             f"{path}: line {line}: not UTF-8 text: "
             f"byte 0x{data[exc.start]:02x} ({exc.reason})"
         ) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = _csv_rows(path, text)
     try:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
@@ -208,7 +195,19 @@ def _read_cells(
                 f"{path}: row {k}: expected {width} fields, got {len(row)}"
             )
         rows.append(row)
-    return header, np.array(rows, dtype=str).reshape(len(rows), width)
+    # object, not str: numpy's str dtype drops trailing NULs, and the casts
+    # must see the exact text
+    return header, np.array(rows, dtype=object).reshape(len(rows), width)
+
+
+def _csv_rows(path: PathArg, text: str):
+    """The rows ``csv.reader`` reads from ``text``; its errors (a cell past
+    ``csv.field_size_limit()``) become a ``DataFormatError`` naming the line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 #: The bytes a canonical dataset row may hold: the digits, signs, point
@@ -338,25 +337,24 @@ def group_indices(dataset: Dataset, z: int) -> np.ndarray:
     return np.flatnonzero(dataset.sensitive == z)
 
 
-def build_counterfactual_pairs(dataset: Dataset) -> list[CounterfactualPair]:
-    """All index pairs with identical features and differing groups.
+def build_counterfactual_pairs(dataset: Dataset) -> list[tuple[int, int]]:
+    """All index pairs ``(i, j)``, ``i < j``, with identical features and
+    differing groups, in ascending order.
 
     Feature equality is exact (values as parsed, no tolerance): pairs
     are meant to be constructed duplicates, and a tolerance would invent
-    false matches. Pairs are ordered by (left, right), left < right.
+    false matches.
     """
     by_features: dict[tuple[float, ...], list[int]] = {}
-    for i in range(len(dataset)):
-        key = tuple(dataset.features[i].tolist())
-        by_features.setdefault(key, []).append(i)
-    z = dataset.sensitive
-    pairs = []
-    for indices in by_features.values():
-        if len(indices) < 2:
-            continue
-        for a_pos, i in enumerate(indices):
-            for j in indices[a_pos + 1:]:
-                if z[i] != z[j]:
-                    pairs.append(CounterfactualPair(i, j))
-    pairs.sort(key=lambda p: (p.left, p.right))
+    for i, row in enumerate(dataset.features.tolist()):
+        by_features.setdefault(tuple(row), []).append(i)
+    z = dataset.sensitive.tolist()
+    pairs = [
+        (i, j)
+        for indices in by_features.values()
+        for a, i in enumerate(indices)
+        for j in indices[a + 1:]
+        if z[i] != z[j]
+    ]
+    pairs.sort()
     return pairs

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Classifier, prediction_matrix
-from .dataset import CounterfactualPair, Dataset
+from .dataset import Dataset
 from .distributional import dispersion
 from .errors import FairmixError
 from . import metrics
@@ -272,7 +272,7 @@ def sample(
 def ensemble_report(
     ensemble: Ensemble,
     dataset: Dataset,
-    pairs: Sequence[CounterfactualPair] = (),
+    pairs: Sequence[tuple[int, int]] = (),
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FairnessReport:
     """Fairness report for the ensemble, including intra-group dispersion."""

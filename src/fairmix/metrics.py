@@ -19,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import CounterfactualPair, Dataset
+from .dataset import Dataset
+from .distributional import DispersionReport
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -162,9 +163,9 @@ def fairness_gap(kind: MetricKind, predictions, dataset: Dataset) -> Optional[fl
 
 def treatment_violations(
     benefit_profile,
-    pairs: Sequence[CounterfactualPair],
+    pairs: Sequence[tuple[int, int]],
     tolerance: float = DEFAULT_TOLERANCE,
-) -> list[CounterfactualPair]:
+) -> list[tuple[int, int]]:
     """Pairs whose two sides receive different benefit probabilities.
 
     ``benefit_profile`` holds, per instance, the probability of the
@@ -175,7 +176,7 @@ def treatment_violations(
     1, is always a violation).
     """
     q = np.asarray(benefit_profile, dtype=float)
-    return [p for p in pairs if abs(q[p.left] - q[p.right]) > tolerance]
+    return [(i, j) for i, j in pairs if abs(q[i] - q[j]) > tolerance]
 
 
 def indicator_profile(predictions) -> np.ndarray:
@@ -215,10 +216,9 @@ class FairnessReport:
     accuracy: float
     metrics: tuple[GroupMetric, ...]
     treatment_pairs_checked: int
-    treatment_violations: tuple[CounterfactualPair, ...]
+    treatment_violations: tuple[tuple[int, int], ...]
     tolerance: float
-    #: optional intra-group dispersion section (anything with to_json_dict)
-    distributional: Optional[object] = None
+    distributional: Optional[DispersionReport] = None
 
     def to_json_dict(self) -> dict:
         doc = {
@@ -230,14 +230,11 @@ class FairnessReport:
                 "pairs_checked": self.treatment_pairs_checked,
                 "violations": len(self.treatment_violations),
                 # 1-based indices for human readability
-                "pairs": [[p.left + 1, p.right + 1] for p in self.treatment_violations],
+                "pairs": [[i + 1, j + 1] for i, j in self.treatment_violations],
             },
         }
         if self.distributional is not None:
-            dist = self.distributional
-            doc["distributional"] = (
-                dist.to_json_dict() if hasattr(dist, "to_json_dict") else dist
-            )
+            doc["distributional"] = self.distributional.to_json_dict()
         return doc
 
 
@@ -245,9 +242,9 @@ def mixture_report(
     counts: CellCounts,
     weights,
     profile,
-    pairs: Sequence[CounterfactualPair],
+    pairs: Sequence[tuple[int, int]],
     tolerance: float,
-    distributional: Optional[object] = None,
+    distributional: Optional[DispersionReport] = None,
 ) -> FairnessReport:
     """Report on the random mixture ``weights`` over the counted rows.
 
@@ -273,7 +270,7 @@ def mixture_report(
 def classifier_report(
     predictions,
     dataset: Dataset,
-    pairs: Sequence[CounterfactualPair] = (),
+    pairs: Sequence[tuple[int, int]] = (),
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FairnessReport:
     """Full fairness report for one deterministic prediction vector.

@@ -224,11 +224,19 @@ class TestAudit:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"weights": "no"}', "[0.5]", '{"weights": [0.5, "x", 0.0]}', "not json"],
+        [
+            b'{"weights": "no"}',
+            b"[0.5]",
+            b'{"weights": [0.5, "x", 0.0]}',
+            b"not json",
+            pytest.param(b'{"weights": [0.5, \xff]}', id="not_utf8"),
+            pytest.param(b'{"weights": [%s]}' % (b"1" * 5000), id="int_too_long"),
+            pytest.param(b"[" * 100_000, id="deep_nesting"),
+        ],
     )
     def test_malformed_weights_file(self, fig2_dir, tmp_path, capsys, content):
         bad = tmp_path / "w.json"
-        bad.write_text(content)
+        bad.write_bytes(content)
         code, _, err = run(
             [
                 "audit",
@@ -240,6 +248,8 @@ class TestAudit:
             capsys,
         )
         assert code == 1
+        assert err.startswith(f"fairmix: error: {bad}: ")
+        assert "Traceback" not in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(["audit", "/no/such/file.csv", "/also/missing.csv"], capsys)
@@ -259,6 +269,18 @@ class TestAudit:
             f"fairmix: error: {path}: line 2: not UTF-8 text: "
             "byte 0xff (invalid start byte)\n"
         )
+
+    @pytest.mark.parametrize("role", ["dataset", "predictions"])
+    def test_cell_past_csv_field_limit(self, fig2_dir, role, capsys):
+        path = fig2_dir / f"{role}.csv"
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + b"x" * 200_000, 1))
+        code, out, err = run(
+            ["audit", str(fig2_dir / "dataset.csv"), str(fig2_dir / "predictions.csv")],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith(f"fairmix: error: {path}: line 2: field larger than")
+        assert "Traceback" not in err
 
 
 class TestSolveCommands:
@@ -591,8 +613,25 @@ class TestParsing:
         assert "error" in err
 
     def test_bad_flag_value(self, capsys):
-        code, _, err = run(["figure", "2", "--tol", "abc"], capsys)
+        code, _, err = run(["mix", "d.csv", "p.csv", "--tol", "abc"], capsys)
         assert code == 1
+        assert "argument --tol: invalid float value: 'abc'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure", "2", "--seed", "3"],
+            ["figure", "2", "--tol", "0.1"],
+            ["counterexample", "--tol", "0.1"],
+            ["audit", "d.csv", "p.csv", "--seed", "3"],
+            ["sample", "d.csv", "p.csv", "w.json", "--tol", "0.1"],
+        ],
+        ids=["figure-seed", "figure-tol", "counterexample-tol", "audit-seed", "sample-tol"],
+    )
+    def test_flag_the_command_does_not_read(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments" in err
 
     @pytest.mark.parametrize(
         "argv, message",

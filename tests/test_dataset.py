@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairmix import (
-    CounterfactualPair,
     DataFormatError,
     Dataset,
     build_counterfactual_pairs,
@@ -276,7 +275,7 @@ class TestCounterfactualPairs:
     def test_cross_group_twins_found(self):
         ds = small_dataset()
         # rows 0 and 1 share features and differ in group
-        assert build_counterfactual_pairs(ds) == [CounterfactualPair(0, 1)]
+        assert build_counterfactual_pairs(ds) == [(0, 1)]
 
     def test_same_group_twins_ignored(self):
         ds = Dataset.from_arrays([[1.0], [1.0]], [1, -1], [0, 0])
@@ -294,13 +293,29 @@ class TestCounterfactualPairs:
             [0, 1, 0, 1, 0],
         )
         pairs = build_counterfactual_pairs(ds)
-        assert pairs == [
-            CounterfactualPair(0, 1),
-            CounterfactualPair(0, 3),
-            CounterfactualPair(1, 2),
-            CounterfactualPair(2, 3),
+        assert pairs == [(0, 1), (0, 3), (1, 2), (2, 3)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_all_pairs_reference(self, data):
+        # few distinct values, so rows repeat; 0.0 and -0.0 are twins
+        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+        d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+        value = st.sampled_from([0.0, -0.0, 1.5])
+        features = data.draw(
+            st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)
+        )
+        z = data.draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+        ds = Dataset.from_arrays(features, [1] * n, z)
+        expected = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if features[i] == features[j] and z[i] != z[j]
         ]
-        assert all(p.left < p.right for p in pairs)
+        pairs = build_counterfactual_pairs(ds)
+        assert pairs == expected
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
 
 
 FEATURE_TOKENS = ["0", "1.5", "-2.25", "1e-300", "-0.0", "4.9e-324", " 1.5", "1_0"]
@@ -542,7 +557,8 @@ class TestLoaderDifferential:
 #: Spellings that a byte check alone would misread, each put in turn into
 #: every column of an otherwise canonical file.
 ODD_TOKENS = [
-    "1_0", "0x1", "nan", "1e999", "-1e999", "1.", ".5", "+1", "01", "1.0", "1e0", "-", "", " 1"
+    "1_0", "0x1", "nan", "1e999", "-1e999", "1.", ".5", "+1", "01", "1.0", "1e0", "-", "", " 1",
+    "1\x00", "-1\x00",
 ]
 
 

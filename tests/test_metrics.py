@@ -198,6 +198,27 @@ class TestTreatment:
         assert treatment_violations(q, pairs, tolerance=0.25) == []
         assert treatment_violations(q, pairs, tolerance=0.249) == pairs
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_direct_loop(self, data):
+        # quarters are exact in binary, so many gaps equal the tolerance
+        n = data.draw(st.integers(min_value=2, max_value=10), label="n")
+        q = data.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n)
+        )
+        index = st.integers(min_value=0, max_value=n - 1)
+        pairs = sorted(
+            (i, j)
+            for i, j in data.draw(st.lists(st.tuples(index, index), max_size=20))
+            if i < j
+        )
+        tolerance = data.draw(st.sampled_from([0.0, 0.25, 0.5, 1.0]), label="tol")
+        expected = []
+        for i, j in pairs:
+            if abs(q[i] - q[j]) > tolerance:
+                expected.append((i, j))
+        assert treatment_violations(np.array(q), pairs, tolerance) == expected
+
     def test_deterministic_disagreement_always_violates(self):
         ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
         pairs = build_counterfactual_pairs(ds)

@@ -79,7 +79,7 @@ class TestFigure1:
         s = scenario_by_name("figure1")
         pairs = build_counterfactual_pairs(s.dataset)
         assert len(pairs) == 8
-        touched = {p.left for p in pairs} | {p.right for p in pairs}
+        touched = {i for pair in pairs for i in pair}
         assert touched == set(range(len(s.dataset)))
 
     def test_members_disagree_on_every_pair_mixture_on_none(self):
