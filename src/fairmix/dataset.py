@@ -220,10 +220,12 @@ _ROW_ENDS = (b",1,0\n", b",1,1\n", b",-1,0\n", b",-1,1\n")
 def _canonical_table(data: bytes) -> Optional[np.ndarray]:
     """The (N, k) float table of a dataset file spelled canonically, else None.
 
-    Canonical rows hold only ``_DATASET_BYTES`` and end in one of
-    ``_ROW_ENDS``. ``np.loadtxt`` then reads every token as a float, as
-    ``float()`` would (both call ``PyOS_string_to_double``); its integer
-    parsing is not used, as it has changed across numpy versions.
+    Canonical rows hold only ``_DATASET_BYTES``, end in one of
+    ``_ROW_ENDS`` and are no longer than ``csv.field_size_limit()``; a
+    longer line goes to ``_read_cells``, which rejects a cell past that
+    limit. ``np.loadtxt`` then reads every token as a float, as ``float()``
+    would (both call ``PyOS_string_to_double``); its integer parsing is
+    not used, as it has changed across numpy versions.
     """
     canonical = _canonical_body(data, _dataset_header)
     if canonical is None:
@@ -231,6 +233,11 @@ def _canonical_table(data: bytes) -> Optional[np.ndarray]:
     width, body = canonical
     n = body.count(b"\n")
     if body.translate(None, _DATASET_BYTES) or sum(map(body.count, _ROW_ENDS)) != n:
+        return None
+    # a cell is no longer than its line, so lines within the limit hold no
+    # cell past it
+    line_ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    if np.diff(line_ends, prepend=-1).max() - 1 > csv.field_size_limit():
         return None
     try:
         table = np.loadtxt(
@@ -343,18 +350,33 @@ def build_counterfactual_pairs(dataset: Dataset) -> list[tuple[int, int]]:
 
     Feature equality is exact (values as parsed, no tolerance): pairs
     are meant to be constructed duplicates, and a tolerance would invent
-    false matches.
+    false matches. One stable sort by (feature row, group) makes each
+    bucket of identical rows a run of group 0 followed by a run of group 1,
+    and every pair joins one row of the first run with one of the second.
     """
-    by_features: dict[tuple[float, ...], list[int]] = {}
-    for i, row in enumerate(dataset.features.tolist()):
-        by_features.setdefault(tuple(row), []).append(i)
-    z = dataset.sensitive.tolist()
-    pairs = [
-        (i, j)
-        for indices in by_features.values()
-        for a, i in enumerate(indices)
-        for j in indices[a + 1:]
-        if z[i] != z[j]
-    ]
-    pairs.sort()
-    return pairs
+    # lexsort compares floats with <, so -0.0 and 0.0 tie, and the stable
+    # sort keeps their bucket's runs whole; != below also treats them equal
+    columns = list(dataset.features.T)
+    z = dataset.sensitive
+    order = np.lexsort([z] + columns[::-1])
+    n = len(order)
+    z = z[order]
+    new_bucket = np.zeros(n, dtype=bool)
+    new_bucket[0] = True
+    for column in columns:
+        column = column[order]
+        new_bucket[1:] |= column[1:] != column[:-1]
+    bucket_start = np.flatnonzero(new_bucket)
+    group_1 = np.add.reduceat(z, bucket_start)  # rows of group 1 per bucket
+    run_1 = np.append(bucket_start[1:], n) - group_1  # where those rows start
+    # each group-0 row meets every row of its bucket's group-1 run
+    left = np.flatnonzero(z == 0)
+    bucket = np.cumsum(new_bucket)[left] - 1
+    width = group_1[bucket]
+    offsets = np.cumsum(width) - width
+    right = np.repeat(run_1[bucket] - offsets, width) + np.arange(int(width.sum()))
+    left = np.repeat(left, width)
+    i, j = order[left], order[right]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    rank = np.lexsort((hi, lo))
+    return list(zip(lo[rank].tolist(), hi[rank].tolist()))

@@ -11,8 +11,10 @@ JSON representation and would silently degrade downstream).
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -72,6 +74,10 @@ def _emit(value, parts: list[str], depth: int) -> None:
         if not value:
             parts.append("[]")
             return
+        block = _int_block(value, depth)
+        if block is not None:
+            parts.append(block)
+            return
         parts.append("[\n")
         for i, item in enumerate(value):
             parts.append(inner)
@@ -80,6 +86,31 @@ def _emit(value, parts: list[str], depth: int) -> None:
         parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _int_block(value, depth: int) -> Optional[str]:
+    """The text ``_emit`` writes for a non-empty list of non-empty lists of
+    plain ints (the twin-pair rows), built in one pass; None for any other list.
+
+    ``type(v) is int`` lets no bool, numpy integer or ``IntEnum`` through,
+    so those keep the node-by-node path and its conversions.
+    """
+    if not set(map(type, value)) <= {list, tuple}:
+        return None
+    lengths = list(map(len, value))
+    flat = tuple(itertools.chain.from_iterable(value))
+    if not all(lengths) or set(map(type, flat)) != {int}:
+        return None
+    # one "%s" per int, one row template per row length, one format call
+    inner = _INDENT * (depth + 1)
+    close = "\n" + _INDENT * depth + "]"
+    row_inner = inner + _INDENT
+    rows = {
+        n: "[\n" + row_inner + (",\n" + row_inner).join(["%s"] * n) + "\n" + inner + "]"
+        for n in set(lengths)
+    }
+    text = "[\n" + inner + (",\n" + inner).join(map(rows.__getitem__, lengths)) + close
+    return text % flat
 
 
 def dumps(obj) -> str:

@@ -13,6 +13,7 @@ stated in every serialized report.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -21,6 +22,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .distributional import DispersionReport
+from .errors import FairmixError
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -173,10 +175,20 @@ def treatment_violations(
     ensemble's per-instance acceptance probabilities otherwise. A pair
     violates equal treatment when the two probabilities differ by more
     than ``tolerance`` (so deterministic disagreement, a difference of
-    1, is always a violation).
+    1, is always a violation). A NaN or negative ``tolerance`` raises
+    :class:`FairmixError`.
     """
+    check_tolerance(tolerance)
     q = np.asarray(benefit_profile, dtype=float)
-    return [(i, j) for i, j in pairs if abs(q[i] - q[j]) > tolerance]
+    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    differs = np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance
+    return list(itertools.compress(pairs, differs.tolist()))
+
+
+def check_tolerance(tolerance: float) -> None:
+    """Raise unless ``tolerance`` is >= 0; NaN is rejected, infinity allowed."""
+    if not tolerance >= 0:  # also rejects NaN
+        raise FairmixError(f"tolerance must be >= 0, got {tolerance!r}")
 
 
 def indicator_profile(predictions) -> np.ndarray:
@@ -249,7 +261,8 @@ def mixture_report(
     """Report on the random mixture ``weights`` over the counted rows.
 
     ``profile`` is the mixture's per-instance acceptance probability,
-    which the treatment test compares across twin pairs.
+    which the treatment test compares across twin pairs. That test
+    raises :class:`FairmixError` for a NaN or negative ``tolerance``.
     """
     entries = []
     for kind in MetricKind:

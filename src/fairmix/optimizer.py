@@ -30,7 +30,7 @@ from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
-from .metrics import CellCounts, LINEAR_KINDS, MetricKind, cell_index
+from .metrics import CellCounts, LINEAR_KINDS, MetricKind, cell_index, check_tolerance
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -133,8 +133,7 @@ def solve_fair_mixture(
             f"cannot constrain {', '.join(str(k) for k in bad)}: only kinds "
             "linear in the weights are supported"
         )
-    if not tolerance >= 0:  # also rejects NaN
-        raise FairmixError(f"tolerance must be >= 0, got {tolerance!r}")
+    check_tolerance(tolerance)
     counts = member_counts(members, dataset)
     program = build_mixture_program(counts, constrained, tolerance, objective)
     result: SimplexResult = simplex_solve(program)
@@ -247,8 +246,7 @@ def grid_oracle(
         raise FairmixError(
             f"grid resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}"
         )
-    if not tolerance >= 0:  # also rejects NaN
-        raise FairmixError(f"tolerance must be >= 0, got {tolerance!r}")
+    check_tolerance(tolerance)
     constrained = sorted(set(constrained), key=lambda k: k.value)
     counts = member_counts(members, dataset)
     gap_rows = _gap_rows(counts, constrained)

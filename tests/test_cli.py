@@ -270,10 +270,20 @@ class TestAudit:
             "byte 0xff (invalid start byte)\n"
         )
 
-    @pytest.mark.parametrize("role", ["dataset", "predictions"])
-    def test_cell_past_csv_field_limit(self, fig2_dir, role, capsys):
+    @pytest.mark.parametrize(
+        "role, old, new",
+        [
+            pytest.param("dataset", b"\n", b"\n" + b"x" * 200_000, id="dataset"),
+            pytest.param("predictions", b"\n", b"\n" + b"x" * 200_000, id="predictions"),
+            # -000...01.0 is -1.0 spelled in bytes the dataset fast path reads
+            pytest.param(
+                "dataset", b"\n-", b"\n-" + b"0" * 200_000, id="dataset-canonical"
+            ),
+        ],
+    )
+    def test_cell_past_csv_field_limit(self, fig2_dir, role, old, new, capsys):
         path = fig2_dir / f"{role}.csv"
-        path.write_bytes(path.read_bytes().replace(b"\n", b"\n" + b"x" * 200_000, 1))
+        path.write_bytes(path.read_bytes().replace(old, new, 1))
         code, out, err = run(
             ["audit", str(fig2_dir / "dataset.csv"), str(fig2_dir / "predictions.csv")],
             capsys,

@@ -257,6 +257,19 @@ class TestCsv:
             load_dataset(path)
 
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_cell_at_csv_field_limit(self, tmp_path, extra):
+        # -000...01.0 is -1.0, spelled in bytes the canonical fast path reads
+        cell = "-" + "0" * (csv.field_size_limit() - 4 + extra) + "1.0"
+        path = tmp_path / "d.csv"
+        path.write_text(f"f_1,y,z\n0.5,1,0\n{cell},-1,1\n")
+        if extra:
+            with pytest.raises(DataFormatError, match="line 3: field larger than"):
+                load_dataset(path)
+        else:
+            assert load_dataset(path).features.tolist() == [[0.5], [-1.0]]
+
+
 class TestGroups:
     def test_partition(self):
         ds = small_dataset()

@@ -5,8 +5,18 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairmix.jsonio import dumps, dump_path
+from fairmix import (
+    Dataset,
+    Ensemble,
+    TableClassifier,
+    build_counterfactual_pairs,
+    classifier_report,
+    ensemble_report,
+)
+from fairmix.jsonio import FLOAT_FORMAT, _INDENT, _key, _scalar, dumps, dump_path
 
 
 class Color(enum.Enum):
@@ -93,3 +103,138 @@ def test_dump_path_round_trip(tmp_path):
     text = path.read_text()
     assert text == dumps({"value": 2 / 9})
     assert json.loads(text)["value"] == pytest.approx(2 / 9, abs=1e-12)
+
+
+def _reference_emit(value, parts, depth):
+    """The emitter as it was before the int-block path: one call per node."""
+    value = _scalar(value)
+    pad = _INDENT * depth
+    inner = _INDENT * (depth + 1)
+    if value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    elif isinstance(value, int):
+        parts.append(str(value))
+    elif isinstance(value, float):
+        parts.append(format(value, FLOAT_FORMAT))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        entries = {_key(k): v for k, v in value.items()}
+        parts.append("{\n")
+        for i, key in enumerate(sorted(entries)):
+            parts.append(f"{inner}{json.dumps(key)}: ")
+            _reference_emit(entries[key], parts, depth + 1)
+            parts.append(",\n" if i < len(entries) - 1 else "\n")
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        parts.append("[\n")
+        for i, item in enumerate(value):
+            parts.append(inner)
+            _reference_emit(item, parts, depth + 1)
+            parts.append(",\n" if i < len(value) - 1 else "\n")
+        parts.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    parts = []
+    _reference_emit(obj, parts, 0)
+    parts.append("\n")
+    return "".join(parts)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+def _documents(leaf):
+    """Nested lists, tuples and dicts over ``leaf``, rich in int rows."""
+    ints = st.integers()
+    rows = st.one_of(
+        st.lists(ints, max_size=4),
+        st.lists(ints, max_size=4).map(tuple),
+        st.lists(st.one_of(ints, leaf), max_size=4),
+    )
+    tables = st.one_of(st.lists(rows, max_size=5), st.lists(rows, max_size=5).map(tuple))
+    return st.recursive(
+        st.one_of(leaf, rows, tables),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=3), children, max_size=4),
+        ),
+        max_leaves=40,
+    )
+
+
+PLAIN_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
+MIXED_LEAVES = st.one_of(
+    PLAIN_LEAVES,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.sampled_from(Level),
+)
+
+
+class TestIntBlockPath:
+    """``dumps`` writes a list of int rows in one pass; the text must be
+    the node-by-node emitter's, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=_documents(MIXED_LEAVES))
+    def test_matches_node_by_node_emitter(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_documents(PLAIN_LEAVES))
+    def test_matches_stdlib_without_floats(self, doc):
+        assert dumps(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1, True],
+            [[1, 2], [True, 0]],
+            [[1, 2], []],
+            [[1, 2], [np.int64(3)]],
+            [Level.LOW, 2],
+            [[1], (2, 3), [4, 5, 6]],
+            [[1, 2], 3],
+        ],
+    )
+    def test_edge_lists(self, doc):
+        assert dumps({"x": doc}) == reference_dumps({"x": doc})
+
+    def test_audit_documents(self):
+        # 64 feature vectors over 2,000 rows: thousands of twin pairs
+        rng = np.random.default_rng(0)
+        n, m = 2000, 4
+        ds = Dataset.from_arrays(
+            rng.integers(0, 4, size=(n, 3)).astype(float),
+            rng.choice((-1, 1), size=n),
+            rng.integers(0, 2, size=n),
+        )
+        members = [TableClassifier(rng.choice((-1, 1), size=n), ds) for _ in range(m)]
+        pairs = build_counterfactual_pairs(ds)
+        assert len(pairs) > 10_000
+        weights = rng.dirichlet(np.ones(m))
+        weighted = ensemble_report(Ensemble(members, weights), ds, pairs).to_json_dict()
+        per_member = {
+            "reports": [
+                classifier_report(c.predictions, ds, pairs).to_json_dict() for c in members
+            ]
+        }
+        for doc in (weighted, per_member):
+            assert dumps(doc) == reference_dumps(doc)

@@ -5,6 +5,7 @@ counts, so the tests here compare against ``fractions.Fraction`` built
 from independently recomputed counts — equality is exact, no tolerance.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,8 @@ from fairmix import (
     indicator_profile,
     treatment_violations,
 )
-from fairmix.metrics import LINEAR_KINDS, RATIO_KINDS, cell_counts
+from fairmix.errors import FairmixError
+from fairmix.metrics import LINEAR_KINDS, RATIO_KINDS, cell_counts, mixture_report
 
 
 def vector_counts(preds, ds):
@@ -224,6 +226,31 @@ class TestTreatment:
         pairs = build_counterfactual_pairs(ds)
         q = indicator_profile(np.array([1, -1]))
         assert treatment_violations(q, pairs) == pairs
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1])
+    def test_nan_or_negative_tolerance_rejected(self, tolerance):
+        # NaN would pass no pair and -1 would flag every pair
+        ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
+        pairs = build_counterfactual_pairs(ds)
+        preds = np.array([1, -1])
+        message = f"tolerance must be >= 0, got {tolerance!r}"
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            treatment_violations(indicator_profile(preds), pairs, tolerance)
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            mixture_report(
+                vector_counts(preds, ds), np.ones(1), indicator_profile(preds), pairs,
+                tolerance,
+            )
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            classifier_report(preds, ds, pairs, tolerance)
+
+    def test_infinite_tolerance_passes_every_pair(self):
+        ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
+        pairs = build_counterfactual_pairs(ds)
+        preds = np.array([1, -1])
+        assert treatment_violations(indicator_profile(preds), pairs, float("inf")) == []
+        report = classifier_report(preds, ds, pairs, float("inf"))
+        assert report.treatment_violations == ()
 
 
 class TestReport:

@@ -1,6 +1,7 @@
 """Memory at scale: the per-draw sampler and the dispersion report hold
-O(draws + N*M) values, never a draws x N or an n x n buffer, and the CSV
-loaders hold a few copies of the file, never a Python object per cell.
+O(draws + N*M) values, never a draws x N or an n x n buffer, the CSV
+loaders hold a few copies of the file, never a Python object per cell,
+and twin pairs are found with index arrays, never a tuple per row.
 
 Measured with ``tracemalloc`` (numpy reports its buffers to it) at
 N=1e6 instances and M=8 members, after the inputs are built. A
@@ -19,11 +20,13 @@ from fairmix import (
     MetricKind,
     TableClassifier,
     acceptance_probability,
+    build_counterfactual_pairs,
     dispersion,
     ensemble_group_rate,
     load_dataset,
     load_prediction_matrix,
     sample,
+    treatment_violations,
 )
 
 N = 1_000_000
@@ -114,3 +117,45 @@ def test_loaders_memory_is_linear(tmp_path):
     assert np.array_equal(ds.sensitive, groups[pool])
     for j, member in enumerate(members):
         assert np.array_equal(member.predictions, np.where(signs >> j & 1, 1, -1))
+
+
+PAIRS_BUDGET_MB = 160
+
+
+def test_twin_pairs_memory_is_linear():
+    """Twin pairs and the treatment test at N=1e6: 4 features of 40 levels
+    give about 1e5 cross-group pairs. The budget is five copies of the
+    (N, 4) float feature matrix; a Python tuple per row, as a dict of
+    buckets keyed by row would hold, takes about 376 MB."""
+    rng = np.random.default_rng(0)
+    features = rng.integers(0, 40, size=(N, 4)).astype(float)
+    z = rng.integers(0, 2, size=N)
+    ds = Dataset.from_arrays(features, np.ones(N, dtype=int), z)
+    profile = rng.integers(0, 3, size=N) / 2
+    del features
+
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        pairs = build_counterfactual_pairs(ds)
+        violations = treatment_violations(profile, pairs, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    assert (peak - entry) / 2**20 < PAIRS_BUDGET_MB
+    assert 90_000 < len(pairs) < 110_000
+    assert pairs == sorted(set(pairs))
+    idx = np.array(pairs)
+    assert np.all(idx[:, 0] < idx[:, 1])
+    assert np.all(ds.features[idx[:, 0]] == ds.features[idx[:, 1]])
+    assert np.all(z[idx[:, 0]] != z[idx[:, 1]])
+    # every twin of a row is found: per feature vector, the group counts
+    # multiply to the pairs listed
+    _, bucket, counts = np.unique(
+        ds.features, axis=0, return_inverse=True, return_counts=True
+    )
+    ones = np.bincount(bucket, weights=z, minlength=len(counts))
+    assert len(pairs) == int(np.sum((counts - ones) * ones))
+    gaps = np.abs(profile[idx[:, 0]] - profile[idx[:, 1]])
+    assert violations == [p for p, gap in zip(pairs, gaps.tolist()) if gap > 0.25]
