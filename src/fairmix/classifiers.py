@@ -57,7 +57,7 @@ class LinearClassifier:
             + self.sensitive_weight * dataset.sensitive
             + self.bias
         )
-        return np.where(scores >= 0, 1, -1)
+        return np.where(scores >= 0, np.int8(1), np.int8(-1))
 
 
 class TableClassifier:
@@ -79,10 +79,11 @@ class TableClassifier:
                 f"prediction vector length {preds.shape} does not match "
                 f"dataset size {len(dataset)}"
             )
-        if not np.all(np.isin(preds, (-1, 1))):
-            bad = int(np.flatnonzero(~np.isin(preds, (-1, 1)))[0])
+        valid = np.isin(preds, (-1, 1))
+        if not valid.all():
+            bad = int(valid.argmin())
             raise DataFormatError(f"invalid prediction at row {bad + 1}: must be -1 or 1")
-        preds = preds.astype(int)
+        preds = preds.astype(np.int8)  # a copy, checked first: 255 would wrap to -1
         preds.setflags(write=False)
         self._predictions = preds
         self._dataset = dataset
@@ -120,8 +121,7 @@ Classifier = Union[LinearClassifier, TableClassifier]
 def prediction_matrix(members: Sequence[Classifier], dataset: Dataset) -> np.ndarray:
     """(M, N) int8 matrix of member predictions (+1/-1) on the dataset.
 
-    Each member's row is cast as it is stored, so no (M, N) int64 matrix
-    is ever built.
+    Every member predicts int8 already, so each row is copied as it is.
     """
     matrix = np.empty((len(members), len(dataset)), dtype=np.int8)
     for row, member in zip(matrix, members):

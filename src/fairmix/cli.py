@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
         "--tol", type=_at_least(0, float), default=metrics.DEFAULT_TOLERANCE,
         help="fairness tolerance (default 1e-9)",
     )
-    seed = _flag("--seed", type=int, default=0, help="RNG seed (default 0)")
+    seed = _flag("--seed", type=_at_least(0), default=0, help="RNG seed (default 0)")
     out = _flag("--out", default=None, help="output path (default: stdout)")
     fmt = _flag(
         "--format", choices=("json", "csv"), default="json", dest="fmt",
@@ -418,6 +418,9 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (FairmixError, ValueError, OSError) as exc:
         print(f"fairmix: error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"fairmix: error: out of memory: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -176,13 +176,42 @@ def treatment_violations(
     violates equal treatment when the two probabilities differ by more
     than ``tolerance`` (so deterministic disagreement, a difference of
     1, is always a violation). A NaN or negative ``tolerance`` raises
-    :class:`FairmixError`.
+    :class:`FairmixError`, and so does a pair that is not two integer
+    row indices of the profile; the error names the first such pair.
     """
     check_tolerance(tolerance)
     q = np.asarray(benefit_profile, dtype=float)
-    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    n = len(q)
+    idx = _index_pairs(pairs, n) if len(pairs) else np.empty((0, 2), dtype=np.intp)
+    if idx is None:
+        for pair in pairs:
+            if _index_pairs([pair], n) is None:
+                raise FairmixError(
+                    f"invalid twin pair {pair!r}: must be two integer row "
+                    f"indices in [0, {n})"
+                )
+        # each pair is valid, but numpy found no integer type for them all
+        idx = np.array(pairs, dtype=np.intp)
     differs = np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance
     return list(itertools.compress(pairs, differs.tolist()))
+
+
+def _index_pairs(pairs, n: int) -> Optional[np.ndarray]:
+    """Non-empty ``pairs`` as a (K, 2) integer array of indices in
+    ``[0, n)``; None if they do not form one."""
+    try:
+        idx = np.asarray(pairs)
+    except ValueError:  # ragged
+        return None
+    if (
+        idx.ndim == 2
+        and idx.shape[1] == 2
+        and idx.dtype.kind in "iu"
+        and idx.min() >= 0
+        and idx.max() < n
+    ):
+        return idx
+    return None
 
 
 def check_tolerance(tolerance: float) -> None:

@@ -128,7 +128,7 @@ def _run(tableau: np.ndarray, basis: np.ndarray, tol: float) -> tuple[bool, int]
         pivots += 1
 
 
-def simplex_solve(problem: LinearProgram, tolerance: float = PIVOT_TOLERANCE) -> SimplexResult:
+def simplex_solve(problem: LinearProgram) -> SimplexResult:
     """Solve the program; statuses are optimal / infeasible / unbounded."""
     n = problem.n_variables
     m_ub = problem.a_ub.shape[0]
@@ -158,9 +158,9 @@ def simplex_solve(problem: LinearProgram, tolerance: float = PIVOT_TOLERANCE) ->
     tableau[-1, n + m_ub : n_cols] = 1.0
     tableau[-1] -= tableau[:m].sum(axis=0)
 
-    bounded, pivots = _run(tableau, basis, tolerance)
+    bounded, pivots = _run(tableau, basis, PIVOT_TOLERANCE)
     assert bounded  # phase-1 objective is bounded below by 0
-    if -tableau[-1, -1] > tolerance:
+    if -tableau[-1, -1] > PIVOT_TOLERANCE:
         return SimplexResult(SolveStatus.INFEASIBLE, None, None, pivots)
 
     # drive any leftover artificial out of the basis; a row where no real
@@ -173,7 +173,7 @@ def simplex_solve(problem: LinearProgram, tolerance: float = PIVOT_TOLERANCE) ->
             continue
         pivot_col = -1
         for j in range(artificial_start):
-            if abs(tableau[i, j]) > tolerance:
+            if abs(tableau[i, j]) > PIVOT_TOLERANCE:
                 pivot_col = j
                 break
         if pivot_col >= 0:
@@ -195,7 +195,7 @@ def simplex_solve(problem: LinearProgram, tolerance: float = PIVOT_TOLERANCE) ->
         if cb != 0.0:
             tableau[-1] -= cb * tableau[i]
 
-    bounded, extra = _run(tableau, basis, tolerance)
+    bounded, extra = _run(tableau, basis, PIVOT_TOLERANCE)
     pivots += extra
     if not bounded:
         return SimplexResult(SolveStatus.UNBOUNDED, None, None, pivots)
@@ -203,7 +203,7 @@ def simplex_solve(problem: LinearProgram, tolerance: float = PIVOT_TOLERANCE) ->
     x = np.zeros(artificial_start)
     x[basis] = tableau[:m2, -1]
     x = x[:n]
-    x[np.abs(x) < tolerance] = 0.0
+    x[np.abs(x) < PIVOT_TOLERANCE] = 0.0
     return SimplexResult(
         SolveStatus.OPTIMAL, x, float(np.dot(problem.c, x)), pivots
     )

@@ -54,6 +54,10 @@ class TestLinearClassifier:
         aware = LinearClassifier((0.0, 0.0), sensitive_weight=1.0, bias=-0.5)
         assert aware.predict_all(ds).tolist() == [-1, -1, 1, 1]
 
+    def test_predict_all_is_int8(self, ds):
+        clf = LinearClassifier((0.3, -0.7), sensitive_weight=-0.2, bias=0.1)
+        assert clf.predict_all(ds).dtype == np.int8
+
     def test_dimension_mismatch(self, ds):
         clf = LinearClassifier((1.0,))
         with pytest.raises(CompatibilityError, match="dimension mismatch"):
@@ -107,6 +111,19 @@ class TestTableClassifier:
         table = TableClassifier([1, -1, 1, -1], ds)
         with pytest.raises(ValueError):
             table.predictions[0] = -1
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64, object])
+    def test_predictions_are_an_int8_copy(self, ds, dtype):
+        source = np.array([1, -1, 1, -1], dtype=dtype)
+        table = TableClassifier(source, ds)
+        source[0] = -1
+        assert table.predictions.dtype == np.int8
+        assert table.predict_all(ds).tolist() == [1, -1, 1, -1]
+
+    def test_values_checked_before_the_cast(self, ds):
+        # 255 would wrap to -1 in int8
+        with pytest.raises(DataFormatError, match="invalid prediction at row 2"):
+            TableClassifier(np.array([1, 255, 1, 1], dtype=np.uint8), ds)
 
     def test_equality(self, ds):
         a = TableClassifier([1, -1, 1, -1], ds)

@@ -5,6 +5,8 @@ tests double as round-trip checks of every serialization path. Exit
 codes under test: 0 success, 1 input error, 2 infeasible, 3 not found.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairmix
 from fairmix import (
@@ -25,7 +29,7 @@ from fairmix import (
     save_prediction_matrix,
 )
 from fairmix.cli import entrypoint
-from fairmix import jsonio
+from fairmix import jsonio, optimizer
 
 
 @pytest.fixture
@@ -329,6 +333,26 @@ class TestSolveCommands:
         # lattice points with p2 = 2 p1: k = 0..66
         assert oracle["feasible_count"] == 67
         assert oracle["accuracy"] == pytest.approx(doc["accuracy"], abs=1e-9)
+
+    def test_out_of_memory_is_an_error_not_a_traceback(self, fig2_dir, capsys, monkeypatch):
+        # what a lattice too large to allocate raises, without allocating it
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.47 EiB for an array")
+
+        monkeypatch.setattr(optimizer, "grid_oracle", exhausted)
+        code, out, err = run(
+            [
+                "optimize",
+                str(fig2_dir / "dataset.csv"),
+                str(fig2_dir / "predictions.csv"),
+                "--verify",
+            ],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "fairmix: error: out of memory: Unable to allocate 3.47 EiB for an array\n"
+        )
 
     def test_mix_reports_feasibility_objective(self, fig2_dir, capsys):
         code, out, _ = run(
@@ -658,8 +682,13 @@ class TestParsing:
                 ["counterexample", "--max-trials", "-5"],
                 "--max-trials: must be >= 0, got -5",
             ),
+            (["counterexample", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+            (
+                ["sample", "d.csv", "p.csv", "w.json", "--seed", "-1"],
+                "--seed: must be >= 0, got -1",
+            ),
         ],
-        ids=["n", "oracle-resolution", "max-trials"],
+        ids=["n", "oracle-resolution", "max-trials", "counterexample-seed", "sample-seed"],
     )
     def test_out_of_range_number_names_the_flag(self, capsys, argv, message):
         # rejected while parsing, before any input file is opened
@@ -686,3 +715,66 @@ class TestParsing:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+
+FUZZ_TOKENS = [b"nan", b"inf", b"1e999", b"+1", b"01", b"\x00", b"\xff", b'"', b"\r", b"\n"]
+
+FUZZ_COMMANDS = [
+    ["audit", "dataset.csv", "predictions.csv"],
+    ["audit", "dataset.csv", "predictions.csv", "--format", "csv"],
+    ["audit", "dataset.csv", "predictions.csv", "--weights", "weights.json"],
+    ["audit", "dataset.csv", "predictions.csv", "--weights", "weights.json",
+     "--format", "csv"],
+    ["optimize", "dataset.csv", "predictions.csv", "--verify"],
+    ["mix", "dataset.csv", "predictions.csv"],
+    ["sample", "dataset.csv", "predictions.csv", "weights.json", "--per-instance",
+     "--n", "20"],
+]
+
+
+@pytest.fixture(scope="module")
+def fig2_exports(tmp_path_factory):
+    """The figure-2 export files as bytes, and a directory to write over."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert entrypoint(
+        ["figure", "2", "--out-dir", str(root / "fig2"), "--out", str(root / "fig2.json")]
+    ) == 0
+    names = ("dataset.csv", "predictions.csv", "weights.json")
+    return {name: (root / "fig2" / name).read_bytes() for name in names}, root
+
+
+@st.composite
+def mutation(draw, original: bytes) -> bytes:
+    kind = draw(st.sampled_from(["truncate", "overwrite", "insert", "newlines"]))
+    if kind == "newlines":
+        if b"\r\n" in original:
+            return original.replace(b"\r\n", b"\n")
+        return original.replace(b"\n", b"\r\n")
+    k = draw(st.integers(0, len(original) - (kind == "overwrite")))
+    if kind == "truncate":
+        return original[:k]
+    if kind == "overwrite":
+        return original[:k] + bytes([draw(st.integers(0, 255))]) + original[k + 1:]
+    return original[:k] + draw(st.sampled_from(FUZZ_TOKENS)) + original[k:]
+
+
+class TestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_mutated_exports_end_in_an_exit_code(self, fig2_exports, data):
+        """A mutated input file ends every command in a documented exit
+        code, and an error in a message from fairmix, never a traceback."""
+        originals, root = fig2_exports
+        target = data.draw(st.sampled_from(sorted(originals)), label="file")
+        argv = data.draw(st.sampled_from(FUZZ_COMMANDS), label="argv")
+        for name, content in originals.items():
+            if name == target:
+                content = data.draw(mutation(content), label="content")
+            (root / name).write_bytes(content)
+        argv = [str(root / a) if a in originals else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = entrypoint(argv)
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert err.getvalue().startswith("fairmix"), err.getvalue()

@@ -121,7 +121,7 @@ def reference_load_prediction_matrix(path, n):
             f"{path}: row count mismatch: {len(rows)} rows for a dataset "
             f"of {n} instances"
         )
-    return np.asarray(rows, dtype=int)
+    return np.asarray(rows, dtype=np.int8)
 
 
 class TestFromArrays:

@@ -244,6 +244,46 @@ class TestTreatment:
         with pytest.raises(FairmixError, match=re.escape(message)):
             classifier_report(preds, ds, pairs, tolerance)
 
+    @pytest.mark.parametrize(
+        "pairs, bad",
+        [
+            ([(0, 1, 2), (3, 4, 5)], "(0, 1, 2)"),
+            ([(0, 1), (2,)], "(2,)"),
+            ([(-1, 0)], "(-1, 0)"),
+            ([(0, 1), (2, 6)], "(2, 6)"),
+            ([(0.0, 1.0)], "(0.0, 1.0)"),
+            ([(True, False)], "(True, False)"),
+            ([0, 1], "0"),
+            ([(0, 1), "ab"], "'ab'"),
+            ([(0, 2**64)], f"(0, {2**64})"),
+        ],
+        ids=["triples", "ragged", "negative", "past-end", "floats", "bools",
+             "flat", "string", "huge"],
+    )
+    def test_malformed_pairs_rejected(self, pairs, bad):
+        # each of these used to be read as some other pair of rows
+        q = [0, 1, 0, 1, 0, 1]
+        message = f"invalid twin pair {bad}: must be two integer row indices in [0, 6)"
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            treatment_violations(q, pairs)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [],
+            np.empty((0, 2), dtype=int),
+            [(0, 1), (2, 4)],
+            np.array([[0, 1], [2, 4]], dtype=np.uint8),
+            [(0, 1), (np.uint64(2), np.uint64(4))],
+        ],
+        ids=["empty", "empty-array", "tuples", "uint8-array", "mixed-int-types"],
+    )
+    def test_integer_pairs_accepted(self, pairs):
+        q = [0, 1, 0, 1, 0, 1]
+        expected = [(0, 1)] if len(pairs) else []
+        got = treatment_violations(q, pairs)
+        assert [(int(i), int(j)) for i, j in got] == expected
+
     def test_infinite_tolerance_passes_every_pair(self):
         ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
         pairs = build_counterfactual_pairs(ds)

@@ -66,16 +66,17 @@ def test_sampler_and_dispersion_memory_is_linear():
 LOAD_BUDGET_MB = 192
 
 
-def _traced_peak_mb(load, *args):
-    """Peak ``tracemalloc`` memory of ``load(*args)`` above its entry, in MB."""
+def _traced_mb(load, *args):
+    """``load(*args)`` with the peak and the retained ``tracemalloc`` memory
+    of that call above its entry, in MB."""
     tracemalloc.start()
     try:
         entry = tracemalloc.get_traced_memory()[0]
         result = load(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return result, (peak - entry) / 2**20
+    return result, (peak - entry) / 2**20, (retained - entry) / 2**20
 
 
 def test_loaders_memory_is_linear(tmp_path):
@@ -105,13 +106,16 @@ def test_loaders_memory_is_linear(tmp_path):
         header + b"\n" + b"".join([patterns[s] for s in signs.tolist()])
     )
 
-    ds, dataset_mb = _traced_peak_mb(load_dataset, tmp_path / "data.csv")
-    members, predictions_mb = _traced_peak_mb(
+    ds, dataset_mb, _ = _traced_mb(load_dataset, tmp_path / "data.csv")
+    members, predictions_mb, members_mb = _traced_mb(
         load_prediction_matrix, tmp_path / "preds.csv", ds
     )
 
     assert dataset_mb < LOAD_BUDGET_MB
     assert predictions_mb < LOAD_BUDGET_MB
+    # the members hold one int8 copy of the matrix: M*N bytes, not an
+    # int64 row each (8*M*N)
+    assert members_mb * 2**20 < 2 * M * N
     assert np.array_equal(ds.features, features[pool])
     assert np.array_equal(ds.labels, labels[pool])
     assert np.array_equal(ds.sensitive, groups[pool])
