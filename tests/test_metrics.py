@@ -274,15 +274,21 @@ class TestTreatment:
             np.empty((0, 2), dtype=int),
             [(0, 1), (2, 4)],
             np.array([[0, 1], [2, 4]], dtype=np.uint8),
-            [(0, 1), (np.uint64(2), np.uint64(4))],
         ],
-        ids=["empty", "empty-array", "tuples", "uint8-array", "mixed-int-types"],
+        ids=["empty", "empty-array", "tuples", "uint8-array"],
     )
     def test_integer_pairs_accepted(self, pairs):
         q = [0, 1, 0, 1, 0, 1]
         expected = [(0, 1)] if len(pairs) else []
         got = treatment_violations(q, pairs)
         assert [(int(i), int(j)) for i, j in got] == expected
+
+    def test_pairs_without_a_common_integer_type_rejected(self):
+        # each pair is valid, but uint64 and int64 join only as float64
+        q = [0, 1, 0, 1, 0, 1]
+        pairs = [(0, 1), (np.uint64(2), np.uint64(4))]
+        with pytest.raises(FairmixError, match="do not form one integer array"):
+            treatment_violations(q, pairs)
 
     def test_infinite_tolerance_passes_every_pair(self):
         ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
