@@ -188,7 +188,7 @@ def _dump_weights(path: str, weights) -> None:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _load_weights(path: str) -> list[float]:
+def _load_ensemble(path: str, members: Sequence) -> Ensemble:
     # ValueError covers bad JSON, bad UTF-8 and integers past
     # sys.get_int_max_str_digits(); deep nesting raises RecursionError
     try:
@@ -205,7 +205,10 @@ def _load_weights(path: str) -> list[float]:
         # false for NaN, Infinity, 1e999 and integers past the float range
         if not abs(w) <= sys.float_info.max:
             raise FairmixError(f"{path}: non-finite weight {w!r}")
-    return [float(w) for w in weights]
+    try:
+        return Ensemble(members, [float(w) for w in weights])
+    except FairmixError as exc:
+        raise FairmixError(f"{path}: {exc}") from None
 
 
 def _metric_rows(report_doc: dict, label: str) -> list[list]:
@@ -240,7 +243,7 @@ def cmd_audit(args) -> int:
     members = load_prediction_matrix(args.predictions, dataset)
     pairs = build_counterfactual_pairs(dataset)
     if args.weights is not None:
-        ens = Ensemble(members, _load_weights(args.weights))
+        ens = _load_ensemble(args.weights, members)
         report = ensemble_report(ens, dataset, pairs, args.tol)
         doc = report.to_json_dict()
         docs = [("ensemble", doc)]
@@ -315,7 +318,7 @@ def _oracle_consistent(
 def cmd_sample(args) -> int:
     dataset = load_dataset(args.dataset)
     members = load_prediction_matrix(args.predictions, dataset)
-    ens = Ensemble(members, _load_weights(args.weights))
+    ens = _load_ensemble(args.weights, members)
     result = ensemble_mod.sample(
         ens, dataset, args.n, args.seed, per_instance=args.per_instance
     )

@@ -213,15 +213,13 @@ def _csv_rows(path: PathArg, text: str):
 #: The bytes a canonical dataset row may hold: the digits, signs, point
 #: and exponent letters of decimal floats, commas and LF.
 _DATASET_BYTES = b"0123456789+-.eE,\n"
-#: The ways a canonical dataset row may end: label 1 or -1, then group 0 or 1.
-_ROW_ENDS = (b",1,0\n", b",1,1\n", b",-1,0\n", b",-1,1\n")
 
 
 def _canonical_table(data: bytes) -> Optional[np.ndarray]:
     """The (N, k) float table of a dataset file spelled canonically, else None.
 
-    Canonical rows hold only ``_DATASET_BYTES``, end in one of
-    ``_ROW_ENDS`` and are no longer than ``csv.field_size_limit()``; a
+    Canonical rows hold only ``_DATASET_BYTES``, end in label 1 or -1 and
+    group 0 or 1, and are no longer than ``csv.field_size_limit()``; a
     longer line goes to ``_read_cells``, which rejects a cell past that
     limit. ``np.loadtxt`` then reads every token as a float, as ``float()``
     would (both call ``PyOS_string_to_double``); its integer parsing is
@@ -231,21 +229,25 @@ def _canonical_table(data: bytes) -> Optional[np.ndarray]:
     if canonical is None:
         return None
     width, body = canonical
-    n = body.count(b"\n")
-    if body.translate(None, _DATASET_BYTES) or sum(map(body.count, _ROW_ENDS)) != n:
+    chars = np.frombuffer(body, dtype=np.uint8)
+    line_ends = np.flatnonzero(chars == ord("\n"))
+    # rows end in ",1" or ",-1", then ",0" or ",1"; a first row too short for
+    # that (under 4 bytes, or 4 from a "-") would have the checks index before it
+    if body.translate(None, _DATASET_BYTES) or line_ends[0] < 4 + (body[0] == ord("-")):
         return None
-    # a cell is no longer than its line, so lines within the limit hold no
-    # cell past it
-    line_ends = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
-    if np.diff(line_ends, prepend=-1).max() - 1 > csv.field_size_limit():
-        return None
+    comma = line_ends - 4 - (chars[line_ends - 4] == ord("-"))
+    if not np.all(
+        (chars[comma] == ord(",")) & (chars[line_ends - 3] == ord("1"))
+        & (chars[line_ends - 2] == ord(",")) & np.isin(chars[line_ends - 1], list(b"01"))
+    ) or np.diff(line_ends, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None  # no cell is longer than its line, so none is past the limit
     try:
         table = np.loadtxt(
             io.BytesIO(body), delimiter=",", comments=None, dtype=float, ndmin=2
         )
     except ValueError:
         return None
-    return table if table.shape == (n, width) else None
+    return table if table.shape == (line_ends.size, width) else None
 
 
 def _load_canonical_dataset(data: bytes) -> Optional[Dataset]:

@@ -221,7 +221,7 @@ def sample(
     for both.
     """
     if n_draws < 1:
-        raise ValueError("n_draws must be >= 1")
+        raise FairmixError(f"n_draws must be >= 1, got {n_draws}")
     rows = prediction_matrix(ensemble.members, dataset)
     n = len(dataset)
     cumulative = np.cumsum(ensemble.weights)

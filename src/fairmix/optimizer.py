@@ -18,7 +18,6 @@ mixture does not.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -209,18 +208,19 @@ class GridOracleResult:
 def _lattice(total: int, parts: int) -> np.ndarray:
     """All integer compositions of ``total`` into ``parts``, one per row, lexicographic.
 
-    Stars and bars: ``parts - 1`` bars among ``total + parts - 1`` slots
-    leave ``total`` stars in ``parts`` runs. Bar positions come in
-    lexicographic order, and so do the run lengths they encode.
+    Built a column at a time from index gathers: row i, with ``rem[i]`` left,
+    is repeated ``rem[i] + 1`` times, the new column counts 0..rem[i] along
+    the copies, and earlier columns are gathered by the same repeat index.
     """
-    slots = total + parts - 1
-    count = math.comb(slots, parts - 1)
-    bars = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
-        dtype=np.int64,
-        count=count * (parts - 1),  # without it, parts=1 cannot be reshaped
-    ).reshape(count, parts - 1)
-    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    rem = np.array([total], dtype=np.int64)
+    columns = []
+    for _ in range(parts - 1):
+        runs = rem + 1
+        rows = np.repeat(np.arange(rem.size), runs)
+        value = np.arange(rows.size) - (np.cumsum(runs) - runs)[rows]
+        columns = [c[rows] for c in columns] + [value]
+        rem = rem[rows] - value
+    return np.stack(columns + [rem], axis=1)
 
 
 def grid_oracle(

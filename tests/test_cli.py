@@ -226,6 +226,27 @@ class TestAudit:
         assert code == 1
         assert "fairmix: error:" in err
 
+    @pytest.mark.parametrize("command", ["audit", "sample"])
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ("[0.5, 0.5]", "3 members but (2,) weights"),
+            ("[0.5, 0.25, 0.2]", "weights sum to 0.95, expected 1"),
+        ],
+        ids=["count", "sum"],
+    )
+    def test_weights_that_do_not_fit_name_the_file(
+        self, fig2_dir, tmp_path, capsys, command, weights, message
+    ):
+        bad = tmp_path / "w.json"
+        bad.write_text('{"weights": %s}' % weights)
+        files = [str(fig2_dir / "dataset.csv"), str(fig2_dir / "predictions.csv")]
+        flag = ["--weights"] if command == "audit" else []
+        code, out, err = run([command, *files, *flag, str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"fairmix: error: {bad}: {message}\n"
+
     @pytest.mark.parametrize(
         "content",
         [

@@ -347,9 +347,9 @@ PLAIN_FEATURE_TOKENS = [
 ]
 BAD_PLAIN_FEATURE_TOKENS = ["1e999", "-", "", ".", "e5", "1e", "1-2", "--1", "1.2.3"]
 PLAIN_LABEL_TOKENS = ["1", "-1"]
-BAD_PLAIN_LABEL_TOKENS = ["1.0", "1e0", "+1", "01", "-01", "-", "0", "--1", "11"]
+BAD_PLAIN_LABEL_TOKENS = ["1.0", "1e0", "+1", "01", "-01", "-", "0", "--1", "11", "2-1"]
 PLAIN_SENSITIVE_TOKENS = ["0", "1"]
-BAD_PLAIN_SENSITIVE_TOKENS = ["1.0", "1e0", "00", "+1", "-0", "-", "01"]
+BAD_PLAIN_SENSITIVE_TOKENS = ["1.0", "1e0", "00", "+1", "-0", "-", "01", "2"]
 PLAIN_PREDICTION_TOKENS = ["1", "-1"]
 BAD_PLAIN_PREDICTION_TOKENS = ["+1", "01", "-01", "-", "--1", "1-", "1-1", "0", "11", ""]
 
@@ -518,6 +518,60 @@ class TestLoaderDifferential:
         lines = data.draw(plain_lines(columns))
         self.check_prediction_matrix(tmp_path, m, extra, lines, data, plain=True)
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"])
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            [""],  # a body of one byte: no index back from its LF is in it
+            ["1"],
+            ["1,0", "0.5,1,1"],  # a first row shorter than ",1,0"
+            [",1,0", "0.5,1,1"],  # as long as ",1,0", with an empty feature
+            [",1,1"],
+            ["0.5,--1,0"],
+            ["0.5,2-1,0"],
+            ["0.5,x1,1"],
+            ["0.5,.1e1,0"],  # float() reads 1 and int() fails: no comma before "1"
+            ["0.5,-10e-1,1"],  # likewise, no comma before "-1"
+            ["0.5,1,0", "0.5,11,0"],
+            ["0.5,01,1"],
+            ["0.5,1,2"],
+            ["-1,0"],  # the label at the very start of the body
+            ["1,1"],
+            [",-1,1"],
+            ["0.5,1,0", "-1,0"],
+            ["0.5,-1,0", "2,1,1"],
+        ],
+    )
+    def test_row_ends(self, tmp_path, lines, ending):
+        """Files aimed at the row-end check, which looks up to five bytes
+        back from each LF: short first rows, and endings near the valid ones."""
+        header = "f_1,y,z"
+        file_bytes = "".join(line + ending for line in [header, *lines]).encode()
+
+        def load(path):
+            ds = load_dataset(path)
+            return ds.features, ds.labels, ds.sensitive
+
+        check_against_reference(
+            tmp_path, header, lines, file_bytes, load, reference_load_dataset
+        )
+        fast = dataset_module._load_canonical_dataset(file_bytes)
+        if fast is not None:
+            assert_same_arrays(
+                (fast.features, fast.labels, fast.sensitive),
+                reference_load_dataset(tmp_path / "data.csv"),
+            )
+
+    @pytest.mark.parametrize("first", ["0,1,0", "0,1,1", "0,-1,0", "0,-1,1"])
+    def test_shortest_rows_take_the_fast_path(self, first):
+        rows = [first, "0,1,0", "0,1,1", "0,-1,0", "0,-1,1"]
+        fast = dataset_module._load_canonical_dataset(
+            "".join(f"{row}\n" for row in ["f_1,y,z", *rows]).encode()
+        )
+        assert fast is not None
+        assert fast.labels.tolist() == [int(row.split(",")[1]) for row in rows]
+        assert fast.sensitive.tolist() == [int(row.split(",")[2]) for row in rows]
+
     @staticmethod
     def check_dataset(tmp_path, d, lines, data, plain):
         header = ",".join([f"f_{k}" for k in range(1, d + 1)] + ["y", "z"])
@@ -577,7 +631,9 @@ ODD_TOKENS = [
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"])
 @pytest.mark.parametrize("column", range(4))
-@pytest.mark.parametrize("token", ODD_TOKENS)
+@pytest.mark.parametrize(
+    "token", ODD_TOKENS + ["--1", "2-1", "x1", ".1e1", "10e-1", "11", "2"]
+)
 def test_odd_token_in_canonical_dataset(tmp_path, token, column, ending):
     rows = [["0.5", "-1.5", "1", "0"], ["2", "3", "-1", "1"], ["-0.0", "1e-5", "1", "1"]]
     rows[1][column] = token

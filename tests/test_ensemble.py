@@ -485,7 +485,7 @@ class TestSampler:
 
     def test_n_draws_validated(self, rng):
         ds, ens = self.small_case(rng)
-        with pytest.raises(ValueError, match="n_draws"):
+        with pytest.raises(FairmixError, match="n_draws must be >= 1, got 0"):
             sample(ens, ds, n_draws=0, seed=0)
 
     def test_json_records_provenance(self, rng):

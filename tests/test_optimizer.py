@@ -1,5 +1,6 @@
 """Mixture optimization: LP solve, lattice oracle, threshold sweep, witness."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -244,12 +245,72 @@ def recursive_compositions(total, parts):
             yield (head,) + tail
 
 
+def stars_and_bars(total, parts):
+    """The ``itertools`` lattice the index-gather construction replaced.
+
+    ``parts - 1`` bars among ``total + parts - 1`` slots leave ``total``
+    stars in ``parts`` runs. Bar positions come in lexicographic order,
+    and so do the run lengths they encode.
+    """
+    slots = total + parts - 1
+    count = math.comb(slots, parts - 1)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),  # without it, parts=1 cannot be reshaped
+    ).reshape(count, parts - 1)
+    return np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+
+
+def stars_and_bars_oracle(members, dataset, constrained, tolerance, resolution):
+    """``grid_oracle``'s search, step for step, on the ``stars_and_bars`` lattice."""
+    counts = member_counts(members, dataset)
+    lattice = stars_and_bars(resolution, len(members)) / resolution
+    feasible = np.ones(lattice.shape[0], dtype=bool)
+    for kind in sorted(set(constrained), key=lambda k: k.value):
+        feasible &= np.abs(lattice @ counts.gaps(kind)) <= tolerance + 1e-12
+    values = lattice @ counts.accuracies()
+    values[~feasible] = -np.inf
+    best = int(np.argmax(values))
+    return lattice[best], float(values[best]), int(np.sum(feasible))
+
+
 class TestGridOracle:
     def test_lattice_matches_recursive_compositions(self):
         for total in (10, 13, 50):
             for parts in (1, 2, 3, 4):
                 want = np.array(list(recursive_compositions(total, parts)))
                 assert np.array_equal(_lattice(total, parts), want)
+
+    def test_lattice_matches_stars_and_bars(self):
+        cases = [(t, p) for t in range(31) for p in range(1, 6)] + [(100, 4), (200, 3)]
+        for total, parts in cases:
+            got, want = _lattice(total, parts), stars_and_bars(total, parts)
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape
+            assert np.array_equal(got, want), (total, parts)
+            assert got.flags.c_contiguous
+
+    def test_oracle_matches_stars_and_bars_oracle(self, rng):
+        # the same lattice in the same layout gives the same BLAS products,
+        # so every field agrees exactly, not approximately
+        partly_feasible = 0
+        for _ in range(6):
+            ds = make_random_dataset(rng, 40)
+            members = make_random_members(rng, ds, 4)
+            tol = float(rng.uniform(0.02, 0.3))
+            oracle = grid_oracle(members, ds, ALL_LINEAR, tol, resolution=60)
+            weights, best, count = stars_and_bars_oracle(
+                members, ds, ALL_LINEAR, tol, 60
+            )
+            assert oracle.feasible_count == count
+            if count == 0:
+                assert oracle.weights is None and oracle.accuracy is None
+                continue
+            assert oracle.weights.tolist() == weights.tolist()
+            assert oracle.accuracy == best
+            partly_feasible += count < math.comb(63, 3)
+        assert partly_feasible >= 3
 
     def test_single_member(self, rng):
         ds = make_random_dataset(rng, 8)
