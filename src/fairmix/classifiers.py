@@ -23,6 +23,7 @@ from .dataset import (
     _canonical_body,
     _read_bytes,
     _read_cells,
+    check_length,
 )
 from .errors import CompatibilityError, DataFormatError, FairmixError
 
@@ -74,11 +75,7 @@ class TableClassifier:
 
     def __init__(self, predictions, dataset: Dataset):
         preds = _as_given(predictions)
-        if preds.ndim != 1 or preds.shape[0] != len(dataset):
-            raise DataFormatError(
-                f"prediction vector length {preds.shape} does not match "
-                f"dataset size {len(dataset)}"
-            )
+        check_length(preds, dataset, "prediction vector", DataFormatError)
         valid = (preds == 1) | (preds == -1)  # np.isin(preds, (-1, 1)), 15x as fast
         if not valid.all():
             bad = int(valid.argmin())

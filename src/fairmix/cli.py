@@ -181,10 +181,16 @@ def _write_text(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _dump_weights(path: str, weights) -> None:
+def _export(out_dir: str, dataset: Dataset, members: Sequence, weights) -> None:
+    """Write dataset.csv, predictions.csv and weights.json into ``out_dir``."""
+    os.makedirs(out_dir, exist_ok=True)
+    save_dataset(os.path.join(out_dir, "dataset.csv"), dataset)
+    save_prediction_matrix(
+        os.path.join(out_dir, "predictions.csv"), prediction_matrix(members, dataset)
+    )
     # data artifact, not a report: stdlib repr floats round-trip exactly
     doc = {"weights": [float(w) for w in weights]}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(os.path.join(out_dir, "weights.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
@@ -345,14 +351,8 @@ def cmd_figure(args) -> int:
     checks = verify_scenario(scenario)
     ok = all(c.ok for c in checks)
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        save_dataset(os.path.join(args.out_dir, "dataset.csv"), scenario.dataset)
-        save_prediction_matrix(
-            os.path.join(args.out_dir, "predictions.csv"),
-            prediction_matrix(scenario.members, scenario.dataset),
-        )
-        _dump_weights(
-            os.path.join(args.out_dir, "weights.json"), scenario.prescribed_weights
+        _export(
+            args.out_dir, scenario.dataset, scenario.members, scenario.prescribed_weights
         )
         jsonio.dump_path(
             scenario.expectations, os.path.join(args.out_dir, "expectations.json")
@@ -391,13 +391,7 @@ def cmd_counterexample(args) -> int:
         "ensemble_gap_recomputed": counts.mixed_gap(weights, MetricKind.PPV),
     }
     if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
-        save_dataset(os.path.join(args.out_dir, "dataset.csv"), witness.dataset)
-        save_prediction_matrix(
-            os.path.join(args.out_dir, "predictions.csv"),
-            prediction_matrix(witness.members, witness.dataset),
-        )
-        _dump_weights(os.path.join(args.out_dir, "weights.json"), witness.weights)
+        _export(args.out_dir, witness.dataset, witness.members, witness.weights)
     doc = {
         "seed": witness.seed,
         "trial_index": witness.trial_index,
@@ -419,6 +413,8 @@ def entrypoint(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    # ValueError is numpy refusing an impossible size, as in `sample --n
+    # 100000000000000000000`; the library's argument checks raise FairmixError.
     except (FairmixError, ValueError, OSError) as exc:
         print(f"fairmix: error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, FairmixError
 
 PathArg = Union[str, PathLike]
 
@@ -336,13 +336,26 @@ def save_dataset(path: PathArg, dataset: Dataset) -> None:
         )
 
 
+def check_group(z) -> None:
+    """Raise unless ``z`` is a sensitive value: 0 or 1."""
+    if z not in VALID_SENSITIVE:
+        raise FairmixError(f"sensitive value must be 0 or 1, got {z!r}")
+
+
+def check_length(values: np.ndarray, dataset: Dataset, what: str, error=FairmixError):
+    """Raise ``error`` unless ``values`` is a vector with one entry per instance."""
+    if values.shape != (len(dataset),):
+        raise error(
+            f"{what} of length {values.shape} does not match dataset size {len(dataset)}"
+        )
+
+
 def group_indices(dataset: Dataset, z: int) -> np.ndarray:
     """Ascending 0-based indices of instances with sensitive value ``z``.
 
     The two groups partition the index range.
     """
-    if z not in VALID_SENSITIVE:
-        raise ValueError(f"sensitive value must be 0 or 1, got {z!r}")
+    check_group(z)
     return np.flatnonzero(dataset.sensitive == z)
 
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, group_indices
+from .dataset import Dataset, check_length, group_indices
 
 DETERMINISM_CLAMP = 1e-12
 
@@ -85,11 +85,7 @@ def _group_dispersion(q: np.ndarray) -> GroupDispersion:
 def dispersion(benefit_profile, dataset: Dataset) -> DispersionReport:
     """Per-group dispersion of a benefit profile of length N."""
     q = np.asarray(benefit_profile, dtype=float)
-    if q.shape != (len(dataset),):
-        raise ValueError(
-            f"benefit profile of length {q.shape} does not match dataset "
-            f"size {len(dataset)}"
-        )
+    check_length(q, dataset, "benefit profile")
     return DispersionReport(
         group_z0=_group_dispersion(q[group_indices(dataset, 0)]),
         group_z1=_group_dispersion(q[group_indices(dataset, 1)]),

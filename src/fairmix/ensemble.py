@@ -129,14 +129,6 @@ class ClosureReport:
     ensemble_gap: Optional[float]
     weighted_member_gap_sum: Optional[float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "linear": self.linear,
-            "ensemble_gap": self.ensemble_gap,
-            "weighted_member_gap_sum": self.weighted_member_gap_sum,
-        }
-
 
 def closure_check(
     ensemble: Ensemble, kind: MetricKind, dataset: Dataset

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, check_group, check_length
 from .distributional import DispersionReport
 from .errors import FairmixError
 
@@ -50,11 +50,7 @@ RATIO_KINDS = frozenset({MetricKind.PPV, MetricKind.NPV})
 def _vector_counts(predictions, dataset: Dataset) -> CellCounts:
     """Cell counts of one prediction vector, as a single-row matrix."""
     predictions = np.asarray(predictions)
-    if predictions.shape != (len(dataset),):
-        raise ValueError(
-            f"prediction vector of length {predictions.shape} does not match "
-            f"dataset size {len(dataset)}"
-        )
+    check_length(predictions, dataset, "prediction vector")
     return cell_counts(predictions[None, :] == 1, dataset)
 
 
@@ -79,8 +75,7 @@ class CellCounts:
 
     def counts(self, kind: MetricKind, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-row integer (numerator, denominator) of a group rate."""
-        if z not in (0, 1):
-            raise ValueError(f"sensitive value must be 0 or 1, got {z!r}")
+        check_group(z)
         k = 2 * z
         acc_neg, acc_pos = self.accepted[:, k], self.accepted[:, k + 1]
         size_neg, size_pos = np.broadcast_to(self.sizes[k:k + 2], (len(acc_neg), 2)).T

@@ -49,7 +49,7 @@ class MixtureSolution:
 
     ``weights``/``accuracy``/``gaps`` are populated only when ``status``
     is optimal. ``gaps`` covers the constrained kinds; ``post_hoc_gaps``
-    reports the ratio kinds (PPV/NPV), which the LP cannot constrain and
+    reports the ratio kinds (PPV/NPV), which the LP does not constrain and
     which may be undefined (None) on the solution.
     """
 
@@ -73,6 +73,19 @@ class MixtureSolution:
             "tolerance": self.tolerance,
             "iterations": self.iterations,
         }
+
+
+def _constrained_kinds(constrained, tolerance: float) -> list:
+    """The kinds deduplicated and sorted; rejects ratio kinds, then a bad tolerance."""
+    kinds = sorted(set(constrained), key=lambda k: k.value)
+    bad = [k for k in kinds if k not in LINEAR_KINDS]
+    if bad:
+        raise FairmixError(
+            f"cannot constrain {', '.join(str(k) for k in bad)}: only kinds "
+            "linear in the weights are supported"
+        )
+    check_tolerance(tolerance)
+    return kinds
 
 
 def _gap_rows(counts: CellCounts, constrained: Sequence[MetricKind]) -> list:
@@ -99,8 +112,10 @@ def build_mixture_program(
 
     Every program built here includes the row sum(p) = 1; each
     constrained kind contributes the pair +/- (sum_j p_j gap_j) <= tol.
-    A tolerance of infinity drops the gap rows entirely.
+    A tolerance of infinity drops the gap rows entirely. The rows follow
+    the order of ``constrained``.
     """
+    _constrained_kinds(constrained, tolerance)
     m = counts.accepted.shape[0]
     c = counts.accuracies() if objective is Objective.MAX_ACCURACY else np.zeros(m)
     gap_rows = _gap_rows(counts, constrained)  # rejects undefined gaps even at inf
@@ -125,14 +140,7 @@ def solve_fair_mixture(
     the recomputed accuracy and gaps must agree with the LP's view within
     1e-9, otherwise this raises rather than returning a bad certificate.
     """
-    constrained = sorted(set(constrained), key=lambda k: k.value)
-    bad = [k for k in constrained if k not in LINEAR_KINDS]
-    if bad:
-        raise FairmixError(
-            f"cannot constrain {', '.join(str(k) for k in bad)}: only kinds "
-            "linear in the weights are supported"
-        )
-    check_tolerance(tolerance)
+    constrained = _constrained_kinds(constrained, tolerance)
     counts = member_counts(members, dataset)
     program = build_mixture_program(counts, constrained, tolerance, objective)
     result: SimplexResult = simplex_solve(program)
@@ -246,10 +254,15 @@ def grid_oracle(
         raise FairmixError(
             f"grid resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}"
         )
-    check_tolerance(tolerance)
-    constrained = sorted(set(constrained), key=lambda k: k.value)
+    constrained = _constrained_kinds(constrained, tolerance)
     counts = member_counts(members, dataset)
     gap_rows = _gap_rows(counts, constrained)
+    try:
+        size = math.comb(resolution + m - 1, m - 1)  # lattice points
+    except TypeError:  # 10.5 would give weights summing to 10/10.5
+        raise FairmixError(f"grid resolution must be an integer, got {resolution!r}") from None
+    if max(size, resolution) > np.iinfo(np.intp).max:  # before the lattice is built
+        raise FairmixError(f"grid resolution {resolution} is too large to index")
     lattice = _lattice(resolution, m) / resolution
     feasible = np.ones(lattice.shape[0], dtype=bool)
     for gaps in gap_rows:
@@ -275,14 +288,6 @@ class ThresholdRule:
     accuracy: float
     gap: float
     classifier: LinearClassifier
-
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": self.threshold,
-            "direction": self.direction,
-            "accuracy": self.accuracy,
-            "gap": self.gap,
-        }
 
 
 def _threshold_classifier(
@@ -313,6 +318,7 @@ def best_fair_single_threshold(
             f"feature index {feature_index} out of range for dimension "
             f"{dataset.dimension}"
         )
+    check_tolerance(tolerance)
     x = dataset.features[:, feature_index]
     values = np.unique(x)
     candidates = np.concatenate([values[:1] - 1.0, values, values[-1:] + 1.0])

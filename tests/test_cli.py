@@ -52,6 +52,10 @@ def unfair_files(tmp_path):
     return str(dpath), str(ppath)
 
 
+#: past int64; numpy refuses it as a size before allocating anything
+HUGE = str(10**20)
+
+
 def run(args, capsys):
     code = entrypoint(args)
     captured = capsys.readouterr()
@@ -717,6 +721,29 @@ class TestParsing:
         assert code == 1
         assert out == ""
         assert f"argument {message}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "dataset.csv", "predictions.csv", "weights.json", "--n", HUGE],
+            ["sample", "dataset.csv", "predictions.csv", "weights.json", "--n", HUGE,
+             "--per-instance"],
+            ["sample", "dataset.csv", "predictions.csv", "weights.json", "--seed", HUGE],
+            ["counterexample", "--seed", HUGE],
+            ["counterexample", "--max-trials", HUGE],  # stops at the first witness
+            ["optimize", "dataset.csv", "predictions.csv", "--verify",
+             "--oracle-resolution", HUGE],
+        ],
+        ids=["n", "n-per-instance", "sample-seed", "counterexample-seed", "max-trials",
+             "oracle-resolution"],
+    )
+    def test_huge_integer_ends_in_an_exit_code(self, fig2_dir, capsys, argv):
+        # each is refused before anything of that size is allocated
+        argv = [str(fig2_dir / a) if a.endswith((".csv", ".json")) else a for a in argv]
+        code, _, err = run(argv, capsys)
+        assert code in (0, 1)
+        if code == 1:
+            assert err.startswith("fairmix")
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

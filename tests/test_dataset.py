@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fairmix import (
     DataFormatError,
     Dataset,
+    FairmixError,
     build_counterfactual_pairs,
     group_indices,
     load_dataset,
@@ -280,7 +281,7 @@ class TestGroups:
         assert g1.tolist() == [1, 2]
 
     def test_invalid_group(self):
-        with pytest.raises(ValueError, match="must be 0 or 1"):
+        with pytest.raises(FairmixError, match="must be 0 or 1"):
             group_indices(small_dataset(), 2)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fairmix import Dataset, dispersion
+from fairmix import Dataset, FairmixError, dispersion
 from fairmix.distributional import DETERMINISM_CLAMP, _group_dispersion
 
 
@@ -108,7 +108,7 @@ class TestDispersionReport:
 
     def test_profile_length_checked(self):
         ds = two_group_dataset(1, 1)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(FairmixError, match="does not match"):
             dispersion(np.array([0.5]), ds)
 
     def test_json_marks_extension(self):

@@ -349,7 +349,7 @@ class TestClosure:
         assert report.weighted_member_gap_sum == pytest.approx(1 / 6, abs=1e-15)
         # the two disagree, and closure_check must not raise for ratio kinds
         assert abs(report.ensemble_gap - report.weighted_member_gap_sum) > 0.08
-        assert report.to_json_dict()["kind"] == "ppv"
+        assert report.kind is MetricKind.PPV
 
 
 class TestSampler:

@@ -20,7 +20,9 @@ from fairmix import (
     accuracy,
     build_counterfactual_pairs,
     classifier_report,
+    dispersion,
     fairness_gap,
+    group_indices,
     indicator_profile,
     treatment_violations,
 )
@@ -166,15 +168,27 @@ class TestGap:
 
     def test_group_argument_validated(self):
         ds = Dataset.from_arrays([[0.0]], [1], [0])
-        with pytest.raises(ValueError, match="must be 0 or 1"):
+        with pytest.raises(FairmixError, match="must be 0 or 1"):
             vector_counts(np.array([1]), ds).counts(MetricKind.TPR, 2)
 
     def test_prediction_length_validated(self):
         ds = Dataset.from_arrays([[0.0]], [1], [0])
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(FairmixError, match="does not match"):
             fairness_gap(MetricKind.TPR, np.array([1, 1]), ds)
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(FairmixError, match="does not match"):
             accuracy(np.array([1, 1]), ds)
+
+    def test_argument_errors_are_fairmix_errors(self):
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
+        calls = [
+            lambda: accuracy([1, 1], ds),
+            lambda: dispersion([0.5, 0.5], ds),
+            lambda: group_indices(ds, 2),
+            lambda: vector_counts(np.ones(3), ds).counts(MetricKind.TPR, 2),
+        ]
+        for call in calls:
+            with pytest.raises(FairmixError):
+                call()
 
 
 class TestKindTaxonomy:

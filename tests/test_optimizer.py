@@ -186,10 +186,24 @@ class TestSolveFairMixture:
                 assert abs(sol.gaps[kind]) <= 0.3 + 1e-9
             assert sol.accuracy == mixture_accuracy(ens, ds)
 
-    def test_ratio_kinds_cannot_be_constrained(self):
-        ds, members = opposed_pair()
-        with pytest.raises(FairmixError, match="cannot constrain ppv"):
-            solve_fair_mixture(members, ds, [MetricKind.PPV], 0.1)
+    @pytest.mark.parametrize("kind", [MetricKind.PPV, MetricKind.NPV], ids=str)
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda ms, ds, kinds: solve_fair_mixture(ms, ds, kinds, 1e-9),
+            lambda ms, ds, kinds: build_mixture_program(
+                member_counts(ms, ds), kinds, 1e-9, Objective.MAX_ACCURACY
+            ),
+            lambda ms, ds, kinds: grid_oracle(ms, ds, kinds, 1e-9, 10),
+        ],
+        ids=["solve_fair_mixture", "build_mixture_program", "grid_oracle"],
+    )
+    def test_ratio_kinds_cannot_be_constrained(self, solve, kind):
+        # members with PPV gap exactly 0 whose uniform mixture has a PPV
+        # gap of 0.156: a ratio kind must be refused, not solved as linear
+        witness = ppv_counterexample_search(seed=0, max_trials=10_000)
+        with pytest.raises(FairmixError, match=f"cannot constrain {kind}: only kinds"):
+            solve(list(witness.members), witness.dataset, [kind])
 
     def test_negative_tolerance_rejected(self):
         ds, members = opposed_pair()
@@ -276,6 +290,20 @@ def stars_and_bars_oracle(members, dataset, constrained, tolerance, resolution):
 
 
 class TestGridOracle:
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_resolution_past_the_index_type_rejected(self, rng, m):
+        ds = make_random_dataset(rng, 20)
+        members = make_random_members(rng, ds, m)
+        with pytest.raises(FairmixError, match=f"grid resolution {10**20} is too large"):
+            grid_oracle(members, ds, [MetricKind.ACCEPTANCE_RATE], 0.1, 10**20)
+
+    @pytest.mark.parametrize("resolution", [10.0, 10.5])
+    def test_non_integer_resolution_rejected(self, rng, resolution):
+        ds = make_random_dataset(rng, 20)
+        members = make_random_members(rng, ds, 3)
+        with pytest.raises(FairmixError, match="grid resolution must be an integer"):
+            grid_oracle(members, ds, [MetricKind.ACCEPTANCE_RATE], 0.1, resolution)
+
     def test_lattice_matches_recursive_compositions(self):
         for total in (10, 13, 50):
             for parts in (1, 2, 3, 4):
@@ -556,6 +584,13 @@ class TestThresholdSweep:
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
         with pytest.raises(FairmixError, match="feature index"):
             best_fair_single_threshold(ds, 1, tolerance=0.1)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_tolerance_validated(self, rng, tolerance):
+        # every rule would pass a NaN tolerance: |gap| > nan is false
+        ds = make_random_dataset(rng, 30)
+        with pytest.raises(FairmixError, match="tolerance must be >= 0"):
+            best_fair_single_threshold(ds, 0, tolerance)
 
 
 class TestWitnessSearch:
