@@ -27,7 +27,7 @@ from .classifiers import (
     prediction_matrix,
     save_prediction_matrix,
 )
-from .dataset import Dataset, build_counterfactual_pairs, load_dataset, save_dataset
+from .dataset import Dataset, load_dataset, save_dataset, twin_pairs
 from .ensemble import Ensemble, ensemble_report
 from .errors import FairmixError
 from .metrics import LINEAR_KINDS, MetricKind
@@ -217,23 +217,8 @@ def _load_ensemble(path: str, members: Sequence) -> Ensemble:
         raise FairmixError(f"{path}: {exc}") from None
 
 
-def _metric_rows(report_doc: dict, label: str) -> list[list]:
-    def cell(v):
-        return "" if v is None else v
-
-    rows = []
-    for entry in report_doc["metrics"]:
-        rows.append(
-            [
-                label,
-                entry["kind"],
-                cell(entry["value_z0"]),
-                cell(entry["value_z1"]),
-                cell(entry["gap"]),
-                cell(entry["pass"]),
-            ]
-        )
-    return rows
+#: The fields of a report's metric entry that ``audit --format csv`` writes.
+_METRIC_FIELDS = ("kind", "value_z0", "value_z1", "gap", "pass")
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -247,13 +232,11 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 def cmd_audit(args) -> int:
     dataset = load_dataset(args.dataset)
     members = load_prediction_matrix(args.predictions, dataset)
-    pairs = build_counterfactual_pairs(dataset)
+    pairs = twin_pairs(dataset)
     if args.weights is not None:
         ens = _load_ensemble(args.weights, members)
-        report = ensemble_report(ens, dataset, pairs, args.tol)
-        doc = report.to_json_dict()
-        docs = [("ensemble", doc)]
-        out_doc = doc
+        out_doc = ensemble_report(ens, dataset, pairs, args.tol).to_json_dict()
+        docs = [("ensemble", out_doc)]
     else:
         reports = [
             metrics.classifier_report(m.predictions, dataset, pairs, args.tol)
@@ -262,12 +245,12 @@ def cmd_audit(args) -> int:
         docs = [(f"clf_{j + 1}", r.to_json_dict()) for j, r in enumerate(reports)]
         out_doc = docs[0][1] if len(docs) == 1 else {"reports": [d for _, d in docs]}
     if args.fmt == "csv":
-        rows = []
-        for label, doc in docs:
-            rows.extend(_metric_rows(doc, label))
-        text = _csv_text(
-            ["classifier", "kind", "value_z0", "value_z1", "gap", "pass"], rows
-        )
+        rows = [
+            [label] + ["" if entry[f] is None else entry[f] for f in _METRIC_FIELDS]
+            for label, doc in docs
+            for entry in doc["metrics"]
+        ]
+        text = _csv_text(["classifier", *_METRIC_FIELDS], rows)
     else:
         text = jsonio.dumps(out_doc)
     _write_text(text, args.out)

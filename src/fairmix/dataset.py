@@ -338,7 +338,8 @@ def save_dataset(path: PathArg, dataset: Dataset) -> None:
 
 def check_group(z) -> None:
     """Raise unless ``z`` is a sensitive value: 0 or 1."""
-    if z not in VALID_SENSITIVE:
+    # an array has no single truth value, so it must not reach `in`
+    if getattr(z, "ndim", 0) or z not in VALID_SENSITIVE:
         raise FairmixError(f"sensitive value must be 0 or 1, got {z!r}")
 
 
@@ -365,9 +366,18 @@ def build_counterfactual_pairs(dataset: Dataset) -> list[tuple[int, int]]:
 
     Feature equality is exact (values as parsed, no tolerance): pairs
     are meant to be constructed duplicates, and a tolerance would invent
-    false matches. One stable sort by (feature row, group) makes each
-    bucket of identical rows a run of group 0 followed by a run of group 1,
-    and every pair joins one row of the first run with one of the second.
+    false matches.
+    """
+    pairs = twin_pairs(dataset)
+    return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
+
+def twin_pairs(dataset: Dataset) -> np.ndarray:
+    """The pairs of ``build_counterfactual_pairs`` as a (K, 2) intp array.
+
+    One stable sort by (feature row, group) makes each bucket of identical
+    rows a run of group 0 followed by a run of group 1, and every pair joins
+    one row of the first run with one of the second.
     """
     # lexsort compares floats with <, so -0.0 and 0.0 tie, and the stable
     # sort keeps their bucket's runs whole; != below also treats them equal
@@ -392,6 +402,7 @@ def build_counterfactual_pairs(dataset: Dataset) -> list[tuple[int, int]]:
     right = np.repeat(run_1[bucket] - offsets, width) + np.arange(int(width.sum()))
     left = np.repeat(left, width)
     i, j = order[left], order[right]
-    lo, hi = np.minimum(i, j), np.maximum(i, j)
-    rank = np.lexsort((hi, lo))
-    return list(zip(lo[rank].tolist(), hi[rank].tolist()))
+    # lo * n + hi is unique per pair and orders pairs as (lo, hi) does; it
+    # fits in int64 for n < 3e9
+    key = np.sort(np.minimum(i, j).astype(np.int64, copy=False) * n + np.maximum(i, j))
+    return np.stack(np.divmod(key, n), axis=1).astype(np.intp, copy=False)

@@ -33,6 +33,7 @@ from .metrics import (
     FairnessReport,
     LINEAR_KINDS,
     MetricKind,
+    Pairs,
 )
 
 WEIGHT_SUM_TOLERANCE = 1e-12
@@ -214,6 +215,8 @@ def sample(
     """
     if n_draws < 1:
         raise FairmixError(f"n_draws must be >= 1, got {n_draws}")
+    if n_draws > np.iinfo(np.intp).max:  # the longest array numpy can make
+        raise FairmixError(f"n_draws must be at most {np.iinfo(np.intp).max}, got {n_draws}")
     rows = prediction_matrix(ensemble.members, dataset)
     n = len(dataset)
     cumulative = np.cumsum(ensemble.weights)
@@ -264,7 +267,7 @@ def sample(
 def ensemble_report(
     ensemble: Ensemble,
     dataset: Dataset,
-    pairs: Sequence[tuple[int, int]] = (),
+    pairs: Pairs = (),
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FairnessReport:
     """Fairness report for the ensemble, including intra-group dispersion."""

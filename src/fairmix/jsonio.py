@@ -11,10 +11,8 @@ JSON representation and would silently degrade downstream).
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -43,9 +41,19 @@ def _key(key) -> str:
 
 
 def _emit(value, parts: list[str], depth: int) -> None:
-    value = _scalar(value)
     pad = _INDENT * depth
     inner = _INDENT * (depth + 1)
+    if isinstance(value, np.ndarray) and value.ndim == 2 and value.size and (
+        value.dtype.kind in "iu"  # not bool, whose kind is "b"
+    ):
+        # the text of value.tolist() (the violation pairs), from one template
+        # and one format call
+        cell = inner + _INDENT
+        row = "[\n" + cell + (",\n" + cell).join(["%s"] * value.shape[1]) + "\n" + inner + "]"
+        rows = (",\n" + inner).join([row] * value.shape[0])
+        parts.append(f"[\n{inner}{rows}\n{pad}]" % tuple(value.ravel().tolist()))
+        return
+    value = _scalar(value)
     if value is None:
         parts.append("null")
     elif value is True:
@@ -74,10 +82,6 @@ def _emit(value, parts: list[str], depth: int) -> None:
         if not value:
             parts.append("[]")
             return
-        block = _int_block(value, depth)
-        if block is not None:
-            parts.append(block)
-            return
         parts.append("[\n")
         for i, item in enumerate(value):
             parts.append(inner)
@@ -86,31 +90,6 @@ def _emit(value, parts: list[str], depth: int) -> None:
         parts.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _int_block(value, depth: int) -> Optional[str]:
-    """The text ``_emit`` writes for a non-empty list of non-empty lists of
-    plain ints (the twin-pair rows), built in one pass; None for any other list.
-
-    ``type(v) is int`` lets no bool, numpy integer or ``IntEnum`` through,
-    so those keep the node-by-node path and its conversions.
-    """
-    if not set(map(type, value)) <= {list, tuple}:
-        return None
-    lengths = list(map(len, value))
-    flat = tuple(itertools.chain.from_iterable(value))
-    if not all(lengths) or set(map(type, flat)) != {int}:
-        return None
-    # one "%s" per int, one row template per row length, one format call
-    inner = _INDENT * (depth + 1)
-    close = "\n" + _INDENT * depth + "]"
-    row_inner = inner + _INDENT
-    rows = {
-        n: "[\n" + row_inner + (",\n" + row_inner).join(["%s"] * n) + "\n" + inner + "]"
-        for n in set(lengths)
-    }
-    text = "[\n" + inner + (",\n" + inner).join(map(rows.__getitem__, lengths)) + close
-    return text % flat
 
 
 def dumps(obj) -> str:

@@ -13,10 +13,9 @@ stated in every serialized report.
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -75,6 +74,7 @@ class CellCounts:
 
     def counts(self, kind: MetricKind, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-row integer (numerator, denominator) of a group rate."""
+        check_kind(kind)
         check_group(z)
         k = 2 * z
         acc_neg, acc_pos = self.accepted[:, k], self.accepted[:, k + 1]
@@ -158,12 +158,23 @@ def fairness_gap(kind: MetricKind, predictions, dataset: Dataset) -> Optional[fl
     return defined(_vector_counts(predictions, dataset).gaps(kind)[0])
 
 
+def check_kind(kind) -> None:
+    """Raise unless ``kind`` is a :class:`MetricKind`."""
+    if not isinstance(kind, MetricKind):
+        raise FairmixError(f"metric kind must be a MetricKind, got {kind!r}")
+
+
+#: Twin pairs: a sequence of (i, j) row indices, or a (K, 2) integer array.
+Pairs = Union[Sequence[tuple[int, int]], np.ndarray]
+
+
 def treatment_violations(
     benefit_profile,
-    pairs: Sequence[tuple[int, int]],
+    pairs: Pairs,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[tuple[int, int]]:
-    """Pairs whose two sides receive different benefit probabilities.
+    """Pairs whose two sides receive different benefit probabilities, as
+    ``(i, j)`` tuples of ints in the order given.
 
     ``benefit_profile`` holds, per instance, the probability of the
     positive outcome: 0/1 indicators for a deterministic classifier, the
@@ -175,29 +186,29 @@ def treatment_violations(
     integer array of row indices of the profile; the error names the
     first bad pair, if one is bad on its own.
     """
+    return list(map(tuple, _violations(benefit_profile, pairs, tolerance).tolist()))
+
+
+def _violations(profile, pairs: Pairs, tolerance: float) -> np.ndarray:
+    """The pairs whose two profile values differ by more than ``tolerance``,
+    as a read-only (V, 2) intp array in the order given."""
     check_tolerance(tolerance)
-    q = np.asarray(benefit_profile, dtype=float)
-    n = len(q)
-    idx = _index_pairs(pairs, n) if len(pairs) else np.empty((0, 2), dtype=np.intp)
-    if idx is None:
-        for pair in pairs:
-            if _index_pairs([pair], n) is None:
-                raise FairmixError(
-                    f"invalid twin pair {pair!r}: must be two integer row "
-                    f"indices in [0, {n})"
-                )
-        raise FairmixError("twin pairs do not form one integer array")
-    differs = np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance
-    return list(itertools.compress(pairs, differs.tolist()))
+    q = np.asarray(profile, dtype=float)
+    idx = _index_pairs(pairs, len(q))
+    violations = idx[np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance]
+    violations.setflags(write=False)
+    return violations
 
 
-def _index_pairs(pairs, n: int) -> Optional[np.ndarray]:
-    """Non-empty ``pairs`` as a (K, 2) integer array of indices in
-    ``[0, n)``; None if they do not form one."""
+def _index_pairs(pairs: Pairs, n: int) -> np.ndarray:
+    """``pairs`` as a (K, 2) intp array of indices in ``[0, n)``, with no copy
+    of such an array; raises :class:`FairmixError` if they do not form one."""
+    if not len(pairs):
+        return np.empty((0, 2), dtype=np.intp)
     try:
         idx = np.asarray(pairs)
     except ValueError:  # ragged
-        return None
+        idx = np.empty(0)
     if (
         idx.ndim == 2
         and idx.shape[1] == 2
@@ -205,8 +216,14 @@ def _index_pairs(pairs, n: int) -> Optional[np.ndarray]:
         and idx.min() >= 0
         and idx.max() < n
     ):
-        return idx
-    return None
+        return idx.astype(np.intp, copy=False)
+    if len(pairs) > 1:
+        for pair in pairs:
+            _index_pairs([pair], n)  # names the first pair that is bad on its own
+        raise FairmixError("twin pairs do not form one integer array")
+    raise FairmixError(
+        f"invalid twin pair {pairs[0]!r}: must be two integer row indices in [0, {n})"
+    )
 
 
 def check_tolerance(tolerance: float) -> None:
@@ -245,14 +262,17 @@ class GroupMetric:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class FairnessReport:
-    """Accuracy, all five group metrics, and treatment-test results."""
+    """Accuracy, all five group metrics, and treatment-test results.
+
+    ``treatment_violations`` holds the twin pairs that fail the test, 0-based,
+    as a read-only (V, 2) intp array; the JSON lists them 1-based."""
 
     accuracy: float
     metrics: tuple[GroupMetric, ...]
     treatment_pairs_checked: int
-    treatment_violations: tuple[tuple[int, int], ...]
+    treatment_violations: np.ndarray
     tolerance: float
     distributional: Optional[DispersionReport] = None
 
@@ -266,7 +286,7 @@ class FairnessReport:
                 "pairs_checked": self.treatment_pairs_checked,
                 "violations": len(self.treatment_violations),
                 # 1-based indices for human readability
-                "pairs": [[i + 1, j + 1] for i, j in self.treatment_violations],
+                "pairs": self.treatment_violations + 1,
             },
         }
         if self.distributional is not None:
@@ -278,7 +298,7 @@ def mixture_report(
     counts: CellCounts,
     weights,
     profile,
-    pairs: Sequence[tuple[int, int]],
+    pairs: Pairs,
     tolerance: float,
     distributional: Optional[DispersionReport] = None,
 ) -> FairnessReport:
@@ -298,7 +318,7 @@ def mixture_report(
         accuracy=counts.mixed_accuracy(weights),
         metrics=tuple(entries),
         treatment_pairs_checked=len(pairs),
-        treatment_violations=tuple(treatment_violations(profile, pairs, tolerance)),
+        treatment_violations=_violations(profile, pairs, tolerance),
         tolerance=tolerance,
         distributional=distributional,
     )
@@ -307,7 +327,7 @@ def mixture_report(
 def classifier_report(
     predictions,
     dataset: Dataset,
-    pairs: Sequence[tuple[int, int]] = (),
+    pairs: Pairs = (),
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> FairnessReport:
     """Full fairness report for one deterministic prediction vector.

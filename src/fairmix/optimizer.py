@@ -29,7 +29,9 @@ from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
-from .metrics import CellCounts, LINEAR_KINDS, MetricKind, cell_index, check_tolerance
+from .metrics import (
+    CellCounts, LINEAR_KINDS, MetricKind, cell_index, check_kind, check_tolerance,
+)
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -76,7 +78,9 @@ class MixtureSolution:
 
 
 def _constrained_kinds(constrained, tolerance: float) -> list:
-    """The kinds deduplicated and sorted; rejects ratio kinds, then a bad tolerance."""
+    """Sorted unique kinds; rejects non-kinds, then ratio kinds, then a bad tolerance."""
+    for kind in constrained:
+        check_kind(kind)
     kinds = sorted(set(constrained), key=lambda k: k.value)
     bad = [k for k in kinds if k not in LINEAR_KINDS]
     if bad:

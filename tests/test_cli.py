@@ -744,6 +744,9 @@ class TestParsing:
         assert code in (0, 1)
         if code == 1:
             assert err.startswith("fairmix")
+        if "--n" in argv:
+            assert code == 1
+            assert f"n_draws must be at most {np.iinfo(np.intp).max}, got {HUGE}" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

@@ -284,6 +284,11 @@ class TestGroups:
         with pytest.raises(FairmixError, match="must be 0 or 1"):
             group_indices(small_dataset(), 2)
 
+    def test_array_group_rejected(self):
+        # an array has no single truth value, so it must not reach `in`
+        with pytest.raises(FairmixError, match=re.escape("must be 0 or 1, got array([0, 1])")):
+            group_indices(small_dataset(), np.array([0, 1]))
+
 
 class TestCounterfactualPairs:
     def test_cross_group_twins_found(self):

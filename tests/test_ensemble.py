@@ -488,6 +488,13 @@ class TestSampler:
         with pytest.raises(FairmixError, match="n_draws must be >= 1, got 0"):
             sample(ens, ds, n_draws=0, seed=0)
 
+    def test_n_draws_past_the_largest_array_rejected(self, rng):
+        ds, ens = self.small_case(rng)
+        limit = np.iinfo(np.intp).max
+        message = f"n_draws must be at most {limit}, got {limit + 1}"
+        with pytest.raises(FairmixError, match=message):
+            sample(ens, ds, n_draws=limit + 1, seed=0)
+
     def test_json_records_provenance(self, rng):
         ds, ens = self.small_case(rng)
         doc = sample(ens, ds, n_draws=5, seed=7).to_json_dict()
@@ -521,6 +528,6 @@ class TestEnsembleReport:
         ens = Ensemble([a, b], [0.5, 0.5])
         pairs = build_counterfactual_pairs(ds)
         report = ensemble_report(ens, ds, pairs)
-        assert report.treatment_violations == ()
+        assert report.treatment_violations.shape == (0, 2)
         q = acceptance_probability(ens, ds)
         assert q.tolist() == [0.5, 0.5]

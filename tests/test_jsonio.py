@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fairmix import (
     Dataset,
@@ -106,7 +107,7 @@ def test_dump_path_round_trip(tmp_path):
 
 
 def _reference_emit(value, parts, depth):
-    """The emitter as it was before the int-block path: one call per node."""
+    """The emitter without its integer-array path: one call per node."""
     value = _scalar(value)
     pad = _INDENT * depth
     inner = _INDENT * (depth + 1)
@@ -179,17 +180,23 @@ def _documents(leaf):
     )
 
 
+#: 2-D shapes: one row, one column, three columns, and no rows
+TABLE_SHAPES = st.integers(1, 5).flatmap(
+    lambda k: st.sampled_from([(1, k), (k, 1), (k, 3), (0, 2)])
+)
 PLAIN_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4))
 MIXED_LEAVES = st.one_of(
     PLAIN_LEAVES,
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(2**63), 2**63 - 1).map(np.int64),
     st.sampled_from(Level),
+    hnp.arrays(st.sampled_from([np.int8, np.uint8, np.int64, np.uint64]), TABLE_SHAPES),
+    hnp.arrays(np.bool_, TABLE_SHAPES),  # not an integer array: node by node
 )
 
 
 class TestIntBlockPath:
-    """``dumps`` writes a list of int rows in one pass; the text must be
+    """``dumps`` writes a 2-D integer array in one block; the text must be
     the node-by-node emitter's, byte for byte."""
 
     @settings(max_examples=300, deadline=None)
@@ -212,6 +219,11 @@ class TestIntBlockPath:
             [Level.LOW, 2],
             [[1], (2, 3), [4, 5, 6]],
             [[1, 2], 3],
+            np.zeros((3, 0), dtype=np.int64),
+            np.array([[True, False]]),
+            np.array([[-(2**63), 2**64 - 1]], dtype=object),
+            np.arange(6, dtype=np.int16).reshape(3, 2)[::-1, ::-1],
+            np.arange(8, dtype=np.uint32).reshape(2, 2, 2),
         ],
     )
     def test_edge_lists(self, doc):

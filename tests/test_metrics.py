@@ -5,6 +5,7 @@ counts, so the tests here compare against ``fractions.Fraction`` built
 from independently recomputed counts — equality is exact, no tolerance.
 """
 
+import math
 import re
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from fairmix import (
     indicator_profile,
     treatment_violations,
 )
+from fairmix.dataset import twin_pairs
 from fairmix.errors import FairmixError
 from fairmix.metrics import LINEAR_KINDS, RATIO_KINDS, cell_counts, mixture_report
 
@@ -178,6 +180,19 @@ class TestGap:
         with pytest.raises(FairmixError, match="does not match"):
             accuracy(np.array([1, 1]), ds)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ds: fairness_gap("tpr", np.ones(3), ds),
+            lambda ds: vector_counts(np.ones(3), ds).counts("tpr", 0),
+        ],
+        ids=["fairness_gap", "counts"],
+    )
+    def test_kind_that_is_not_a_metric_kind_rejected(self, call):
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
+        with pytest.raises(FairmixError, match="metric kind must be a MetricKind, got 'tpr'"):
+            call(ds)
+
     def test_argument_errors_are_fairmix_errors(self):
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
         calls = [
@@ -234,6 +249,43 @@ class TestTreatment:
             if abs(q[i] - q[j]) > tolerance:
                 expected.append((i, j))
         assert treatment_violations(np.array(q), pairs, tolerance) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_report_on_twin_array_matches_all_pairs_loop(self, data):
+        # few distinct features, so rows repeat and 0.0 and -0.0 are twins;
+        # quarters are exact in binary, so many gaps equal the tolerance
+        n = data.draw(st.integers(min_value=1, max_value=12), label="n")
+        d = data.draw(st.integers(min_value=1, max_value=3), label="d")
+        value = st.sampled_from([0.0, -0.0, 1.5])
+        features = data.draw(
+            st.lists(st.lists(value, min_size=d, max_size=d), min_size=n, max_size=n)
+        )
+        z = data.draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+        q = data.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), min_size=n, max_size=n)
+        )
+        tolerance = data.draw(st.sampled_from([0.0, 0.25, 0.5, math.inf]), label="tol")
+        ds = Dataset.from_arrays(features, [1] * n, z)
+        twins = [
+            [i, j]
+            for i in range(n)
+            for j in range(i + 1, n)
+            if features[i] == features[j] and z[i] != z[j]
+        ]
+        expected = [[i, j] for i, j in twins if abs(q[i] - q[j]) > tolerance]
+
+        pairs = twin_pairs(ds)
+        assert pairs.dtype == np.intp and pairs.shape == (len(twins), 2)
+        assert pairs.tolist() == twins
+        counts = cell_counts(np.ones((1, n), dtype=bool), ds)
+        for given_pairs in (pairs, build_counterfactual_pairs(ds)):
+            report = mixture_report(counts, np.ones(1), np.array(q), given_pairs, tolerance)
+            violations = report.treatment_violations
+            assert violations.dtype == np.intp and violations.shape == (len(expected), 2)
+            assert violations.tolist() == expected
+            assert not violations.flags.writeable
+            assert report.treatment_pairs_checked == len(twins)
 
     def test_deterministic_disagreement_always_violates(self):
         ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
@@ -310,7 +362,7 @@ class TestTreatment:
         preds = np.array([1, -1])
         assert treatment_violations(indicator_profile(preds), pairs, float("inf")) == []
         report = classifier_report(preds, ds, pairs, float("inf"))
-        assert report.treatment_violations == ()
+        assert report.treatment_violations.shape == (0, 2)
 
 
 class TestReport:
@@ -339,7 +391,7 @@ class TestReport:
         report = self.make()
         assert report.treatment_pairs_checked == 1
         doc = report.to_json_dict()
-        assert doc["treatment"]["pairs"] == [[1, 2]]
+        assert doc["treatment"]["pairs"].tolist() == [[1, 2]]
         assert doc["treatment"]["violations"] == 1
 
     def test_undefined_metric_unassessed(self):

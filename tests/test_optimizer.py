@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -204,6 +205,22 @@ class TestSolveFairMixture:
         witness = ppv_counterexample_search(seed=0, max_trials=10_000)
         with pytest.raises(FairmixError, match=f"cannot constrain {kind}: only kinds"):
             solve(list(witness.members), witness.dataset, [kind])
+
+    @pytest.mark.parametrize("kind", ["tpr", ["tpr"], None], ids=["str", "list", "none"])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda ms, ds, kinds: solve_fair_mixture(ms, ds, kinds, 1e-9),
+            lambda ms, ds, kinds: grid_oracle(ms, ds, kinds, 1e-9, 10),
+        ],
+        ids=["solve_fair_mixture", "grid_oracle"],
+    )
+    def test_kind_that_is_not_a_metric_kind_rejected(self, solve, kind):
+        # the CLI converts --metric names; a library caller may pass anything
+        ds, members = opposed_pair()
+        message = f"metric kind must be a MetricKind, got {kind!r}"
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            solve(members, ds, [MetricKind.TPR, kind])
 
     def test_negative_tolerance_rejected(self):
         ds, members = opposed_pair()

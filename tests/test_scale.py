@@ -22,13 +22,16 @@ from fairmix import (
     TableClassifier,
     acceptance_probability,
     build_counterfactual_pairs,
+    classifier_report,
     dispersion,
     ensemble_group_rate,
+    indicator_profile,
     load_dataset,
     load_prediction_matrix,
     sample,
     treatment_violations,
 )
+from fairmix.dataset import twin_pairs
 from fairmix.optimizer import _lattice
 
 N = 1_000_000
@@ -132,7 +135,8 @@ def test_twin_pairs_memory_is_linear():
     """Twin pairs and the treatment test at N=1e6: 4 features of 40 levels
     give about 1e5 cross-group pairs. The budget is five copies of the
     (N, 4) float feature matrix; a Python tuple per row, as a dict of
-    buckets keyed by row would hold, takes about 376 MB."""
+    buckets keyed by row would hold, takes about 376 MB. The audit's path,
+    the pairs as an array into a report, is held to the same budget."""
     rng = np.random.default_rng(0)
     features = rng.integers(0, 40, size=(N, 4)).astype(float)
     z = rng.integers(0, 2, size=N)
@@ -165,6 +169,20 @@ def test_twin_pairs_memory_is_linear():
     assert len(pairs) == int(np.sum((counts - ones) * ones))
     gaps = np.abs(profile[idx[:, 0]] - profile[idx[:, 1]])
     assert violations == [p for p, gap in zip(pairs, gaps.tolist()) if gap > 0.25]
+
+    predictions = rng.choice((-1, 1), size=N)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        report = classifier_report(predictions, ds, twin_pairs(ds), 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    assert (peak - entry) / 2**20 < PAIRS_BUDGET_MB
+    assert report.treatment_pairs_checked == len(pairs)
+    expected = treatment_violations(indicator_profile(predictions), pairs, 0.25)
+    assert report.treatment_violations.tolist() == [list(p) for p in expected]
 
 
 def test_lattice_memory_is_a_few_copies():
