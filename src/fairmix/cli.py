@@ -204,15 +204,8 @@ def _load_ensemble(path: str, members: Sequence) -> Ensemble:
         raise FairmixError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("weights"), list):
         raise FairmixError(f'{path}: expected an object with a "weights" array')
-    weights = doc["weights"]
-    for w in weights:
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise FairmixError(f"{path}: non-numeric weight {w!r}")
-        # false for NaN, Infinity, 1e999 and integers past the float range
-        if not abs(w) <= sys.float_info.max:
-            raise FairmixError(f"{path}: non-finite weight {w!r}")
     try:
-        return Ensemble(members, [float(w) for w in weights])
+        return Ensemble(members, doc["weights"])
     except FairmixError as exc:
         raise FairmixError(f"{path}: {exc}") from None
 

@@ -17,6 +17,8 @@ Both come from the members' cell counts (:func:`member_counts`).
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,20 +53,32 @@ class Ensemble:
 
     def __init__(self, members: Sequence[Classifier], weights):
         members = tuple(members)
-        w = np.asarray(weights, dtype=float)
         if len(members) < 1:
             raise FairmixError("ensemble needs at least one member")
+        # each weight is checked as given, before any float conversion
+        w = weights.tolist() if isinstance(weights, np.ndarray) else weights
+        # a scalar is one weight, so it fails the shape check below
+        for x in w if isinstance(w, (list, tuple)) else [w]:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise FairmixError(f"non-numeric weight {x!r}")
+            # false for NaN, infinities and integers past the float range
+            if not abs(x) <= sys.float_info.max:
+                # the decimal text of such an integer can exceed str()'s limit
+                if isinstance(x, int):
+                    bits = x.bit_length()
+                    raise FairmixError(f"non-finite weight: integer of {bits} bits")
+                raise FairmixError(f"non-finite weight {x!r}")
+        w = np.array(w, dtype=float)
         if w.shape != (len(members),):
             raise FairmixError(
                 f"{len(members)} members but {w.shape} weights"
             )
-        if not np.all((w >= 0) & (w < np.inf)):  # false for NaN too
-            raise FairmixError(f"non-finite or negative weight in {w.tolist()}")
+        if (w < 0).any():
+            raise FairmixError(f"negative weight in {w.tolist()}")
         if abs(float(np.sum(w)) - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise FairmixError(
                 f"weights sum to {float(np.sum(w))!r}, expected 1"
             )
-        w = w.copy()
         w.setflags(write=False)
         self._members = members
         self._weights = w

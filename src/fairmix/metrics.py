@@ -311,7 +311,7 @@ def mixture_report(
     entries = []
     for kind in MetricKind:
         r0, r1 = (counts.mixed_rate(weights, kind, z) for z in (0, 1))
-        gap = counts.mixed_gap(weights, kind)
+        gap = None if r0 is None or r1 is None else r0 - r1
         passed = None if gap is None else abs(gap) <= tolerance
         entries.append(GroupMetric(kind, r0, r1, gap, passed))
     return FairnessReport(

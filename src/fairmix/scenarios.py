@@ -68,6 +68,14 @@ class ScenarioCheck:
         }
 
 
+def _clustered(*clusters) -> Dataset:
+    """A dataset from (feature rows, label, group) clusters, rows in the order given."""
+    features = [row for rows, _, _ in clusters for row in rows]
+    labels = [y for rows, y, _ in clusters for _ in rows]
+    sensitive = [z for rows, _, z in clusters for _ in rows]
+    return Dataset.from_arrays(np.asarray(features), labels, sensitive)
+
+
 def figure1() -> Scenario:
     """Opposite group-keyed rules; the uniform mixture is group-blind.
 
@@ -78,14 +86,9 @@ def figure1() -> Scenario:
     flips on every matched pair, while their even mixture gives every
     instance probability 1/2.
     """
-    features, labels, sensitive = [], [], []
-    for f in (0.0, 1.0):
-        for z in (0, 1):
-            for y in (1, -1):
-                features.append([f])
-                labels.append(y)
-                sensitive.append(z)
-    dataset = Dataset.from_arrays(np.asarray(features), labels, sensitive)
+    dataset = _clustered(
+        *(([[f]], y, z) for f in (0.0, 1.0) for z in (0, 1) for y in (1, -1))
+    )
     accepts_group1 = LinearClassifier((0.0,), sensitive_weight=1.0, bias=-0.5)
     accepts_group0 = LinearClassifier((0.0,), sensitive_weight=-1.0, bias=0.5)
     members = (accepts_group1, accepts_group0)
@@ -117,21 +120,14 @@ def figure2() -> Scenario:
     accept-set (the two highest feature-two values per group) is one
     documented choice among several with that rate.
     """
-    features, labels, sensitive = [], [], []
-
-    def cluster(rows, y, z):
-        for row in rows:
-            features.append(row)
-            labels.append(y)
-            sensitive.append(z)
-
-    # group 1: six positives accepted by member one, three negatives
-    cluster([[-1.0, 1.0 + 0.1 * i] for i in range(6)], 1, 1)
-    cluster([[-1.0, -1.0 - 0.1 * i] for i in range(3)], -1, 1)
-    # group 0: three positives accepted by member two, six negatives
-    cluster([[1.0, 1.0], [1.0, 1.4], [1.0, 1.5]], 1, 0)
-    cluster([[1.0, -1.0 - 0.1 * i] for i in range(6)], -1, 0)
-    dataset = Dataset.from_arrays(np.asarray(features), labels, sensitive)
+    dataset = _clustered(
+        # group 1: six positives accepted by member one, three negatives
+        ([[-1.0, 1.0 + 0.1 * i] for i in range(6)], 1, 1),
+        ([[-1.0, -1.0 - 0.1 * i] for i in range(3)], -1, 1),
+        # group 0: three positives accepted by member two, six negatives
+        ([[1.0, 1.0], [1.0, 1.4], [1.0, 1.5]], 1, 0),
+        ([[1.0, -1.0 - 0.1 * i] for i in range(6)], -1, 0),
+    )
     member1 = LinearClassifier((-1.0, 1.0), bias=-1.5)  # group 1's positives
     member2 = LinearClassifier((1.0, 1.0), bias=-1.5)  # group 0's positives
     member3 = LinearClassifier((0.0, 1.0), bias=-1.35)  # two per group
@@ -165,19 +161,12 @@ def figure3() -> Scenario:
     mixture keeps accuracy 0.75 with equal rates 1/4 — while no fair
     single threshold on the feature can beat 1/2 accuracy.
     """
-    features, labels, sensitive = [], [], []
-    clusters = (
-        (1.0, 0, 1),   # group 0, positive at high feature
-        (0.0, 0, -1),  # group 0, negative at low feature
-        (0.0, 1, 1),   # group 1, positive at low feature
-        (1.0, 1, -1),  # group 1, negative at high feature
+    dataset = _clustered(
+        ([[1.0]] * _COPIES, 1, 0),   # group 0, positive at high feature
+        ([[0.0]] * _COPIES, -1, 0),  # group 0, negative at low feature
+        ([[0.0]] * _COPIES, 1, 1),   # group 1, positive at low feature
+        ([[1.0]] * _COPIES, -1, 1),  # group 1, negative at high feature
     )
-    for f, z, y in clusters:
-        for _ in range(_COPIES):
-            features.append([f])
-            labels.append(y)
-            sensitive.append(z)
-    dataset = Dataset.from_arrays(np.asarray(features), labels, sensitive)
     # group 0 rule: accept iff z=0 and feature >= 1/2
     member1 = LinearClassifier((1.0,), sensitive_weight=-2.0, bias=-0.5)
     # group 1 rule: accept iff z=1 and feature <= 1/2
@@ -212,19 +201,12 @@ def figure4() -> Scenario:
     (zero variance, nothing deterministic), while every group-0 instance
     gets probability 0 or 1 (maximal determinism at the same mean).
     """
-    features, labels, sensitive = [], [], []
-    clusters = (
-        ([1.0, 1.0], 0, 1),    # group 0, accepted by both members
-        ([-1.0, -1.0], 0, -1),  # group 0, rejected by both
-        ([-1.0, 1.0], 1, 1),   # group 1, accepted by member one only
-        ([1.0, -1.0], 1, -1),  # group 1, accepted by member two only
+    dataset = _clustered(
+        ([[1.0, 1.0]] * _COPIES, 1, 0),     # group 0, accepted by both members
+        ([[-1.0, -1.0]] * _COPIES, -1, 0),  # group 0, rejected by both
+        ([[-1.0, 1.0]] * _COPIES, 1, 1),    # group 1, accepted by member one only
+        ([[1.0, -1.0]] * _COPIES, -1, 1),   # group 1, accepted by member two only
     )
-    for row, z, y in clusters:
-        for _ in range(_COPIES):
-            features.append(row)
-            labels.append(y)
-            sensitive.append(z)
-    dataset = Dataset.from_arrays(np.asarray(features), labels, sensitive)
     member1 = LinearClassifier((0.0, 1.0), bias=-0.5)  # upper half-plane
     member2 = LinearClassifier((1.0, 0.0), bias=-0.5)  # right half-plane
     members = (member1, member2)
@@ -249,23 +231,6 @@ def figure4() -> Scenario:
         prescribed_weights=np.array([0.5, 0.5]),
         expectations=expectations,
     )
-
-
-_GENERATORS: dict[str, Callable[[], Scenario]] = {
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "figure4": figure4,
-}
-
-
-def scenario_by_name(name: str) -> Scenario:
-    try:
-        return _GENERATORS[name]()
-    except KeyError:
-        raise FairmixError(
-            f"unknown scenario {name!r}; available: {', '.join(_GENERATORS)}"
-        ) from None
 
 
 def _actuals_figure1(s: Scenario) -> dict:
@@ -340,12 +305,20 @@ def _actuals_figure4(s: Scenario) -> dict:
     }
 
 
-_ACTUALS: dict[str, Callable[[Scenario], dict]] = {
-    "figure1": _actuals_figure1,
-    "figure2": _actuals_figure2,
-    "figure3": _actuals_figure3,
-    "figure4": _actuals_figure4,
+#: each scenario's generator, and the recomputation of its expectations
+_SCENARIOS: dict[str, tuple[Callable[[], Scenario], Callable[[Scenario], dict]]] = {
+    "figure1": (figure1, _actuals_figure1),
+    "figure2": (figure2, _actuals_figure2),
+    "figure3": (figure3, _actuals_figure3),
+    "figure4": (figure4, _actuals_figure4),
 }
+
+
+def scenario_by_name(name: str) -> Scenario:
+    if name not in _SCENARIOS:
+        raise FairmixError(f"unknown scenario {name!r}; available: {', '.join(_SCENARIOS)}")
+    return _SCENARIOS[name][0]()
+
 
 #: scenario numbers are exact rationals; recomputation must agree to
 #: the last couple of bits
@@ -370,7 +343,7 @@ def _values_match(expected, actual) -> bool:
 
 def verify_scenario(scenario: Scenario) -> list[ScenarioCheck]:
     """Recompute every expectation through the library; self-test a scenario."""
-    actuals = _ACTUALS[scenario.name](scenario)
+    actuals = _SCENARIOS[scenario.name][1](scenario)
     checks = []
     for key, expected in scenario.expectations.items():
         actual = actuals[key]

@@ -768,7 +768,11 @@ class TestParsing:
         assert json.loads(proc.stdout)["ok"] is True
 
 
-FUZZ_TOKENS = [b"nan", b"inf", b"1e999", b"+1", b"01", b"\x00", b"\xff", b'"', b"\r", b"\n"]
+#: a 400-digit integer passes `int()` and `json` but not the float range
+FUZZ_TOKENS = [
+    b"nan", b"inf", b"1e999", b"9" * 400, b"true", b"+1", b"01", b"\x00", b"\xff",
+    b'"', b"\r", b"\n",
+]
 
 FUZZ_COMMANDS = [
     ["audit", "dataset.csv", "predictions.csv"],

@@ -8,6 +8,7 @@ both formulas in ``Fraction`` arithmetic over the exact rational values
 of the float weights. They share no code with the cell-count core.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -107,8 +108,55 @@ class TestConstruction:
         # alone let [NaN, 0.5, 0.5] through
         ds = make_random_dataset(rng, 8)
         members = make_random_members(rng, ds, 3)
-        with pytest.raises(FairmixError, match="non-finite or negative weight"):
+        with pytest.raises(FairmixError, match="non-finite weight"):
             Ensemble(members, [bad, 0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (["x", 1.0], "non-numeric weight 'x'"),
+            ([None, 1.0], "non-numeric weight None"),
+            ([True, False], "non-numeric weight True"),
+            (np.array(["0.5", "0.5"]), "non-numeric weight '0.5'"),
+            (np.array([True, False]), "non-numeric weight True"),
+            ([10**400, 0], "non-finite weight: integer of 1329 bits"),
+            ([10**5000, 0], "non-finite weight: integer of 16610 bits"),
+            (np.array([0.5, np.nan]), "non-finite weight nan"),
+        ],
+        ids=[
+            "str", "none", "bools", "str-array", "bool-array",
+            "huge-int", "huge-int-past-str-limit", "nan-array",
+        ],
+    )
+    def test_weights_checked_as_given(self, rng, weights, message):
+        # a string, a bool or an integer past the float range is not
+        # cast to a float; the error names the first bad weight
+        ds = make_random_dataset(rng, 8)
+        members = make_random_members(rng, ds, 2)
+        with pytest.raises(FairmixError, match=f"^{re.escape(message)}"):
+            Ensemble(members, weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            [np.int64(1), 0],
+            np.array([0.25, 0.75], dtype=np.float32),
+            [np.float64(0.25), np.float64(0.75)],
+            np.array([1, 0], dtype=np.uint8),
+        ],
+        ids=["numpy-int", "float32-array", "numpy-floats", "uint8-array"],
+    )
+    def test_numpy_real_weights_accepted(self, rng, weights):
+        ds = make_random_dataset(rng, 8)
+        ens = Ensemble(make_random_members(rng, ds, 2), weights)
+        assert ens.weights.dtype == np.float64
+        assert ens.weights.tolist() == [float(w) for w in weights]
+
+    def test_scalar_weights_rejected_by_shape(self, rng):
+        ds = make_random_dataset(rng, 8)
+        members = make_random_members(rng, ds, 2)
+        with pytest.raises(FairmixError, match=re.escape("2 members but () weights")):
+            Ensemble(members, 0.5)
 
     def test_weights_read_only_copy(self, rng):
         ds = make_random_dataset(rng, 8)

@@ -33,7 +33,43 @@ from fairmix import (
 )
 
 
+#: every figure's dataset as (features, y, z) rows, in file order
+FIGURE_ROWS = {
+    "figure1": [
+        ([0.0], 1, 0), ([0.0], -1, 0), ([0.0], 1, 1), ([0.0], -1, 1),
+        ([1.0], 1, 0), ([1.0], -1, 0), ([1.0], 1, 1), ([1.0], -1, 1),
+    ],
+    "figure2": [
+        ([-1.0, 1.0], 1, 1), ([-1.0, 1.1], 1, 1), ([-1.0, 1.2], 1, 1),
+        ([-1.0, 1.3], 1, 1), ([-1.0, 1.4], 1, 1), ([-1.0, 1.5], 1, 1),
+        ([-1.0, -1.0], -1, 1), ([-1.0, -1.1], -1, 1), ([-1.0, -1.2], -1, 1),
+        ([1.0, 1.0], 1, 0), ([1.0, 1.4], 1, 0), ([1.0, 1.5], 1, 0),
+        ([1.0, -1.0], -1, 0), ([1.0, -1.1], -1, 0), ([1.0, -1.2], -1, 0),
+        ([1.0, -1.3], -1, 0), ([1.0, -1.4], -1, 0), ([1.0, -1.5], -1, 0),
+    ],
+    "figure3": [
+        ([1.0], 1, 0), ([1.0], 1, 0), ([0.0], -1, 0), ([0.0], -1, 0),
+        ([0.0], 1, 1), ([0.0], 1, 1), ([1.0], -1, 1), ([1.0], -1, 1),
+    ],
+    "figure4": [
+        ([1.0, 1.0], 1, 0), ([1.0, 1.0], 1, 0),
+        ([-1.0, -1.0], -1, 0), ([-1.0, -1.0], -1, 0),
+        ([-1.0, 1.0], 1, 1), ([-1.0, 1.0], 1, 1),
+        ([1.0, -1.0], -1, 1), ([1.0, -1.0], -1, 1),
+    ],
+}
+
+
 class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(FIGURE_ROWS))
+    def test_dataset_rows(self, name):
+        ds = scenario_by_name(name).dataset
+        rows = [
+            (f.tolist(), int(y), int(z))
+            for f, y, z in zip(ds.features, ds.labels, ds.sensitive)
+        ]
+        assert rows == FIGURE_ROWS[name]
+
     def test_names(self):
         for name in ("figure1", "figure2", "figure3", "figure4"):
             assert scenario_by_name(name).name == name
