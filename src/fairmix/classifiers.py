@@ -118,10 +118,13 @@ Classifier = Union[LinearClassifier, TableClassifier]
 def prediction_matrix(members: Sequence[Classifier], dataset: Dataset) -> np.ndarray:
     """(M, N) int8 matrix of member predictions (+1/-1) on the dataset.
 
-    Every member predicts int8 already, so each row is copied as it is.
+    Every member predicts int8 already, so each row is copied as it is;
+    any other member is rejected, as its rows would be cast unchecked.
     """
     matrix = np.empty((len(members), len(dataset)), dtype=np.int8)
-    for row, member in zip(matrix, members):
+    for j, (row, member) in enumerate(zip(matrix, members), start=1):
+        if not isinstance(member, Classifier):
+            raise FairmixError(f"member {j} is not a classifier: {type(member).__name__}")
         row[:] = member.predict_all(dataset)
     return matrix
 
@@ -159,23 +162,18 @@ def _canonical_prediction_matrix(data: bytes) -> Optional[np.ndarray]:
 
 def _prediction_cells(path: PathArg, data: bytes) -> np.ndarray:
     """The (M, N) int8 matrix in ``data``, parsed by ``_read_cells``."""
-    _, cells = _read_cells(path, data, _prediction_header, "clf_1,...,clf_M")
-    accepted = cells == "1"
-    # Only rows with a cell other than the two plain tokens go through int().
-    for k in np.flatnonzero(~np.all(accepted | (cells == "-1"), axis=1)):
+    header, rows = _read_cells(path, data, _prediction_header, "clf_1,...,clf_M")
+    matrix = []
+    for k, row in enumerate(rows, start=1):
         try:
-            values = [int(v) for v in cells[k].tolist()]
+            values = [int(v) for v in row]
         except ValueError:
-            raise DataFormatError(
-                f"{path}: row {k + 1}: malformed prediction value"
-            ) from None
+            raise DataFormatError(f"{path}: row {k}: malformed prediction value") from None
         for v in values:
             if v not in (-1, 1):
-                raise DataFormatError(
-                    f"{path}: row {k + 1}: prediction must be -1 or 1, got {v}"
-                )
-        accepted[k] = np.array(values) == 1
-    return np.where(accepted, np.int8(1), np.int8(-1)).T
+                raise DataFormatError(f"{path}: row {k}: prediction must be -1 or 1, got {v}")
+        matrix.append(values)
+    return np.array(matrix, dtype=np.int8).reshape(len(rows), len(header)).T
 
 
 def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassifier]:

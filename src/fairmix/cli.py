@@ -121,12 +121,8 @@ def _build_parser() -> _Parser:
             "--metric", action="append", choices=_LINEAR_KIND_NAMES, default=None,
             help="constrained metric kind, repeatable (default acceptance_rate)",
         )
-        p.set_defaults(func=cmd_solve, default_objective=objective)
+        p.set_defaults(func=cmd_solve, objective=objective)
         if name == "optimize":
-            p.add_argument(
-                "--objective", choices=("accuracy", "feasibility"),
-                default="accuracy",
-            )
             p.add_argument(
                 "--verify", action="store_true",
                 help="cross-check against the exhaustive grid oracle",
@@ -255,11 +251,8 @@ def cmd_solve(args) -> int:
     members = load_prediction_matrix(args.predictions, dataset)
     names = args.metric or [MetricKind.ACCEPTANCE_RATE.value]
     kinds = [MetricKind(name) for name in names]
-    objective = args.default_objective
-    if getattr(args, "objective", None) == "feasibility":
-        objective = Objective.FEASIBILITY_ONLY
     solution = optimizer.solve_fair_mixture(
-        members, dataset, kinds, args.tol, objective
+        members, dataset, kinds, args.tol, args.objective
     )
     doc = solution.to_json_dict()
     if getattr(args, "verify", False):

@@ -160,9 +160,9 @@ def _read_cells(
     data: bytes,
     header_for: Callable[[int], Optional[list[str]]],
     pattern: str,
-) -> tuple[list[str], np.ndarray]:
+) -> tuple[list[str], list[list[str]]]:
     """Parse the CSV bytes ``data`` read from ``path`` into its stripped
-    header and an (n, k) object array of each cell's exact text.
+    header and its rows, each a list of every cell's exact text.
 
     This is the general parser: it reads every spelling ``csv.reader``
     reads, and it words every error the loaders raise. ``header_for(k)``
@@ -195,9 +195,7 @@ def _read_cells(
                 f"{path}: row {k}: expected {width} fields, got {len(row)}"
             )
         rows.append(row)
-    # object, not str: numpy's str dtype drops trailing NULs, and the casts
-    # must see the exact text
-    return header, np.array(rows, dtype=object).reshape(len(rows), width)
+    return header, rows
 
 
 def _csv_rows(path: PathArg, text: str):
@@ -265,19 +263,8 @@ def _load_canonical_dataset(data: bytes) -> Optional[Dataset]:
         return None
 
 
-def _int_tokens(tokens: np.ndarray) -> np.ndarray:
-    """``int()`` of each token; a token that does not parse stays a str.
-
-    Integers past int64 stay Python ints, so ``Dataset.from_arrays``
-    rejects both kinds as values outside the valid set.
-    """
-    try:
-        return tokens.astype(np.int64)
-    except (ValueError, OverflowError):
-        return np.array([_int_or_token(t) for t in tokens.tolist()], dtype=object)
-
-
 def _int_or_token(token: str):
+    """``int(token)``, else the token, for ``Dataset.from_arrays`` to reject in row order."""
     try:
         return int(token)
     except ValueError:
@@ -296,22 +283,21 @@ def load_dataset(path: PathArg) -> Dataset:
     dataset = _load_canonical_dataset(data)
     if dataset is not None:
         return dataset
-    header, cells = _read_cells(path, data, _dataset_header, "f_1,...,f_d,y,z")
-    if not len(cells):
+    header, rows = _read_cells(path, data, _dataset_header, "f_1,...,f_d,y,z")
+    if not rows:
         raise DataFormatError(f"{path}: no data rows")
     d = len(header) - 2
-    try:
-        features = cells[:, :d].astype(float)
-    except ValueError:
-        for k, row in enumerate(cells[:, :d], start=1):
-            try:
-                row.astype(float)
-            except ValueError:
-                raise DataFormatError(f"{path}: row {k}: malformed feature value") from None
-        raise  # not reached: a cast that fails fails on some row
+    features = []
+    for k, row in enumerate(rows, start=1):
+        try:
+            features.append([float(v) for v in row[:d]])
+        except ValueError:
+            raise DataFormatError(f"{path}: row {k}: malformed feature value") from None
     try:
         return Dataset.from_arrays(
-            features, _int_tokens(cells[:, d]), _int_tokens(cells[:, d + 1])
+            features,
+            [_int_or_token(row[d]) for row in rows],
+            [_int_or_token(row[d + 1]) for row in rows],
         )
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None

@@ -229,10 +229,13 @@ def sample(
     """
     if n_draws < 1:
         raise FairmixError(f"n_draws must be >= 1, got {n_draws}")
-    if n_draws > np.iinfo(np.intp).max:  # the longest array numpy can make
-        raise FairmixError(f"n_draws must be at most {np.iinfo(np.intp).max}, got {n_draws}")
-    rows = prediction_matrix(ensemble.members, dataset)
     n = len(dataset)
+    # the uniforms are the largest array: 8 bytes per draw, or per draw and
+    # instance, and numpy makes no array of more than intp.max bytes
+    limit = np.iinfo(np.intp).max // (8 * (n if per_instance else 1))
+    if n_draws > limit:
+        raise FairmixError(f"n_draws must be at most {limit}, got {n_draws}")
+    rows = prediction_matrix(ensemble.members, dataset)
     cumulative = np.cumsum(ensemble.weights)
     rng = np.random.default_rng(seed)
     if per_instance:

@@ -9,10 +9,13 @@ from fairmix import (
     CompatibilityError,
     DataFormatError,
     Dataset,
+    Ensemble,
     FairmixError,
     LinearClassifier,
     TableClassifier,
+    acceptance_probability,
     load_prediction_matrix,
+    mixture_accuracy,
     prediction_matrix,
     save_prediction_matrix,
 )
@@ -144,6 +147,23 @@ class TestPredictionMatrix:
         assert matrix.dtype == np.int8
         assert matrix[0].tolist() == [1, 1, -1, 1]
         assert matrix[1].tolist() == [-1, -1, -1, -1]
+
+    def test_members_that_are_not_classifiers_rejected(self, ds):
+        ens = Ensemble([object(), "x"], [0.5, 0.5])
+        with pytest.raises(FairmixError, match="member 1 is not a classifier: object"):
+            acceptance_probability(ens, ds)
+
+        class Scores:
+            """Predicts scores, not signs: an int8 cast would make them all 0."""
+
+            def predict_all(self, dataset):
+                return np.array([0.9, 0.2, 0.7, 0.4])
+
+        ens = Ensemble([LinearClassifier((1.0, 0.0)), Scores()], [0.5, 0.5])
+        with pytest.raises(FairmixError, match="member 2 is not a classifier: Scores"):
+            mixture_accuracy(ens, ds)
+        with pytest.raises(FairmixError, match="member 2 is not a classifier: Scores"):
+            acceptance_probability(ens, ds)
 
     def test_save_load_round_trip(self, ds, tmp_path):
         matrix = np.array([[1, -1, 1, -1], [1, 1, -1, -1], [-1, -1, -1, 1]])

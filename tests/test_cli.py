@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import fairmix
 from fairmix import (
+    DataFormatError,
     Dataset,
     TableClassifier,
     build_counterfactual_pairs,
@@ -29,6 +31,8 @@ from fairmix import (
     save_prediction_matrix,
 )
 from fairmix.cli import entrypoint
+from fairmix import classifiers as classifiers_module
+from fairmix import dataset as dataset_module
 from fairmix import jsonio, optimizer
 
 
@@ -390,8 +394,9 @@ class TestSolveCommands:
         assert doc["status"] == "optimal"
         assert abs(doc["gaps"]["acceptance_rate"]) <= 1e-9
 
-    def test_optimize_feasibility_flag(self, fig2_dir, capsys):
-        code, out, _ = run(
+    def test_optimize_objective_flag_rejected(self, fig2_dir, capsys):
+        # `mix` is the feasibility solve; `optimize` always maximizes accuracy
+        code, out, err = run(
             [
                 "optimize",
                 str(fig2_dir / "dataset.csv"),
@@ -401,8 +406,8 @@ class TestSolveCommands:
             ],
             capsys,
         )
-        assert code == 0
-        assert json.loads(out)["objective"] == "feasibility_only"
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --objective feasibility" in err
 
     def test_repeatable_metric_flag(self, fig2_dir, capsys):
         code, out, _ = run(
@@ -745,8 +750,11 @@ class TestParsing:
         if code == 1:
             assert err.startswith("fairmix")
         if "--n" in argv:
+            # 8-byte uniforms, one per draw, or one per draw and instance
+            n = len(load_dataset(fig2_dir / "dataset.csv")) if "--per-instance" in argv else 1
+            limit = np.iinfo(np.intp).max // (8 * n)
             assert code == 1
-            assert f"n_draws must be at most {np.iinfo(np.intp).max}, got {HUGE}" in err
+            assert f"n_draws must be at most {limit}, got {HUGE}" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
@@ -833,3 +841,33 @@ class TestFuzz:
         assert code in (0, 1, 2, 3)
         if code == 1:
             assert err.getvalue().startswith("fairmix"), err.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_general_parser_reads_mutated_exports_alike(self, fig2_exports, data):
+        """A mutated dataset or prediction file gives the same arrays, or the
+        same error, with the canonical fast paths on and off."""
+        originals, root = fig2_exports
+        name = data.draw(st.sampled_from(["dataset.csv", "predictions.csv"]), label="file")
+        path = root / name
+        path.write_bytes(data.draw(mutation(originals[name]), label="content"))
+        fig2 = load_dataset(root / "fig2" / "dataset.csv")
+
+        def load():
+            try:
+                if name == "dataset.csv":
+                    ds = load_dataset(path)
+                    arrays = [ds.features, ds.labels, ds.sensitive]
+                else:
+                    arrays = [t.predictions for t in load_prediction_matrix(path, fig2)]
+            except DataFormatError as exc:
+                return str(exc)
+            return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+        fast = load()
+        with mock.patch.object(dataset_module, "_load_canonical_dataset", return_value=None):
+            with mock.patch.object(
+                classifiers_module, "_canonical_prediction_matrix", return_value=None
+            ):
+                general = load()
+        assert fast == general

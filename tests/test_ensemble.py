@@ -538,10 +538,17 @@ class TestSampler:
 
     def test_n_draws_past_the_largest_array_rejected(self, rng):
         ds, ens = self.small_case(rng)
-        limit = np.iinfo(np.intp).max
-        message = f"n_draws must be at most {limit}, got {limit + 1}"
-        with pytest.raises(FairmixError, match=message):
-            sample(ens, ds, n_draws=limit + 1, seed=0)
+        largest = np.iinfo(np.intp).max
+        # past intp.max elements, and past intp.max bytes of 8-byte uniforms,
+        # one per draw or one per draw and instance
+        for n_draws, limit, per_instance in [
+            (largest + 1, largest // 8, False),
+            (largest // 8 + 1, largest // 8, False),
+            (largest // (8 * len(ds)) + 1, largest // (8 * len(ds)), True),
+        ]:
+            message = f"n_draws must be at most {limit}, got {n_draws}"
+            with pytest.raises(FairmixError, match=message):
+                sample(ens, ds, n_draws=n_draws, seed=0, per_instance=per_instance)
 
     def test_json_records_provenance(self, rng):
         ds, ens = self.small_case(rng)
