@@ -24,6 +24,7 @@ from .dataset import (
     _read_bytes,
     _read_cells,
     check_length,
+    check_predictions,
 )
 from .errors import CompatibilityError, DataFormatError, FairmixError
 
@@ -76,10 +77,7 @@ class TableClassifier:
     def __init__(self, predictions, dataset: Dataset):
         preds = _as_given(predictions)
         check_length(preds, dataset, "prediction vector", DataFormatError)
-        valid = (preds == 1) | (preds == -1)  # np.isin(preds, (-1, 1)), 15x as fast
-        if not valid.all():
-            bad = int(valid.argmin())
-            raise DataFormatError(f"invalid prediction at row {bad + 1}: must be -1 or 1")
+        check_predictions(preds)
         preds = preds.astype(np.int8)  # a copy, checked first: 255 would wrap to -1
         preds.setflags(write=False)
         self._predictions = preds

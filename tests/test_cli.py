@@ -612,6 +612,63 @@ class TestSample:
         assert f"fairmix: error: {bad}: non-finite weight" in err
         assert "Traceback" not in err
 
+@pytest.fixture
+def one_row_files(tmp_path):
+    """One instance (z=0, y=+1), two members that disagree on it, and even
+    weights: one byte of packed accepts with 7 pad bits, and an empty group."""
+    save_dataset(tmp_path / "d.csv", Dataset.from_arrays([[0.0]], [1], [0]))
+    save_prediction_matrix(tmp_path / "p.csv", np.array([[1], [-1]]))
+    (tmp_path / "w.json").write_text('{"weights": [0.5, 0.5]}')
+    return [str(tmp_path / name) for name in ("d.csv", "p.csv", "w.json")]
+
+
+class TestTinyInputs:
+    def test_audit_one_row(self, one_row_files, capsys):
+        data, preds, _ = one_row_files
+        code, out, _ = run(["audit", data, preds], capsys)
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [r["accuracy"] for r in reports] == [1, 0]
+        accept = reports[0]["metrics"][0]
+        assert accept["kind"] == "acceptance_rate"
+        assert (accept["value_z0"], accept["value_z1"], accept["gap"]) == (1, None, None)
+
+    def test_audit_weights_one_row(self, one_row_files, capsys):
+        data, preds, weights = one_row_files
+        code, out, _ = run(["audit", data, preds, "--weights", weights], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["accuracy"] == 0.5
+        assert doc["distributional"]["z0"]["mean_q"] == 0.5
+        assert doc["distributional"]["z1"]["mean_q"] is None
+
+    def test_sample_one_row_in_both_modes(self, one_row_files, capsys):
+        docs = []
+        for mode in ([], ["--per-instance"]):
+            code, out, _ = run(["sample", *one_row_files, *mode], capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        # with one instance, a per-instance draw uses the same uniform as a
+        # per-draw one, so the two modes agree
+        assert docs[0]["group_rates"] == docs[1]["group_rates"]
+        assert 0 < docs[0]["group_rates"]["z0"] < 1
+        assert docs[0]["group_rates"]["z1"] is None
+
+    def test_verify_one_row_cannot_constrain_an_empty_group(self, one_row_files, capsys):
+        data, preds, _ = one_row_files
+        code, out, err = run(["optimize", data, preds, "--verify"], capsys)
+        assert code == 1 and out == ""
+        assert "acceptance_rate is undefined for member 1; cannot constrain it" in err
+
+    def test_no_members(self, one_row_files, tmp_path, capsys):
+        data = one_row_files[0]
+        empty = tmp_path / "empty.csv"
+        empty.write_text("\n1\n")
+        code, out, err = run(["audit", data, str(empty)], capsys)
+        assert code == 1 and out == ""
+        assert err == f"fairmix: error: {empty}: header must be clf_1,...,clf_M; got \n"
+
+
 class TestCounterexample:
     def test_witness_found_and_verified(self, tmp_path, capsys):
         out_dir = tmp_path / "wit"

@@ -15,9 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmix import (
+    DataFormatError,
     Dataset,
+    Ensemble,
     FairnessReport,
     MetricKind,
+    TableClassifier,
     accuracy,
     build_counterfactual_pairs,
     classifier_report,
@@ -25,11 +28,18 @@ from fairmix import (
     fairness_gap,
     group_indices,
     indicator_profile,
+    sample,
     treatment_violations,
 )
 from fairmix.dataset import twin_pairs
 from fairmix.errors import FairmixError
-from fairmix.metrics import LINEAR_KINDS, RATIO_KINDS, cell_counts, mixture_report
+from fairmix.metrics import (
+    LINEAR_KINDS,
+    RATIO_KINDS,
+    cell_counts,
+    cell_index,
+    mixture_report,
+)
 
 
 def vector_counts(preds, ds):
@@ -115,6 +125,97 @@ class TestCounts:
             for z in (0, 1):
                 correct += int(counts.counts(kind, z)[0][0])
         assert accuracy(preds, ds) == correct / len(ds)
+
+
+def reference_accepted(accepts, ds):
+    """The per-cell boolean-mask count ``cell_counts`` replaced."""
+    cell = cell_index(ds)
+    return np.stack(
+        [np.count_nonzero(accepts[:, cell == k], axis=1) for k in range(4)], axis=1
+    )
+
+
+@st.composite
+def accept_matrix_case(draw):
+    """A dataset and an (M, N) accept matrix, N on and around byte edges."""
+    n = draw(st.sampled_from((1, 7, 8, 9, 63, 64, 65)) | st.integers(1, 300))
+    m = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = rng.choice((-1, 1), size=n)
+    sensitive = rng.integers(0, 2, size=n)
+    shape = draw(st.sampled_from(("random", "all z0", "empty cell")))
+    if shape == "all z0":
+        sensitive[:] = 0
+    elif shape == "empty cell":
+        k = draw(st.integers(0, 3))
+        in_k = (2 * sensitive + (labels == 1)) == k
+        sensitive[in_k] = 1 - sensitive[in_k]  # moves every member of cell k out
+    ds = Dataset.from_arrays(np.zeros((n, 1)), labels, sensitive)
+    density = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0, 1))
+    return ds, rng.random((m, n)) < density
+
+
+class TestCellCountsDifferential:
+    @settings(max_examples=300)
+    @given(accept_matrix_case())
+    def test_matches_per_cell_mask_count(self, case):
+        ds, accepts = case
+        counts = cell_counts(accepts, ds)
+        want = reference_accepted(accepts, ds)
+        assert counts.accepted.dtype == np.intp
+        assert counts.accepted.shape == want.shape
+        assert np.array_equal(counts.accepted, want)
+        assert np.array_equal(counts.sizes, np.bincount(cell_index(ds), minlength=4))
+
+    @pytest.mark.parametrize("n", [1, 9, 65])
+    def test_per_instance_draws_counted_exactly(self, n):
+        rng = np.random.default_rng(n)
+        ds = Dataset.from_arrays(
+            np.zeros((n, 1)), rng.choice((-1, 1), size=n), rng.integers(0, 2, size=n)
+        )
+        members = [TableClassifier(rng.choice((-1, 1), size=n), ds) for _ in range(3)]
+        result = sample(Ensemble(members, [0.2, 0.3, 0.5]), ds, 257, seed=n, per_instance=True)
+        accepts = result.labels == 1  # (draws, N)
+        counts = cell_counts(accepts, ds)
+        want = reference_accepted(accepts, ds)
+        assert counts.accepted.dtype == np.intp
+        assert np.array_equal(counts.accepted, want)
+        for z in (0, 1):
+            size = int(np.sum(ds.sensitive == z))
+            if size:
+                expected = (want[:, 2 * z] + want[:, 2 * z + 1]) / size
+                assert np.array_equal(result.per_draw_rates[z], expected)
+            else:
+                assert result.per_draw_rates[z] is None
+
+
+class TestPredictionValues:
+    """A raw prediction vector is -1 or 1 per instance, as given."""
+
+    @pytest.mark.parametrize("bad", [0, 5, float("nan"), 1.5, "1"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda p, ds: accuracy(p, ds),
+            lambda p, ds: fairness_gap(MetricKind.ACCEPTANCE_RATE, p, ds),
+            lambda p, ds: classifier_report(p, ds),
+            lambda p, ds: indicator_profile(p),
+            lambda p, ds: TableClassifier(p, ds),
+        ],
+        ids=["accuracy", "fairness_gap", "classifier_report", "indicator_profile", "table"],
+    )
+    def test_invalid_value_rejected(self, call, bad):
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
+        with pytest.raises(
+            DataFormatError, match="^invalid prediction at row 2: must be -1 or 1$"
+        ):
+            call([1, bad, -1], ds)
+
+    def test_valid_values_in_any_numeric_type_accepted(self):
+        ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
+        for preds in ([1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8)):
+            assert accuracy(preds, ds) == 1.0
+            assert indicator_profile(preds).tolist() == [1.0, 0.0]
 
 
 class TestGap:
