@@ -121,7 +121,7 @@ def prediction_matrix(members: Sequence[Classifier], dataset: Dataset) -> np.nda
     """
     matrix = np.empty((len(members), len(dataset)), dtype=np.int8)
     for j, (row, member) in enumerate(zip(matrix, members), start=1):
-        if not isinstance(member, Classifier):
+        if not isinstance(member, (LinearClassifier, TableClassifier)):
             raise FairmixError(f"member {j} is not a classifier: {type(member).__name__}")
         row[:] = member.predict_all(dataset)
     return matrix

@@ -311,11 +311,12 @@ def best_fair_single_threshold(
     """Most accurate fair threshold rule on one feature, by exhaustion.
 
     Candidate thresholds are every observed value of the feature plus a
-    sentinel on each side, crossed with both directions; that realizes
-    every achievable accept-set of the family. A rule qualifies when its
-    acceptance-rate gap is defined and within ``tolerance``. Ties break
-    to the smallest threshold, then to direction "+". Returns None when
-    no rule of the family is fair (possible only if a group is empty).
+    sentinel strictly outside them on each side, crossed with both
+    directions; that realizes every achievable accept-set of the family.
+    A rule qualifies when its acceptance-rate gap is defined and within
+    ``tolerance``. Ties break to the smallest threshold, then to
+    direction "+". Returns None when no rule of the family is fair
+    (possible only if a group is empty).
     """
     if not 0 <= feature_index < dataset.dimension:
         raise FairmixError(
@@ -325,7 +326,13 @@ def best_fair_single_threshold(
     check_tolerance(tolerance)
     x = dataset.features[:, feature_index]
     values = np.unique(x)
-    candidates = np.concatenate([values[:1] - 1.0, values, values[-1:] + 1.0])
+    # v - 1.0 rounds back to v at |v| >= 2**53. Beyond +-the largest double
+    # a sentinel is infinite, which no classifier can hold, so it is dropped
+    with np.errstate(over="ignore"):
+        low = min(values[0] - 1.0, np.nextafter(values[0], -np.inf))
+        high = max(values[-1] + 1.0, np.nextafter(values[-1], np.inf))
+    candidates = np.concatenate([[low], values, [high]])
+    candidates = candidates[np.isfinite(candidates)]
     # Rule (t, "+") accepts x >= t and (t, "-") accepts x <= t: the score
     # x - t or t - x is >= 0 exactly then, for finite doubles. Count both
     # per (z, y) cell from the cell's sorted values; row 2i is (t_i, "+"),

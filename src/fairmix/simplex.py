@@ -89,28 +89,23 @@ class SimplexResult:
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
     basis[row] = col
 
 
 def _run(tableau: np.ndarray, basis: np.ndarray, tol: float) -> tuple[bool, int]:
     """Pivot to optimality. Returns (bounded, pivot_count)."""
-    m = basis.shape[0]
     pivots = 0
     while True:
-        reduced = tableau[-1, :-1]
-        entering = -1
-        for j in range(reduced.shape[0]):  # Bland: first improving column
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(tableau[-1, :-1] < -tol)
+        if improving.size == 0:
             return True, pivots
+        entering = improving[0]  # Bland: first improving column
         leaving = -1
         best = np.inf
-        for i in range(m):
+        for i in range(basis.shape[0]):
             a = tableau[i, entering]
             if a > tol:
                 ratio = tableau[i, -1] / a
@@ -132,30 +127,25 @@ def simplex_solve(problem: LinearProgram) -> SimplexResult:
     """Solve the program; statuses are optimal / infeasible / unbounded."""
     n = problem.n_variables
     m_ub = problem.a_ub.shape[0]
-    m_eq = problem.a_eq.shape[0]
-    m = m_ub + m_eq
+    m = m_ub + problem.a_eq.shape[0]
+    real = n + m_ub  # columns: x, then slacks, then one artificial per row
+    n_cols = real + m
 
-    # rows: [A_ub | I_slack], [A_eq | 0]; then flip rows to get b >= 0
-    body = np.zeros((m, n + m_ub))
-    body[:m_ub, :n] = problem.a_ub
-    body[:m_ub, n:] = np.eye(m_ub)
-    body[m_ub:, :n] = problem.a_eq
-    rhs = np.concatenate([problem.b_ub, problem.b_eq])
-    flip = rhs < 0
-    body[flip] *= -1.0
-    rhs = np.abs(rhs)
-
-    # one artificial per row; they form the phase-1 basis
-    n_cols = n + m_ub + m
+    # rows: [A_ub | I_slack | I_art], [A_eq | 0 | I_art], flipped so that
+    # b >= 0; the artificials form the phase-1 basis
     tableau = np.zeros((m + 1, n_cols + 1))
-    tableau[:m, : n + m_ub] = body
-    tableau[:m, n + m_ub : n_cols] = np.eye(m)
-    tableau[:m, -1] = rhs
-    basis = np.arange(n + m_ub, n_cols)
+    tableau[:m_ub, :n] = problem.a_ub
+    tableau[m_ub:m, :n] = problem.a_eq
+    tableau[:m_ub, n:real] = np.eye(m_ub)
+    rhs = np.concatenate([problem.b_ub, problem.b_eq])
+    tableau[np.flatnonzero(rhs < 0), :real] *= -1.0
+    tableau[:m, real:n_cols] = np.eye(m)
+    tableau[:m, -1] = np.abs(rhs)
+    basis = np.arange(real, n_cols)
 
     # phase-1 reduced costs: cost 1 on artificials, canonicalized for the
     # artificial basis (subtract every constraint row)
-    tableau[-1, n + m_ub : n_cols] = 1.0
+    tableau[-1, real:n_cols] = 1.0
     tableau[-1] -= tableau[:m].sum(axis=0)
 
     bounded, pivots = _run(tableau, basis, PIVOT_TOLERANCE)
@@ -164,44 +154,32 @@ def simplex_solve(problem: LinearProgram) -> SimplexResult:
         return SimplexResult(SolveStatus.INFEASIBLE, None, None, pivots)
 
     # drive any leftover artificial out of the basis; a row where no real
-    # column can pivot is redundant and gets dropped
-    artificial_start = n + m_ub
-    keep = []
-    for i in range(m):
-        if basis[i] < artificial_start:
-            keep.append(i)
-            continue
-        pivot_col = -1
-        for j in range(artificial_start):
-            if abs(tableau[i, j]) > PIVOT_TOLERANCE:
-                pivot_col = j
-                break
-        if pivot_col >= 0:
-            _pivot(tableau, basis, i, pivot_col)
+    # column can pivot is redundant and gets dropped. A pivot changes only
+    # its own row's basic variable, so these rows can be listed up front.
+    for i in np.flatnonzero(basis >= real):
+        pivot_cols = np.flatnonzero(np.abs(tableau[i, :real]) > PIVOT_TOLERANCE)
+        if pivot_cols.size:
+            _pivot(tableau, basis, i, pivot_cols[0])
             pivots += 1
-            keep.append(i)
-    rows = keep + [m]
-    tableau = tableau[rows][:, list(range(artificial_start)) + [n_cols]]
+    keep = np.flatnonzero(basis < real)
+    tableau = tableau[np.ix_(np.append(keep, m), np.r_[:real, n_cols])]
     basis = basis[keep]
-    m2 = basis.shape[0]
 
     # phase 2: minimize -c.x over the surviving columns, starting from
     # the feasible basis found above
-    cost = np.zeros(artificial_start + 1)
+    cost = np.zeros(real + 1)
     cost[:n] = -problem.c
     tableau[-1] = cost
-    for i in range(m2):
-        cb = cost[basis[i]]
-        if cb != 0.0:
-            tableau[-1] -= cb * tableau[i]
+    for i in np.flatnonzero(cost[basis]):
+        tableau[-1] -= cost[basis[i]] * tableau[i]
 
     bounded, extra = _run(tableau, basis, PIVOT_TOLERANCE)
     pivots += extra
     if not bounded:
         return SimplexResult(SolveStatus.UNBOUNDED, None, None, pivots)
 
-    x = np.zeros(artificial_start)
-    x[basis] = tableau[:m2, -1]
+    x = np.zeros(real)
+    x[basis] = tableau[:-1, -1]
     x = x[:n]
     x[np.abs(x) < PIVOT_TOLERANCE] = 0.0
     return SimplexResult(

@@ -461,7 +461,10 @@ def reference_sweep(dataset, feature_index, tolerance):
     fair rule wins. Returns (threshold, direction, accuracy, gap, rule).
     """
     values = np.unique(dataset.features[:, feature_index])
-    candidates = [float(values[0]) - 1.0, *map(float, values), float(values[-1]) + 1.0]
+    with np.errstate(over="ignore"):
+        low = min(values[0] - 1.0, np.nextafter(values[0], -np.inf))
+        high = max(values[-1] + 1.0, np.nextafter(values[-1], np.inf))
+    candidates = [float(t) for t in (low, *values, high) if np.isfinite(t)]
     best = None
     for threshold in candidates:
         for direction, sign in (("+", 1.0), ("-", -1.0)):
@@ -592,6 +595,27 @@ class TestThresholdSweep:
             else:
                 assert rule is not None
                 assert rule.accuracy == pytest.approx(best_acc, abs=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e17, 1e308])
+    def test_reject_everyone_found_past_two_to_the_53(self, scale):
+        # v - 1.0 rounds back to v here, so a sentinel of v - 1.0 would
+        # lose the two rules that reject everyone
+        ds = Dataset.from_arrays(
+            [[scale], [1.5 * scale], [scale], [1.5 * scale]], [-1] * 4, [0, 0, 1, 1]
+        )
+        rule = best_fair_single_threshold(ds, 0, tolerance=0.0)
+        assert rule.accuracy == 1.0
+        assert (rule.threshold, rule.direction) == (np.nextafter(scale, -np.inf), "-")
+        assert rule.classifier.predict_all(ds).tolist() == [-1] * 4
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_sentinels_stay_finite_at_the_largest_double(self, sign):
+        # at -max the low sentinel would be -inf, and (-inf, "-") would win
+        big = sign * np.finfo(float).max
+        ds = Dataset.from_arrays([[big], [big]], [-1, -1], [0, 1])
+        rule = best_fair_single_threshold(ds, 0, tolerance=0.0)
+        assert math.isfinite(rule.threshold)
+        assert rule.accuracy == 1.0
 
     def test_empty_group_yields_none(self):
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 0])

@@ -1,4 +1,5 @@
-"""Simplex solver: textbook cases, edge statuses, and a scipy cross-check."""
+"""Simplex solver: textbook cases, edge statuses, a scipy cross-check and
+the element-by-element reference it must match bit for bit."""
 
 import numpy as np
 import pytest
@@ -101,6 +102,24 @@ class TestTextbookCases:
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(2.0)
 
+    def test_beale_cycling_example_terminates(self):
+        # Beale (1955): from the slack basis, the most-negative-reduced-cost
+        # rule cycles on this LP. Bland's rule, from the artificial basis,
+        # reaches the optimum in 6 pivots (5 under that other rule here)
+        res = solve(
+            [0.75, -150.0, 0.02, -6.0],
+            a_ub=[
+                [0.25, -60.0, -0.04, 9.0],
+                [0.5, -90.0, -0.02, 3.0],
+                [0.0, 0.0, 1.0, 0.0],
+            ],
+            b_ub=[0.0, 0.0, 1.0],
+        )
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(0.05)
+        assert res.x == pytest.approx([0.04, 0.0, 1.0, 0.0])
+        assert res.iterations == 6
+
     def test_status_string_form(self):
         assert str(SolveStatus.OPTIMAL) == "optimal"
         assert str(SolveStatus.INFEASIBLE) == "infeasible"
@@ -151,3 +170,131 @@ class TestAgainstScipy:
                 assert np.all(res.x >= -1e-12)
             checked += 1
         assert checked >= 100  # the skip branch must stay exceptional
+
+
+def reference_simplex(problem, tol=1e-9):
+    """The element-by-element tableau method the array version replaced.
+
+    Same tableau, same Bland choices, one row or column at a time.
+    Returns (status, x, objective, pivots).
+    """
+    n, m_ub = problem.n_variables, problem.a_ub.shape[0]
+    m = m_ub + problem.a_eq.shape[0]
+    real = n + m_ub
+    n_cols = real + m
+    body = np.zeros((m, real))
+    body[:m_ub, :n] = problem.a_ub
+    body[:m_ub, n:] = np.eye(m_ub)
+    body[m_ub:, :n] = problem.a_eq
+    rhs = np.concatenate([problem.b_ub, problem.b_eq])
+    body[rhs < 0] *= -1.0
+    tableau = np.zeros((m + 1, n_cols + 1))
+    tableau[:m, :real] = body
+    tableau[:m, real:n_cols] = np.eye(m)
+    tableau[:m, -1] = np.abs(rhs)
+    tableau[-1, real:n_cols] = 1.0
+    tableau[-1] -= tableau[:m].sum(axis=0)
+    basis = list(range(real, n_cols))
+
+    def pivot(t, basis, row, col):
+        t[row] /= t[row, col]
+        for r in range(t.shape[0]):
+            if r != row and t[r, col] != 0.0:
+                t[r] -= t[r, col] * t[row]
+        basis[row] = col
+
+    def run(t, basis):
+        pivots = 0
+        while True:
+            entering = next((j for j in range(t.shape[1] - 1) if t[-1, j] < -tol), -1)
+            if entering < 0:
+                return True, pivots
+            leaving, best = -1, np.inf
+            for i in range(len(basis)):
+                a = t[i, entering]
+                if a > tol:
+                    ratio = t[i, -1] / a
+                    if ratio < best - tol or (
+                        ratio < best + tol
+                        and (leaving < 0 or basis[i] < basis[leaving])
+                    ):
+                        best = min(best, ratio)
+                        leaving = i
+            if leaving < 0:
+                return False, pivots
+            pivot(t, basis, leaving, entering)
+            pivots += 1
+
+    _, pivots = run(tableau, basis)
+    if -tableau[-1, -1] > tol:
+        return SolveStatus.INFEASIBLE, None, None, pivots
+    keep = []
+    for i in range(m):
+        if basis[i] < real:
+            keep.append(i)
+            continue
+        col = next((j for j in range(real) if abs(tableau[i, j]) > tol), -1)
+        if col >= 0:
+            pivot(tableau, basis, i, col)
+            pivots += 1
+            keep.append(i)
+    tableau = tableau[keep + [m]][:, list(range(real)) + [n_cols]]
+    basis = [basis[i] for i in keep]
+    cost = np.zeros(real + 1)
+    cost[:n] = -problem.c
+    tableau[-1] = cost
+    for i, b in enumerate(basis):
+        if cost[b] != 0.0:
+            tableau[-1] -= cost[b] * tableau[i]
+    bounded, extra = run(tableau, basis)
+    pivots += extra
+    if not bounded:
+        return SolveStatus.UNBOUNDED, None, None, pivots
+    x = np.zeros(real)
+    x[basis] = tableau[:-1, -1]
+    x = x[:n]
+    x[np.abs(x) < tol] = 0.0
+    return SolveStatus.OPTIMAL, x, float(np.dot(problem.c, x)), pivots
+
+
+def random_program(rng):
+    """Small LP: integer or Gaussian data, negative right-hand sides,
+    sometimes redundant equality rows or a probability-simplex row."""
+    n = int(rng.integers(1, 9))
+    m_ub, m_eq = int(rng.integers(0, 6)), int(rng.integers(0, 4))
+    if rng.random() < 0.5:
+        data = lambda shape: rng.integers(-3, 4, size=shape).astype(float)
+    else:
+        data = lambda shape: rng.normal(size=shape)
+    c = data(n)
+    a_ub, a_eq = data((m_ub, n)), data((m_eq, n))
+    if m_eq and rng.random() < 0.4:
+        a_eq = np.vstack([a_eq, rng.integers(-2, 3, size=(2, m_eq)) @ a_eq])
+    if rng.random() < 0.5:  # right-hand sides from a point x0 >= 0: feasible
+        x0 = np.where(rng.random(n) < 0.5, 0.0, data(n) ** 2)
+        b_ub = a_ub @ x0 + np.where(rng.random(m_ub) < 0.5, 0.0, np.abs(data(m_ub)))
+        b_eq = a_eq @ x0
+    else:
+        b_ub, b_eq = data(m_ub), data(a_eq.shape[0])
+    if rng.random() < 0.3:
+        a_eq = np.vstack([a_eq, np.ones((1, n))])
+        b_eq = np.append(b_eq, 1.0)
+    return LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+
+
+class TestAgainstLoopReference:
+    def test_same_pivots_and_bits(self):
+        rng = np.random.default_rng(16)
+        statuses = []
+        for _ in range(400):
+            problem = random_program(rng)
+            status, x, objective, pivots = reference_simplex(problem)
+            res = simplex_solve(problem)
+            assert (res.status, res.iterations) == (status, pivots)
+            assert res.objective == objective
+            assert (res.x is None) == (x is None)
+            if x is not None:
+                assert res.x.tobytes() == x.tobytes()
+            statuses.append(status)
+        # the generator must reach every status, not only the easy ones
+        assert {statuses.count(s) > 40 for s in SolveStatus} == {True}
