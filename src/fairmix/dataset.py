@@ -346,6 +346,15 @@ def check_predictions(values: np.ndarray) -> None:
         raise DataFormatError(f"invalid prediction at row {bad + 1}: must be -1 or 1")
 
 
+def check_profile(q: np.ndarray) -> None:
+    """Raise :class:`FairmixError` unless every benefit probability in the
+    float array ``q`` is finite, so a NaN or infinity never reaches a verdict."""
+    finite = np.isfinite(q)
+    if not finite.all():
+        bad = int(finite.argmin())
+        raise FairmixError(f"non-finite benefit probability at row {bad + 1}")
+
+
 def group_indices(dataset: Dataset, z: int) -> np.ndarray:
     """Ascending 0-based indices of instances with sensitive value ``z``.
 

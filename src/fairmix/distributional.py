@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, check_length, group_indices
+from .dataset import Dataset, check_length, check_profile, group_indices
 
 DETERMINISM_CLAMP = 1e-12
 
@@ -65,8 +65,12 @@ def _group_dispersion(q: np.ndarray) -> GroupDispersion:
     n = q.shape[0]
     if n == 0:
         return GroupDispersion(None, None, None, None)
-    mean = float(np.mean(q))
-    variance = float(np.mean((q - mean) ** 2))
+    # every summary is read from the sorted values, so it depends only on
+    # the group's multiset of q; the rounded mean of n copies of c need not
+    # be c, and can even fall outside [min, max], so it is clamped there
+    s = np.sort(q)
+    mean = float(np.clip(np.mean(s), s[0], s[-1]))
+    variance = float(np.mean((s - mean) ** 2))
     if mean == 0.0:
         gini = None
     else:
@@ -75,7 +79,7 @@ def _group_dispersion(q: np.ndarray) -> GroupDispersion:
         # O(n) memory, every term >= 0, and exactly 0 for a constant group
         # (the rank form sum (2i - n - 1) s_i can round to a negative value)
         i = np.arange(1, n)
-        half_sum = float(np.sum(np.diff(np.sort(q)) * (i * (n - i))))
+        half_sum = float(np.sum(np.diff(s) * (i * (n - i))))
         gini = half_sum / (n * n * mean)
     deterministic = (q <= DETERMINISM_CLAMP) | (q >= 1.0 - DETERMINISM_CLAMP)
     determinism = int(np.sum(deterministic)) / n
@@ -86,6 +90,7 @@ def dispersion(benefit_profile, dataset: Dataset) -> DispersionReport:
     """Per-group dispersion of a benefit profile of length N."""
     q = np.asarray(benefit_profile, dtype=float)
     check_length(q, dataset, "benefit profile")
+    check_profile(q)
     return DispersionReport(
         group_z0=_group_dispersion(q[group_indices(dataset, 0)]),
         group_z1=_group_dispersion(q[group_indices(dataset, 1)]),

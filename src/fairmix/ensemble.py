@@ -101,7 +101,15 @@ def acceptance_probability(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
     q_i is the total weight of the members that accept instance i,
     computed analytically with no sampling.
     """
-    return ensemble.weights @ (prediction_matrix(ensemble.members, dataset) == 1)
+    return _profile(ensemble.weights, prediction_matrix(ensemble.members, dataset) == 1)
+
+
+def _profile(weights: np.ndarray, accepts: np.ndarray) -> np.ndarray:
+    """Accepting weight per column, summed in member order: equal accept sets give equal q."""
+    q = np.zeros(accepts.shape[1])
+    for w, row in zip(weights, accepts):
+        q += w * row
+    return q
 
 
 def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts:
@@ -289,7 +297,7 @@ def ensemble_report(
 ) -> FairnessReport:
     """Fairness report for the ensemble, including intra-group dispersion."""
     accepts = prediction_matrix(ensemble.members, dataset) == 1
-    q = ensemble.weights @ accepts
+    q = _profile(ensemble.weights, accepts)
     counts = metrics.cell_counts(accepts, dataset)
     return metrics.mixture_report(
         counts, ensemble.weights, q, pairs, tolerance, dispersion(q, dataset)

@@ -19,7 +19,14 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dataset import Dataset, _as_given, check_group, check_length, check_predictions
+from .dataset import (
+    Dataset,
+    _as_given,
+    check_group,
+    check_length,
+    check_predictions,
+    check_profile,
+)
 from .distributional import DispersionReport
 from .errors import FairmixError
 
@@ -198,6 +205,7 @@ def _violations(profile, pairs: Pairs, tolerance: float) -> np.ndarray:
     as a read-only (V, 2) intp array in the order given."""
     check_tolerance(tolerance)
     q = np.asarray(profile, dtype=float)
+    check_profile(q)
     idx = _index_pairs(pairs, len(q))
     violations = idx[np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance]
     violations.setflags(write=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fairmix import Dataset, MetricKind, TableClassifier
+from fairmix import Dataset, Ensemble, LinearClassifier, MetricKind, TableClassifier
 
 
 def make_random_dataset(rng: np.random.Generator, n_max: int = 30) -> Dataset:
@@ -41,6 +41,31 @@ def make_random_members(
 def random_weights(rng: np.random.Generator, m: int) -> np.ndarray:
     w = rng.random(m) + 1e-3
     return w / w.sum()
+
+
+def make_grid_ensemble(
+    rng: np.random.Generator, n_max: int, m_max: int, group_blind: bool = True
+) -> tuple[Dataset, Ensemble]:
+    """(dataset, ensemble) of 10..n_max rows on a 6x6 integer feature grid,
+    so many rows have twins, and 2..m_max linear members with Dirichlet
+    weights. Group-blind members give every twin pair the same accept set."""
+    n = int(rng.integers(10, n_max + 1))
+    m = int(rng.integers(2, m_max + 1))
+    dataset = Dataset.from_arrays(
+        rng.integers(0, 6, size=(n, 2)).astype(float),
+        rng.choice((-1, 1), size=n),
+        rng.integers(0, 2, size=n),
+    )
+    members = [
+        # the bias puts each rule's boundary near the grid's centre
+        LinearClassifier(
+            w,
+            0.0 if group_blind else float(rng.normal()),
+            float(rng.normal() - 2.5 * w.sum()),
+        )
+        for w in rng.normal(size=(m, 2))
+    ]
+    return dataset, Ensemble(members, rng.dirichlet(np.ones(m)))
 
 
 def make_zero_gap_instance(rng: np.random.Generator, kind: MetricKind):

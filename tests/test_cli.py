@@ -27,6 +27,7 @@ from fairmix import (
     classifier_report,
     load_dataset,
     load_prediction_matrix,
+    prediction_matrix,
     save_dataset,
     save_prediction_matrix,
 )
@@ -34,6 +35,8 @@ from fairmix.cli import entrypoint
 from fairmix import classifiers as classifiers_module
 from fairmix import dataset as dataset_module
 from fairmix import jsonio, optimizer
+
+from conftest import make_grid_ensemble
 
 
 @pytest.fixture
@@ -201,6 +204,36 @@ class TestAudit:
         )
         assert code == 0
         assert out.strip().split("\n")[1].startswith("ensemble,")
+
+    def test_group_blind_ensemble_passes_treatment_at_tol_0(self, tmp_path, capsys):
+        # 410 rows, 40 members, 1,167 twin pairs, each pair with one accept set
+        ds, ens = make_grid_ensemble(np.random.default_rng(11), 3000, 300)
+        save_dataset(tmp_path / "d.csv", ds)
+        save_prediction_matrix(tmp_path / "p.csv", prediction_matrix(ens.members, ds))
+        (tmp_path / "w.json").write_text(json.dumps({"weights": ens.weights.tolist()}))
+        data, preds, weights = (str(tmp_path / f) for f in ("d.csv", "p.csv", "w.json"))
+        code, out, _ = run(["audit", data, preds, "--weights", weights, "--tol", "0"], capsys)
+        assert code == 0
+        treatment = json.loads(out)["treatment"]
+        assert (treatment["pairs_checked"], treatment["violations"]) == (1167, 0)
+
+    def test_constant_group_has_exact_dispersion(self, tmp_path, capsys):
+        # one member accepts exactly group 1, the other exactly group 0, so
+        # every row of group 0 has q = 0.7 and every row of group 1 q = 0.3
+        ds = Dataset.from_arrays([[0.0]] * 5, [1] * 5, [0, 0, 0, 1, 1])
+        save_dataset(tmp_path / "d.csv", ds)
+        save_prediction_matrix(
+            tmp_path / "p.csv", np.array([[-1, -1, -1, 1, 1], [1, 1, 1, -1, -1]])
+        )
+        (tmp_path / "w.json").write_text('{"weights": [0.3, 0.7]}')
+        data, preds, weights = (str(tmp_path / f) for f in ("d.csv", "p.csv", "w.json"))
+        code, out, _ = run(["audit", data, preds, "--weights", weights], capsys)
+        assert code == 0
+        doc = json.loads(out)["distributional"]
+        for z, c in (("z0", 0.7), ("z1", 0.3)):
+            assert doc[z]["mean_q"] == c
+            assert doc[z]["variance_q"] == 0.0
+            assert doc[z]["gini_q"] == 0.0
 
     def test_out_flag_writes_file_not_stdout(self, fig2_dir, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fairmix import Dataset, FairmixError, dispersion
 from fairmix.distributional import DETERMINISM_CLAMP, _group_dispersion
@@ -33,6 +35,14 @@ class TestGroupDispersion:
         assert g.variance_q == 0.0
         assert g.gini_q == 0.0
         assert g.determinism_index == 0.0
+
+    @given(st.floats(0.0, 1.0), st.integers(1, 2000))
+    def test_constant_group_reads_exactly(self, c, n):
+        # the rounded mean of n copies of c is not always c
+        g = _group_dispersion(np.full(n, c))
+        assert g.mean_q == c
+        assert g.variance_q == 0.0
+        assert g.gini_q == (None if c == 0.0 else 0.0)
 
     def test_deterministic_half_and_half(self):
         g = _group_dispersion(np.array([0.0, 0.0, 1.0, 1.0]))
@@ -110,6 +120,12 @@ class TestDispersionReport:
         ds = two_group_dataset(1, 1)
         with pytest.raises(FairmixError, match="does not match"):
             dispersion(np.array([0.5]), ds)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_profile_rejected(self, bad):
+        ds = two_group_dataset(1, 2)
+        with pytest.raises(FairmixError, match="non-finite benefit probability at row 2"):
+            dispersion(np.array([0.5, bad, 0.5]), ds)
 
     def test_json_marks_extension(self):
         ds = two_group_dataset(1, 1)

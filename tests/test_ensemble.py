@@ -30,9 +30,15 @@ from fairmix import (
     sample,
 )
 from fairmix import Dataset, TableClassifier, build_counterfactual_pairs
+from fairmix.dataset import twin_pairs
 from fairmix.ensemble import GENERATOR_NAME
 
-from conftest import make_random_dataset, make_random_members, random_weights
+from conftest import (
+    make_grid_ensemble,
+    make_random_dataset,
+    make_random_members,
+    random_weights,
+)
 
 
 def oracle_counts(kind, labels, groups, preds, z):
@@ -586,3 +592,38 @@ class TestEnsembleReport:
         assert report.treatment_violations.shape == (0, 2)
         q = acceptance_probability(ens, ds)
         assert q.tolist() == [0.5, 0.5]
+
+
+class TestTwinTreatment:
+    """Each benefit probability is summed in member order, so it depends
+    only on the instance's accept set, never on its column."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_group_blind_mixture_treats_twins_alike(self, seed):
+        # group-blind members give each twin pair the same accept set
+        ds, ens = make_grid_ensemble(np.random.default_rng(seed), 3000, 300)
+        pairs = twin_pairs(ds)
+        q = acceptance_probability(ens, ds)
+        assert np.array_equal(q[pairs[:, 0]], q[pairs[:, 1]])
+        report = ensemble_report(ens, ds, pairs, tolerance=0.0)
+        assert report.treatment_violations.shape == (0, 2)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9])
+    def test_row_permutation_only_renumbers_the_pairs(self, tolerance):
+        rng = np.random.default_rng(11)
+        for trial in range(40):
+            ds, ens = make_grid_ensemble(rng, 300, 40, group_blind=trial % 2 == 0)
+            perm = rng.permutation(len(ds))
+            shuffled = Dataset.from_arrays(
+                ds.features[perm], ds.labels[perm], ds.sensitive[perm]
+            )
+            expected = ensemble_report(ens, ds, twin_pairs(ds), tolerance).to_json_dict()
+            report = ensemble_report(ens, shuffled, twin_pairs(shuffled), tolerance)
+            got = report.to_json_dict()
+            # row i of the shuffled data is row perm[i] of the original
+            pairs = np.sort(perm[report.treatment_violations], axis=1)
+            got["treatment"]["pairs"] = pairs[np.lexsort(pairs.T[::-1])] + 1
+            for doc in (got, expected):
+                doc["treatment"]["pairs"] = doc["treatment"]["pairs"].tolist()
+            # every float to the last bit, not only the 12 digits printed
+            assert got == expected

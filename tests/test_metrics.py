@@ -457,6 +457,21 @@ class TestTreatment:
         with pytest.raises(FairmixError, match="do not form one integer array"):
             treatment_violations(q, pairs)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_profile_rejected(self, bad):
+        # NaN and inf - inf compare false against any tolerance, so they passed
+        ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
+        pairs = build_counterfactual_pairs(ds)
+        message = "non-finite benefit probability at row {}"
+        with pytest.raises(FairmixError, match=message.format(1)):
+            treatment_violations([bad, bad], pairs)
+        with pytest.raises(FairmixError, match=message.format(2)):
+            treatment_violations([0.5, bad], pairs)
+        with pytest.raises(FairmixError, match=message.format(2)):
+            mixture_report(
+                vector_counts(np.array([1, 1]), ds), np.ones(1), [0.5, bad], pairs, 1e-9
+            )
+
     def test_infinite_tolerance_passes_every_pair(self):
         ds = Dataset.from_arrays([[7.0], [7.0]], [1, 1], [0, 1])
         pairs = build_counterfactual_pairs(ds)

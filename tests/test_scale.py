@@ -1,11 +1,13 @@
 """Memory at scale: the per-draw sampler and the dispersion report hold
 O(draws + N*M) values, never a draws x N or an n x n buffer, the CSV
 loaders hold a few copies of the file, never a Python object per cell,
-twin pairs are found with index arrays, never a tuple per row, and the
-grid oracle's lattice is built in a few copies of itself.
+twin pairs are found with index arrays, never a tuple per row, the
+ensemble report casts no member matrix to floats, and the grid oracle's
+lattice is built in a few copies of itself.
 
 Measured with ``tracemalloc`` (numpy reports its buffers to it) at
-N=1e6 instances and M=8 members, after the inputs are built. A
+N=1e6 instances and M=8 members, or N=1e5 and M=256 for the ensemble
+report, after the inputs are built. A
 draws x N label buffer alone would be 10 GB here, and an n x n Gini
 matrix terabytes; a str per cell of the prediction file took about
 400 MB.
@@ -14,6 +16,7 @@ matrix terabytes; a str per cell of the prediction file took about
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fairmix import (
     Dataset,
@@ -25,6 +28,7 @@ from fairmix import (
     classifier_report,
     dispersion,
     ensemble_group_rate,
+    ensemble_report,
     indicator_profile,
     load_dataset,
     load_prediction_matrix,
@@ -66,6 +70,35 @@ def test_sampler_and_dispersion_memory_is_linear():
         analytic = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, ds, z)
         assert abs(result.group_rates[z] - analytic) < 5 * result.standard_errors[z]
         assert 0.0 <= report.group(z).gini_q < 1.0
+
+
+def test_profile_memory_is_the_member_block():
+    """``ensemble_report`` at N=1e5, M=256 stays under M*N bytes + 64 MiB:
+    the stacked int8 rows and their bool accepts, and O(N) floats for the
+    profile, which is summed one member row at a time. An (M, N) float64
+    cast of the accepts alone is 8*M*N bytes, 195 MiB here."""
+    n, m = 100_000, 256
+    rng = np.random.default_rng(0)
+    ds = Dataset.from_arrays(
+        np.zeros((n, 1)), rng.choice((-1, 1), size=n), rng.integers(0, 2, size=n)
+    )
+    rows = rng.choice(np.array([-1, 1], dtype=np.int8), size=(m, n))
+    members = [TableClassifier(row, ds) for row in rows]
+    del rows
+    ens = Ensemble(members, np.full(m, 1 / m))
+
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        report = ensemble_report(ens, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    assert peak - entry < m * n + BUDGET_MB * 2**20
+    for z in (0, 1):
+        expected = ensemble_group_rate(ens, MetricKind.ACCEPTANCE_RATE, ds, z)
+        assert report.distributional.group(z).mean_q == pytest.approx(expected, abs=1e-12)
 
 
 LOAD_BUDGET_MB = 192
