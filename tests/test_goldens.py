@@ -1,8 +1,9 @@
 """Byte-identical stdout of the CLI against committed golden files.
 
 The goldens in ``tests/goldens/`` pin the exact reports of the four
-figures, the PPV witness, and every command run on the exported
-figure-2 files. A refactor of the evaluation core must leave each one
+figures, the PPV witness, every command run on the exported figure-2
+files, and ``audit`` with and without ``--weights`` on the exports of
+figures 1, 3 and 4. A refactor of the evaluation core must leave each one
 unchanged, down to the last digit and the key order.
 
 To rewrite the goldens from a trusted checkout::
@@ -24,7 +25,7 @@ from fairmix.cli import entrypoint
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "goldens"
 
-#: (golden name, argv); ``{fig2}`` is the directory of the exported figure 2
+#: (golden name, argv); ``{figN}`` is the directory of the exported figure N
 CASES = (
     ("figure1", ["figure", "1"]),
     ("figure2", ["figure", "2"]),
@@ -52,31 +53,45 @@ CASES = (
         ["sample", "{fig2}/dataset.csv", "{fig2}/predictions.csv",
          "{fig2}/weights.json", "--n", "200", "--format", "csv"],
     ),
+    *(
+        case
+        for n in (1, 3, 4)
+        for case in (
+            (f"fig{n}_audit", ["audit", f"{{fig{n}}}/dataset.csv", f"{{fig{n}}}/predictions.csv"]),
+            (
+                f"fig{n}_audit_weights",
+                ["audit", f"{{fig{n}}}/dataset.csv", f"{{fig{n}}}/predictions.csv",
+                 "--weights", f"{{fig{n}}}/weights.json"],
+            ),
+        )
+    ),
 )
 
 
-def export_figure2(directory: pathlib.Path) -> pathlib.Path:
-    out = directory / "fig2"
+def export_figures(directory: pathlib.Path) -> dict[str, str]:
+    """Export every figure to ``directory/figN``; map ``figN`` to that path."""
+    dirs = {f"fig{n}": str(directory / f"fig{n}") for n in range(1, 5)}
     with contextlib.redirect_stdout(io.StringIO()):
-        assert entrypoint(["figure", "2", "--out-dir", str(out)]) == 0
-    return out
+        for name, out in dirs.items():
+            assert entrypoint(["figure", name[3:], "--out-dir", out]) == 0
+    return dirs
 
 
-def run_case(argv, fig2: pathlib.Path) -> tuple[int, str]:
+def run_case(argv, dirs: dict[str, str]) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = entrypoint([a.replace("{fig2}", str(fig2)) for a in argv])
+        code = entrypoint([a.format(**dirs) for a in argv])
     return code, buf.getvalue()
 
 
 @pytest.fixture(scope="module")
-def fig2(tmp_path_factory):
-    return export_figure2(tmp_path_factory.mktemp("goldens"))
+def dirs(tmp_path_factory):
+    return export_figures(tmp_path_factory.mktemp("goldens"))
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-def test_stdout_matches_golden(name, argv, fig2):
-    code, out = run_case(argv, fig2)
+def test_stdout_matches_golden(name, argv, dirs):
+    code, out = run_case(argv, dirs)
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
 
@@ -84,9 +99,9 @@ def test_stdout_matches_golden(name, argv, fig2):
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        fig2_dir = export_figure2(pathlib.Path(tmp))
+        exports = export_figures(pathlib.Path(tmp))
         for name, argv in CASES:
-            code, out = run_case(argv, fig2_dir)
+            code, out = run_case(argv, exports)
             if code != 0:
                 sys.exit(f"{name}: exit code {code}")
             (GOLDEN_DIR / f"{name}.txt").write_text(out, encoding="utf-8")
