@@ -194,13 +194,17 @@ def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassif
 
 
 def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
-    """Write an (M, N) prediction matrix as ``clf_1..clf_M`` CSV.
+    """Write an (M, N) prediction matrix, M, N >= 1, as ``clf_1..clf_M`` CSV.
 
     The matrix has one row per classifier, as produced by
     :func:`prediction_matrix`; the file has one row per instance. Every
     entry must be -1 or 1; anything else is rejected, not truncated.
     """
     matrix = np.asarray(matrix)
+    if matrix.ndim != 2 or 0 in matrix.shape:
+        raise DataFormatError(
+            f"prediction matrix must be (M, N) with M, N >= 1, got shape {matrix.shape}"
+        )
     bad = ~np.isin(matrix, (-1, 1))
     if bad.any():
         row, column = np.argwhere(bad.T)[0]

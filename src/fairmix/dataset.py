@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from os import PathLike
 from typing import Callable, Optional, Union
 
@@ -327,6 +328,12 @@ def check_group(z) -> None:
     # an array has no single truth value, so it must not reach `in`
     if getattr(z, "ndim", 0) or z not in VALID_SENSITIVE:
         raise FairmixError(f"sensitive value must be 0 or 1, got {z!r}")
+
+
+def check_integer(value, what: str) -> None:
+    """Raise unless ``value`` is an integer, a numpy one included; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FairmixError(f"{what} must be an integer, got {value!r}")
 
 
 def check_length(values: np.ndarray, dataset: Dataset, what: str, error=FairmixError):

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Classifier, prediction_matrix
-from .dataset import Dataset
+from .dataset import Dataset, check_integer
 from .distributional import dispersion
 from .errors import FairmixError
 from . import metrics
@@ -235,6 +235,7 @@ def sample(
     on all per-group marginals, so the analytic rates are the reference
     for both.
     """
+    check_integer(n_draws, "n_draws")
     if n_draws < 1:
         raise FairmixError(f"n_draws must be >= 1, got {n_draws}")
     n = len(dataset)

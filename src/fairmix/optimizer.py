@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Classifier, LinearClassifier, TableClassifier
-from .dataset import Dataset
+from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
 from .metrics import (
@@ -254,6 +254,7 @@ def grid_oracle(
         raise FairmixError(
             f"grid oracle supports at most {GRID_MAX_MEMBERS} members, got {m}"
         )
+    check_integer(resolution, "grid resolution")  # 10.5 would give weights summing to 10/10.5
     if resolution < GRID_MIN_RESOLUTION:
         raise FairmixError(
             f"grid resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}"
@@ -261,10 +262,7 @@ def grid_oracle(
     constrained = _constrained_kinds(constrained, tolerance)
     counts = member_counts(members, dataset)
     gap_rows = _gap_rows(counts, constrained)
-    try:
-        size = math.comb(resolution + m - 1, m - 1)  # lattice points
-    except TypeError:  # 10.5 would give weights summing to 10/10.5
-        raise FairmixError(f"grid resolution must be an integer, got {resolution!r}") from None
+    size = math.comb(resolution + m - 1, m - 1)  # lattice points
     if max(size, resolution) > np.iinfo(np.intp).max:  # before the lattice is built
         raise FairmixError(f"grid resolution {resolution} is too large to index")
     lattice = _lattice(resolution, m) / resolution
@@ -318,6 +316,7 @@ def best_fair_single_threshold(
     direction "+". Returns None when no rule of the family is fair
     (possible only if a group is empty).
     """
+    check_integer(feature_index, "feature index")
     if not 0 <= feature_index < dataset.dimension:
         raise FairmixError(
             f"feature index {feature_index} out of range for dimension "
@@ -398,6 +397,7 @@ def ppv_counterexample_search(seed: int, max_trials: int) -> Optional[PPVWitness
     is materialized as a concrete dataset plus prediction tables and
     re-verified on integer counts before being returned.
     """
+    check_integer(max_trials, "max_trials")
     if max_trials < 0:
         raise FairmixError(f"max_trials must be >= 0, got {max_trials}")
     rng = np.random.default_rng(seed)

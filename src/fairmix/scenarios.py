@@ -22,17 +22,14 @@ is sampled and regeneration is bit-stable. Each one exhibits one effect:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import metrics, optimizer
 from .classifiers import LinearClassifier, prediction_matrix
-from .dataset import Dataset, build_counterfactual_pairs
-from .distributional import dispersion
-from .ensemble import Ensemble, acceptance_probability, member_counts
+from .dataset import Dataset, twin_pairs
+from .ensemble import Ensemble, acceptance_probability, ensemble_report
 from .errors import FairmixError
-from .metrics import MetricKind
 
 #: per-cluster instance count shared by the generators; 2 keeps every
 #: scenario rate an exact small rational while exercising duplicates
@@ -233,91 +230,57 @@ def figure4() -> Scenario:
     )
 
 
-def _actuals_figure1(s: Scenario) -> dict:
-    pairs = build_counterfactual_pairs(s.dataset)
-    fractions = []
-    for predictions in prediction_matrix(s.members, s.dataset):
-        profile = metrics.indicator_profile(predictions)
-        violated = metrics.treatment_violations(profile, pairs)
-        fractions.append(len(violated) / len(pairs))
-    q = acceptance_probability(s.ensemble(), s.dataset)
-    ens_violations = metrics.treatment_violations(q, pairs)
-    constant = float(q[0]) if np.all(q == q[0]) else None
-    return {
-        "pairs_checked": len(pairs),
-        "member_violation_fraction": fractions,
-        "ensemble_violations": len(ens_violations),
-        "benefit_profile_constant": constant,
-    }
-
-
-def _actuals_figure2(s: Scenario) -> dict:
-    counts = member_counts(s.members, s.dataset)
-    w = s.prescribed_weights
-    r0, r1 = (counts.mixed_rate(w, MetricKind.ACCEPTANCE_RATE, z) for z in (0, 1))
-    return {
-        "member_acceptance_z0": counts.rates(MetricKind.ACCEPTANCE_RATE, 0).tolist(),
-        "member_acceptance_z1": counts.rates(MetricKind.ACCEPTANCE_RATE, 1).tolist(),
-        "member_gaps": counts.gaps(MetricKind.ACCEPTANCE_RATE).tolist(),
-        "ensemble_acceptance_z0": r0,
-        "ensemble_acceptance_z1": r1,
-        "ensemble_gap": r0 - r1,
-    }
-
-
-def _actuals_figure3(s: Scenario) -> dict:
-    counts = member_counts(s.members, s.dataset)
-    w = s.prescribed_weights
-    r0, r1 = (counts.mixed_rate(w, MetricKind.ACCEPTANCE_RATE, z) for z in (0, 1))
-    sweep = optimizer.best_fair_single_threshold(s.dataset, 0, 1e-9)
-    return {
-        "member_accuracies": counts.accuracies().tolist(),
-        "member_rates_z0": counts.rates(MetricKind.ACCEPTANCE_RATE, 0).tolist(),
-        "member_rates_z1": counts.rates(MetricKind.ACCEPTANCE_RATE, 1).tolist(),
-        "ensemble_accuracy": counts.mixed_accuracy(w),
-        "ensemble_rate_z0": r0,
-        "ensemble_rate_z1": r1,
-        "ensemble_gap": r0 - r1,
-        "best_fair_threshold_accuracy": None if sweep is None else sweep.accuracy,
-    }
-
-
-def _actuals_figure4(s: Scenario) -> dict:
-    counts = member_counts(s.members, s.dataset)
-    w = s.prescribed_weights
-    r0, r1 = (counts.mixed_rate(w, MetricKind.ACCEPTANCE_RATE, z) for z in (0, 1))
-    q = acceptance_probability(s.ensemble(), s.dataset)
-    report = dispersion(q, s.dataset)
+def _actuals(s: Scenario) -> dict:
+    """Every expectation, read from the reports ``fairmix audit`` prints for
+    the members and the ensemble; only the exact-constant profile checks and
+    the threshold sweep are computed outside them."""
+    pairs = twin_pairs(s.dataset)
+    members = [
+        metrics.classifier_report(predictions, s.dataset, pairs)
+        for predictions in prediction_matrix(s.members, s.dataset)
+    ]
+    ensemble = s.ensemble()
+    ens = ensemble_report(ensemble, s.dataset, pairs)
+    # a report lists its metrics in MetricKind order, acceptance rate first
+    rates, ens_rate = [r.metrics[0] for r in members], ens.metrics[0]
+    q = acceptance_probability(ensemble, s.dataset)
     q1 = q[s.dataset.sensitive == 1]
-    constant = float(q1[0]) if q1.size and np.all(q1 == q1[0]) else None
-    return {
-        "member_gaps": counts.gaps(MetricKind.ACCEPTANCE_RATE).tolist(),
-        "ensemble_rate_z0": r0,
-        "ensemble_rate_z1": r1,
-        "ensemble_gap": r0 - r1,
-        "z1_profile_constant": constant,
-        "z0_variance": report.group(0).variance_q,
-        "z0_determinism": report.group(0).determinism_index,
-        "z0_gini": report.group(0).gini_q,
-        "z1_variance": report.group(1).variance_q,
-        "z1_determinism": report.group(1).determinism_index,
-        "z1_gini": report.group(1).gini_q,
+    actuals = {
+        "pairs_checked": ens.treatment_pairs_checked,
+        "member_violation_fraction": (
+            [len(r.treatment_violations) / len(pairs) for r in members] if len(pairs) else None
+        ),
+        "ensemble_violations": len(ens.treatment_violations),
+        "benefit_profile_constant": float(q[0]) if np.all(q == q[0]) else None,
+        "z1_profile_constant": float(q1[0]) if q1.size and np.all(q1 == q1[0]) else None,
+        "member_accuracies": [r.accuracy for r in members],
+        "member_gaps": [m.gap for m in rates],
+        "ensemble_accuracy": ens.accuracy,
+        "ensemble_gap": ens_rate.gap,
     }
+    for z in (0, 1):
+        member_z = [getattr(m, f"value_z{z}") for m in rates]
+        ens_z = getattr(ens_rate, f"value_z{z}")
+        actuals[f"member_rates_z{z}"] = actuals[f"member_acceptance_z{z}"] = member_z
+        actuals[f"ensemble_rate_z{z}"] = actuals[f"ensemble_acceptance_z{z}"] = ens_z
+        group = ens.distributional.group(z)
+        actuals[f"z{z}_variance"] = group.variance_q
+        actuals[f"z{z}_determinism"] = group.determinism_index
+        actuals[f"z{z}_gini"] = group.gini_q
+    if "best_fair_threshold_accuracy" in s.expectations:
+        sweep = optimizer.best_fair_single_threshold(s.dataset, 0, 1e-9)
+        actuals["best_fair_threshold_accuracy"] = None if sweep is None else sweep.accuracy
+    return actuals
 
 
-#: each scenario's generator, and the recomputation of its expectations
-_SCENARIOS: dict[str, tuple[Callable[[], Scenario], Callable[[Scenario], dict]]] = {
-    "figure1": (figure1, _actuals_figure1),
-    "figure2": (figure2, _actuals_figure2),
-    "figure3": (figure3, _actuals_figure3),
-    "figure4": (figure4, _actuals_figure4),
-}
+#: each scenario's generator, by name
+_SCENARIOS = {f.__name__: f for f in (figure1, figure2, figure3, figure4)}
 
 
 def scenario_by_name(name: str) -> Scenario:
     if name not in _SCENARIOS:
         raise FairmixError(f"unknown scenario {name!r}; available: {', '.join(_SCENARIOS)}")
-    return _SCENARIOS[name][0]()
+    return _SCENARIOS[name]()
 
 
 #: scenario numbers are exact rationals; recomputation must agree to
@@ -343,7 +306,7 @@ def _values_match(expected, actual) -> bool:
 
 def verify_scenario(scenario: Scenario) -> list[ScenarioCheck]:
     """Recompute every expectation through the library; self-test a scenario."""
-    actuals = _SCENARIOS[scenario.name][1](scenario)
+    actuals = _actuals(scenario)
     checks = []
     for key, expected in scenario.expectations.items():
         actual = actuals[key]

@@ -1,6 +1,7 @@
 """Classifier behaviour: linear scoring, tables, matrix serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,19 @@ class TestPredictionMatrix:
             save_prediction_matrix(path, [[1.7, -1.2], [0.4, 1.0]])
         with pytest.raises(DataFormatError, match="clf_2 at row 2: must be -1 or 1"):
             save_prediction_matrix(path, [[1, -1], [1, 0]])
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.ones((1, 2, 2)), np.ones((0, 3)), np.ones((2, 0)), np.ones(3), np.int8(1)],
+        ids=["3-d", "no-members", "no-instances", "1-d", "scalar"],
+    )
+    def test_save_rejects_non_matrices(self, tmp_path, matrix):
+        # used to write unloadable files, or to raise csv.Error or IndexError
+        path = tmp_path / "preds.csv"
+        message = f"must be (M, N) with M, N >= 1, got shape {np.shape(matrix)}"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            save_prediction_matrix(path, matrix)
         assert not path.exists()
 
     def test_bad_header(self, ds, tmp_path):

@@ -885,6 +885,22 @@ FUZZ_COMMANDS = [
 ]
 
 
+#: the positional paths of each command that reads files
+FUZZ_SLOTS = {
+    "audit": ["dataset.csv", "predictions.csv"],
+    "mix": ["dataset.csv", "predictions.csv"],
+    "optimize": ["dataset.csv", "predictions.csv"],
+    "sample": ["dataset.csv", "predictions.csv", "weights.json"],
+}
+
+#: drawn flag values: the valid ones, near misses, and arbitrary short text
+FUZZ_METRICS = st.one_of(
+    st.sampled_from(["acceptance_rate", "tpr", "tnr", "ppv", "npv", "", "TPR"]),
+    st.text(max_size=6),
+)
+FUZZ_FORMATS = st.one_of(st.sampled_from(["json", "csv", "xml", ""]), st.text(max_size=6))
+
+
 @pytest.fixture(scope="module")
 def fig2_exports(tmp_path_factory):
     """The figure-2 export files as bytes, and a directory to write over."""
@@ -931,6 +947,37 @@ class TestFuzz:
         assert code in (0, 1, 2, 3)
         if code == 1:
             assert err.getvalue().startswith("fairmix"), err.getvalue()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_drawn_flags_and_paths_end_in_an_exit_code(self, fig2_exports, data):
+        """Drawn --metric and --format values, and positional paths that are
+        missing, a directory, empty, hold a NUL byte or name another input,
+        end every command in a documented exit code and an error from
+        fairmix or argparse, never a traceback."""
+        originals, root = fig2_exports
+        for name, content in originals.items():
+            (root / name).write_bytes(content)
+        (root / "empty.csv").write_bytes(b"")
+        command = data.draw(st.sampled_from(sorted(FUZZ_SLOTS)), label="command")
+        argv = [command]
+        for slot in FUZZ_SLOTS[command]:
+            others = [name for name in sorted(originals) if name != slot]
+            choices = [slot, "missing.csv", "fig2", "empty.csv", "nul\x00.csv", *others]
+            argv.append(str(root / data.draw(st.sampled_from(choices), label=slot)))
+        if command in ("mix", "optimize"):
+            for metric in data.draw(st.lists(FUZZ_METRICS, max_size=2), label="metrics"):
+                argv += ["--metric", metric]
+        if data.draw(st.booleans(), label="with --format"):
+            argv += ["--format", data.draw(FUZZ_FORMATS, label="format")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = entrypoint(argv)
+        assert code in (0, 1, 2, 3)
+        message = err.getvalue()
+        assert "Traceback" not in message
+        if code == 1 or message:
+            assert message.startswith(("fairmix", "usage:")), message
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -542,6 +542,20 @@ class TestSampler:
         with pytest.raises(FairmixError, match="n_draws must be >= 1, got 0"):
             sample(ens, ds, n_draws=0, seed=0)
 
+    @pytest.mark.parametrize("n_draws", [2.5, 3.0, True, np.bool_(True)], ids=repr)
+    def test_non_integer_n_draws_rejected(self, rng, n_draws):
+        # 2.5 and True used to raise TypeError from the generator
+        ds, ens = self.small_case(rng)
+        message = f"n_draws must be an integer, got {n_draws!r}"
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            sample(ens, ds, n_draws=n_draws, seed=0)
+
+    def test_numpy_integer_n_draws_accepted(self, rng):
+        ds, ens = self.small_case(rng)
+        a = sample(ens, ds, n_draws=np.int32(20), seed=4)
+        b = sample(ens, ds, n_draws=20, seed=4)
+        assert a.n_draws == 20 and np.array_equal(a.labels, b.labels)
+
     def test_n_draws_past_the_largest_array_rejected(self, rng):
         ds, ens = self.small_case(rng)
         largest = np.iinfo(np.intp).max

@@ -314,7 +314,7 @@ class TestGridOracle:
         with pytest.raises(FairmixError, match=f"grid resolution {10**20} is too large"):
             grid_oracle(members, ds, [MetricKind.ACCEPTANCE_RATE], 0.1, 10**20)
 
-    @pytest.mark.parametrize("resolution", [10.0, 10.5])
+    @pytest.mark.parametrize("resolution", [10.0, 10.5, True, "20"])
     def test_non_integer_resolution_rejected(self, rng, resolution):
         ds = make_random_dataset(rng, 20)
         members = make_random_members(rng, ds, 3)
@@ -626,6 +626,20 @@ class TestThresholdSweep:
         with pytest.raises(FairmixError, match="feature index"):
             best_fair_single_threshold(ds, 1, tolerance=0.1)
 
+    @pytest.mark.parametrize("index", [1.0, -0.0, True, np.bool_(False), "0"], ids=repr)
+    def test_non_integer_feature_index_rejected(self, index):
+        # 1.0 and -0.0 used to raise IndexError, and True "object too deep"
+        ds = Dataset.from_arrays([[0.0, 1.0], [1.0, 0.0]], [1, -1], [0, 1])
+        message = f"feature index must be an integer, got {index!r}"
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            best_fair_single_threshold(ds, index, tolerance=0.1)
+
+    def test_numpy_integer_feature_index_accepted(self):
+        ds = Dataset.from_arrays([[0.0, 1.0], [1.0, 0.0]], [1, -1], [0, 1])
+        assert best_fair_single_threshold(ds, np.int64(1), 0.1) == (
+            best_fair_single_threshold(ds, 1, 0.1)
+        )
+
     @pytest.mark.parametrize("tolerance", [math.nan, -1.0], ids=["nan", "negative"])
     def test_tolerance_validated(self, rng, tolerance):
         # every rule would pass a NaN tolerance: |gap| > nan is false
@@ -704,3 +718,14 @@ class TestWitnessSearch:
     def test_negative_budget_rejected(self):
         with pytest.raises(FairmixError, match="max_trials"):
             ppv_counterexample_search(seed=0, max_trials=-1)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True], ids=repr)
+    def test_non_integer_budget_rejected(self, budget):
+        # 2.5 used to raise TypeError from range()
+        message = f"max_trials must be an integer, got {budget!r}"
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            ppv_counterexample_search(seed=0, max_trials=budget)
+
+    def test_numpy_integer_budget_accepted(self):
+        witness = ppv_counterexample_search(seed=0, max_trials=np.int64(10_000))
+        assert witness is not None and witness.trial_index == 2
