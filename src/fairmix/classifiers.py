@@ -200,7 +200,12 @@ def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
     :func:`prediction_matrix`; the file has one row per instance. Every
     entry must be -1 or 1; anything else is rejected, not truncated.
     """
-    matrix = np.asarray(matrix)
+    try:
+        matrix = np.asarray(matrix)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise DataFormatError(
+            "prediction matrix must be (M, N) with M, N >= 1, got ragged rows"
+        ) from None
     if matrix.ndim != 2 or 0 in matrix.shape:
         raise DataFormatError(
             f"prediction matrix must be (M, N) with M, N >= 1, got shape {matrix.shape}"

@@ -330,10 +330,13 @@ def check_group(z) -> None:
         raise FairmixError(f"sensitive value must be 0 or 1, got {z!r}")
 
 
-def check_integer(value, what: str) -> None:
-    """Raise unless ``value`` is an integer, a numpy one included; a bool is not one."""
+def check_integer(value, what: str, minimum: Optional[int] = None) -> None:
+    """Raise unless ``value`` is an integer, a numpy one included, and at
+    least ``minimum`` when one is given; a bool is not an integer."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise FairmixError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise FairmixError(f"{what} must be >= {minimum}, got {value}")
 
 
 def check_length(values: np.ndarray, dataset: Dataset, what: str, error=FairmixError):

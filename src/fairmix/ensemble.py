@@ -235,15 +235,14 @@ def sample(
     on all per-group marginals, so the analytic rates are the reference
     for both.
     """
-    check_integer(n_draws, "n_draws")
-    if n_draws < 1:
-        raise FairmixError(f"n_draws must be >= 1, got {n_draws}")
+    check_integer(n_draws, "n_draws", 1)
     n = len(dataset)
     # the uniforms are the largest array: 8 bytes per draw, or per draw and
     # instance, and numpy makes no array of more than intp.max bytes
     limit = np.iinfo(np.intp).max // (8 * (n if per_instance else 1))
     if n_draws > limit:
         raise FairmixError(f"n_draws must be at most {limit}, got {n_draws}")
+    check_integer(seed, "seed", 0)
     rows = prediction_matrix(ensemble.members, dataset)
     cumulative = np.cumsum(ensemble.weights)
     rng = np.random.default_rng(seed)

@@ -244,41 +244,76 @@ def grid_oracle(
 ) -> GridOracleResult:
     """Exhaustive search over the weight lattice {k/r} on the simplex.
 
-    Completely independent of the LP machinery: enumerate every lattice
-    point, check the gap constraints, take the feasible point of maximum
-    accuracy. Ties go to the lexicographically smallest weight vector,
-    which makes the result independent of any enumeration partitioning.
+    Completely independent of the LP machinery, and decided on integers.
+    For a constrained kind with group rates n_z/d_z per member, the gap at
+    k/r is (k.G)/(r*d0*d1) with G_j = n0_j*d1 - n1_j*d0, so the point is
+    feasible iff |k.G| <= floor((tolerance + 1e-12)*r*d0*d1) in exact
+    arithmetic; its accuracy is (k.C)/(r*N), C_j counting member j's correct
+    predictions. Only the prefixes (k_1..k_{M-2}) are enumerated: along
+    t = k_{M-1}, with k_M = r - sum(prefix) - t, every gap and the
+    accuracy are linear, so a prefix's feasible points are one interval of
+    t and its best point an end of it. Ties go to the lexicographically
+    smallest weight vector, which makes the result independent of any
+    enumeration partitioning.
     """
     m = len(members)
     if m > GRID_MAX_MEMBERS:
         raise FairmixError(
             f"grid oracle supports at most {GRID_MAX_MEMBERS} members, got {m}"
         )
-    check_integer(resolution, "grid resolution")  # 10.5 would give weights summing to 10/10.5
-    if resolution < GRID_MIN_RESOLUTION:
-        raise FairmixError(
-            f"grid resolution must be >= {GRID_MIN_RESOLUTION}, got {resolution}"
-        )
+    # 10.5 would give weights summing to 10/10.5
+    check_integer(resolution, "grid resolution", GRID_MIN_RESOLUTION)
     constrained = _constrained_kinds(constrained, tolerance)
     counts = member_counts(members, dataset)
-    gap_rows = _gap_rows(counts, constrained)
+    _gap_rows(counts, constrained)  # rejects undefined gaps, even at inf
     size = math.comb(resolution + m - 1, m - 1)  # lattice points
-    if max(size, resolution) > np.iinfo(np.intp).max:  # before the lattice is built
+    if max(size, resolution) > np.iinfo(np.intp).max:  # before the prefixes are built
         raise FairmixError(f"grid resolution {resolution} is too large to index")
-    lattice = _lattice(resolution, m) / resolution
-    feasible = np.ones(lattice.shape[0], dtype=bool)
-    for gaps in gap_rows:
-        mixed = lattice @ gaps
-        feasible &= np.abs(mixed) <= tolerance + 1e-12
-    count = int(np.sum(feasible))
+    r, n = int(resolution), int(counts.sizes.sum())
+    gaps, bounds = [], []
+    for kind in constrained:
+        (n0, d0), (n1, d1) = (counts.counts(kind, z) for z in (0, 1))
+        d0, d1 = int(d0[0]), int(d1[0])  # a linear kind conditions every member alike
+        gaps.append(n0 * d1 - n1 * d0)
+        bound = r * int(np.abs(gaps[-1]).max())  # no |k.G| exceeds it
+        if math.isfinite(tolerance):
+            bound = min(bound, math.floor(Fraction(tolerance + 1e-12) * (r * d0 * d1)))
+        bounds.append(bound)
+    correct = sum(
+        counts.counts(kind, z)[0] for kind in (MetricKind.TPR, MetricKind.TNR) for z in (0, 1)
+    )
+    top = r * m * max(int(np.abs(v).max()) for v in [correct, *gaps])
+    dtype = np.int64 if top < 2**62 else object  # Python ints past int64's reach
+    lattice = _lattice(r, max(m - 1, 1)).astype(dtype)
+    head, rem = lattice[:, :-1], lattice[:, -1]
+
+    def line(v):
+        """k.v at t = 0 and its slope in t, per prefix."""
+        v = v.astype(dtype)
+        return head @ v[:-2] + rem * v[-1], (v[-2] - v[-1] if m > 1 else 0)
+
+    lo = np.zeros_like(rem)
+    hi = rem if m > 1 else lo  # one member has no free coordinate: t = 0
+    for g, bound in zip(gaps, bounds):
+        base, slope = line(g)
+        if slope < 0:  # |base + t*slope| is symmetric under negation
+            base, slope = -base, -slope
+        if slope == 0:
+            hi = np.where(np.abs(base) <= bound, hi, -1)
+        else:
+            lo = np.maximum(lo, -((bound + base) // slope))
+            hi = np.minimum(hi, (bound - base) // slope)
+    width = np.maximum(hi - lo + 1, 0)
+    count = int(width.sum())
     if count == 0:
         return GridOracleResult(None, None, 0, resolution)
-    values = lattice @ counts.accuracies()
-    values[~feasible] = -np.inf
-    best = int(np.argmax(values))  # first max = lexicographically smallest
-    return GridOracleResult(
-        lattice[best].copy(), float(values[best]), count, resolution
-    )
+    base, slope = line(correct)
+    t = hi if slope > 0 else lo
+    best = int(np.argmax(np.where(width > 0, base + t * slope, -1)))  # first max
+    point = [*head[best], t[best], rem[best] - t[best]] if m > 1 else [r]
+    weights = np.array([int(k) / r for k in point])
+    accuracy = int(base[best] + t[best] * slope) / (r * n)
+    return GridOracleResult(weights, accuracy, count, resolution)
 
 
 @dataclass(frozen=True)
@@ -397,9 +432,8 @@ def ppv_counterexample_search(seed: int, max_trials: int) -> Optional[PPVWitness
     is materialized as a concrete dataset plus prediction tables and
     re-verified on integer counts before being returned.
     """
-    check_integer(max_trials, "max_trials")
-    if max_trials < 0:
-        raise FairmixError(f"max_trials must be >= 0, got {max_trials}")
+    check_integer(max_trials, "max_trials", 0)
+    check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     for trial in range(max_trials):
         n0, n1 = (int(v) for v in rng.integers(3, 21, size=2))

@@ -197,6 +197,14 @@ class TestPredictionMatrix:
             save_prediction_matrix(path, matrix)
         assert not path.exists()
 
+    def test_save_rejects_ragged_rows(self, tmp_path):
+        # used to raise numpy's ValueError about an inhomogeneous shape
+        path = tmp_path / "preds.csv"
+        message = "must be (M, N) with M, N >= 1, got ragged rows"
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            save_prediction_matrix(path, [[1, -1], [1]])
+        assert not path.exists()
+
     def test_bad_header(self, ds, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("clf_1,clf_3\n1,1\n1,1\n1,1\n1,1\n")

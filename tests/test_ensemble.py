@@ -550,6 +550,31 @@ class TestSampler:
         with pytest.raises(FairmixError, match=re.escape(message)):
             sample(ens, ds, n_draws=n_draws, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (2.5, "seed must be an integer, got 2.5"),
+            (True, "seed must be an integer, got True"),
+            ("3", "seed must be an integer, got '3'"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+        ids=repr,
+    )
+    def test_bad_seed_rejected(self, rng, seed, message):
+        # 2.5 and "3" used to raise TypeError and -1 ValueError, from the generator
+        ds, ens = self.small_case(rng)
+        for per_instance in (False, True):
+            with pytest.raises(FairmixError, match=re.escape(message)):
+                sample(ens, ds, n_draws=5, seed=seed, per_instance=per_instance)
+
+    def test_seed_stream_unchanged(self, rng):
+        ds, ens = self.small_case(rng)
+        for seed in (0, np.uint64(7), 2**70):
+            result = sample(ens, ds, n_draws=30, seed=seed)
+            uniforms = np.random.default_rng(int(seed)).random(30)
+            chosen = np.searchsorted(np.cumsum(ens.weights), uniforms, side="right")
+            assert result.member_indices.tolist() == np.minimum(chosen, 2).tolist()
+
     def test_numpy_integer_n_draws_accepted(self, rng):
         ds, ens = self.small_case(rng)
         a = sample(ens, ds, n_draws=np.int32(20), seed=4)

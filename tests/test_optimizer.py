@@ -26,11 +26,14 @@ from fairmix import (
     ensemble_gap,
     fairness_gap,
     grid_oracle,
+    load_dataset,
+    load_prediction_matrix,
     member_counts,
     mixture_accuracy,
     ppv_counterexample_search,
     solve_fair_mixture,
 )
+from fairmix.cli import entrypoint
 from fairmix.optimizer import _exact_ppv_gap_is_zero, _lattice
 
 from conftest import make_random_dataset, make_random_members, random_weights
@@ -294,16 +297,37 @@ def stars_and_bars(total, parts):
 
 
 def stars_and_bars_oracle(members, dataset, constrained, tolerance, resolution):
-    """``grid_oracle``'s search, step for step, on the ``stars_and_bars`` lattice."""
+    """``grid_oracle``'s search in exact rationals, point by point.
+
+    Every ``stars_and_bars`` point k/r is kept when each constrained gap,
+    a ``Fraction`` sum of k_j/r times member j's ``Fraction`` gap, is at
+    most ``tolerance + 1e-12`` (the float sum, taken exactly) in absolute
+    value. Returns the first point of highest exact accuracy, that
+    accuracy as a ``Fraction``, and the number of points kept.
+    """
     counts = member_counts(members, dataset)
-    lattice = stars_and_bars(resolution, len(members)) / resolution
-    feasible = np.ones(lattice.shape[0], dtype=bool)
+    rows = []
     for kind in sorted(set(constrained), key=lambda k: k.value):
-        feasible &= np.abs(lattice @ counts.gaps(kind)) <= tolerance + 1e-12
-    values = lattice @ counts.accuracies()
-    values[~feasible] = -np.inf
-    best = int(np.argmax(values))
-    return lattice[best], float(values[best]), int(np.sum(feasible))
+        (n0, d0), (n1, d1) = (counts.counts(kind, z) for z in (0, 1))
+        rows.append([
+            Fraction(int(a), int(b)) - Fraction(int(c), int(d))
+            for a, b, c, d in zip(n0, d0, n1, d1)
+        ])
+    n = int(counts.sizes.sum())
+    member_accuracies = [Fraction(round(a * n), n) for a in counts.accuracies()]
+    slack = Fraction(tolerance + 1e-12) if math.isfinite(tolerance) else None
+    best, best_point, count = None, None, 0
+    for point in stars_and_bars(resolution, len(members)).tolist():
+        w = [Fraction(k, resolution) for k in point]
+        if slack is not None and any(
+            abs(sum(wj * gj for wj, gj in zip(w, row))) > slack for row in rows
+        ):
+            continue
+        count += 1
+        value = sum(wj * aj for wj, aj in zip(w, member_accuracies))
+        if best is None or value > best:
+            best, best_point = value, point
+    return best_point, best, count
 
 
 class TestGridOracle:
@@ -337,25 +361,90 @@ class TestGridOracle:
             assert got.flags.c_contiguous
 
     def test_oracle_matches_stars_and_bars_oracle(self, rng):
-        # the same lattice in the same layout gives the same BLAS products,
-        # so every field agrees exactly, not approximately
+        # exact on both sides, so every field agrees, ties included
         partly_feasible = 0
         for _ in range(6):
             ds = make_random_dataset(rng, 40)
             members = make_random_members(rng, ds, 4)
             tol = float(rng.uniform(0.02, 0.3))
-            oracle = grid_oracle(members, ds, ALL_LINEAR, tol, resolution=60)
-            weights, best, count = stars_and_bars_oracle(
-                members, ds, ALL_LINEAR, tol, 60
-            )
+            oracle = grid_oracle(members, ds, ALL_LINEAR, tol, resolution=24)
+            point, best, count = stars_and_bars_oracle(members, ds, ALL_LINEAR, tol, 24)
             assert oracle.feasible_count == count
             if count == 0:
                 assert oracle.weights is None and oracle.accuracy is None
                 continue
-            assert oracle.weights.tolist() == weights.tolist()
-            assert oracle.accuracy == best
-            partly_feasible += count < math.comb(63, 3)
+            assert oracle.weights.tolist() == [k / 24 for k in point]
+            assert oracle.accuracy == float(best)
+            partly_feasible += count < math.comb(27, 3)
         assert partly_feasible >= 3
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 0.05, math.inf])
+    def test_small_lattices_match_stars_and_bars_oracle(self, rng, m, tolerance):
+        for _ in range(4):
+            ds = make_random_dataset(rng, 12)
+            members = make_random_members(rng, ds, m)
+            if m > 1 and rng.random() < 0.5:
+                members[-1] = members[0]  # whole lines of ties
+            for kinds in ([], [MetricKind.TPR], ALL_LINEAR):
+                oracle = grid_oracle(members, ds, kinds, tolerance, resolution=12)
+                point, best, count = stars_and_bars_oracle(members, ds, kinds, tolerance, 12)
+                assert oracle.feasible_count == count
+                if count:
+                    assert oracle.weights.tolist() == [k / 12 for k in point]
+                    assert oracle.accuracy == float(best)
+                else:
+                    assert oracle.weights is None and oracle.accuracy is None
+
+    def test_figure2_tie_goes_to_the_smaller_vector(self, tmp_path):
+        # at resolution 200, (49, 98, 53)/200 and (0, 0, 200)/200 both reach
+        # exactly 13/18; as floats the first rounds one ulp higher
+        assert entrypoint(["figure", "2", "--out-dir", str(tmp_path)]) == 0
+        ds = load_dataset(str(tmp_path / "dataset.csv"))
+        members = load_prediction_matrix(str(tmp_path / "predictions.csv"), ds)
+        counts = member_counts(members, ds)
+        correct = [round(a * len(ds)) for a in counts.accuracies()]
+        for point in ([49, 98, 53], [0, 0, 200]):
+            assert Fraction(sum(k * c for k, c in zip(point, correct)), 200 * len(ds)) == (
+                Fraction(13, 18)
+            )
+        oracle = grid_oracle(members, ds, [MetricKind.ACCEPTANCE_RATE], 1e-9, 200)
+        assert oracle.weights.tolist() == [0.0, 0.0, 1.0]
+        assert oracle.accuracy == 13 / 18
+        assert oracle.feasible_count == 67
+
+    def test_numerators_past_int64(self):
+        # r * |G| passes 2**63, so the oracle works in Python ints; the
+        # feasible interval of t = k_1 is found here from Fractions
+        rng = np.random.default_rng(7)
+        n = 4000
+        labels = rng.choice((-1, 1), size=n)
+        sensitive = np.arange(n) % 2
+        ds = Dataset.from_arrays(np.zeros((n, 1)), labels, sensitive)
+        # acceptance rates 0.7 and 0.3 by group, then 0.2 and 0.6
+        members = [
+            TableClassifier(np.where(rng.random(n) < np.where(sensitive, q1, q0), 1, -1), ds)
+            for q0, q1 in ((0.7, 0.3), (0.2, 0.6))
+        ]
+        kind, tol, r = MetricKind.ACCEPTANCE_RATE, 0.004, 10**13
+        counts = member_counts(members, ds)
+        (n0, d0), (n1, d1) = (counts.counts(kind, z) for z in (0, 1))
+        d0, d1 = int(d0[0]), int(d1[0])
+        numerators = [int(a) * d1 - int(b) * d0 for a, b in zip(n0, n1)]
+        assert r * max(abs(g) for g in numerators) > 2**63
+        gaps = [Fraction(g, d0 * d1) for g in numerators]
+        # |t*g1 + (r - t)*g2| <= r*slack, linear in t
+        slack = Fraction(tol + 1e-12) * r
+        slope, base = gaps[0] - gaps[1], r * gaps[1]
+        ends = sorted(((-slack - base) / slope, (slack - base) / slope))
+        lo, hi = max(0, math.ceil(ends[0])), min(r, math.floor(ends[1]))
+        assert 0 < lo < hi < r  # the interval is cut on both sides
+        correct = [round(a * n) for a in counts.accuracies()]
+        t = hi if correct[0] > correct[1] else lo
+        oracle = grid_oracle(members, ds, [kind], tol, r)
+        assert oracle.feasible_count == hi - lo + 1
+        assert oracle.weights.tolist() == [t / r, (r - t) / r]
+        assert oracle.accuracy == float(Fraction(t * correct[0] + (r - t) * correct[1], r * n))
 
     def test_single_member(self, rng):
         ds = make_random_dataset(rng, 8)
@@ -718,6 +807,25 @@ class TestWitnessSearch:
     def test_negative_budget_rejected(self):
         with pytest.raises(FairmixError, match="max_trials"):
             ppv_counterexample_search(seed=0, max_trials=-1)
+
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (2.5, "seed must be an integer, got 2.5"),
+            (None, "seed must be an integer, got None"),
+            (-1, "seed must be >= 0, got -1"),
+        ],
+        ids=repr,
+    )
+    def test_bad_seed_rejected(self, seed, message):
+        # None used to draw from fresh entropy, 2.5 raised TypeError, -1 ValueError
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            ppv_counterexample_search(seed=seed, max_trials=10)
+
+    def test_numpy_integer_seed_finds_the_same_witness(self):
+        a = ppv_counterexample_search(seed=np.int64(3), max_trials=10_000)
+        b = ppv_counterexample_search(seed=3, max_trials=10_000)
+        assert a.trial_index == b.trial_index and a.dataset == b.dataset
 
     @pytest.mark.parametrize("budget", [2.5, 3.0, True], ids=repr)
     def test_non_integer_budget_rejected(self, budget):

@@ -2,8 +2,9 @@
 O(draws + N*M) values, never a draws x N or an n x n buffer, the CSV
 loaders hold a few copies of the file, never a Python object per cell,
 twin pairs are found with index arrays, never a tuple per row, the
-ensemble report casts no member matrix to floats, and the grid oracle's
-lattice is built in a few copies of itself.
+ensemble report casts no member matrix to floats, the grid oracle's
+lattice is built in a few copies of itself, and the oracle holds its
+lattice prefixes, never the lattice.
 
 Measured with ``tracemalloc`` (numpy reports its buffers to it) at
 N=1e6 instances and M=8 members, or N=1e5 and M=256 for the ensemble
@@ -29,6 +30,7 @@ from fairmix import (
     dispersion,
     ensemble_group_rate,
     ensemble_report,
+    grid_oracle,
     indicator_profile,
     load_dataset,
     load_prediction_matrix,
@@ -233,3 +235,29 @@ def test_lattice_memory_is_a_few_copies():
     assert lattice.shape == (1_373_701, 4)
     assert peak - entry < 2.5 * lattice.nbytes
     assert np.all(lattice.sum(axis=1) == 200)
+
+
+ORACLE_BUDGET_MB = 16
+
+
+def test_oracle_memory_is_its_prefixes():
+    """Resolution 400 with four members: 10,827,401 lattice points, whose
+    float rows alone are 330 MB; the search holds the 80,601 prefixes."""
+    rng = np.random.default_rng(0)
+    n = 10_000
+    ds = Dataset.from_arrays(
+        np.zeros((n, 1)), rng.choice((-1, 1), size=n), rng.integers(0, 2, size=n)
+    )
+    members = [TableClassifier(rng.choice((-1, 1), size=n), ds) for _ in range(4)]
+    kinds = [MetricKind.ACCEPTANCE_RATE, MetricKind.TPR, MetricKind.TNR]
+
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        oracle = grid_oracle(members, ds, kinds, 0.02, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+    assert (peak - entry) / 2**20 < ORACLE_BUDGET_MB
+    assert 0 < oracle.feasible_count < 10_827_401
