@@ -23,6 +23,7 @@ from .dataset import (
     _canonical_body,
     _read_bytes,
     _read_cells,
+    _read_only,
     check_length,
     check_predictions,
 )
@@ -70,18 +71,25 @@ class TableClassifier:
     In particular it cannot score a synthesized flipped-attribute
     instance; treatment tests on tables need counterfactual pairs drawn
     from the dataset itself.
+
+    A table also holds one private, write-once slot: its read-only (4,)
+    row of accepted cell counts on the bound dataset. Only
+    :func:`fairmix.ensemble.member_counts` fills or reads it, the first
+    time it counts the table on that very dataset object; both the
+    predictions and the dataset are read-only, so the row cannot go
+    stale. Threads that fill it at once write equal values.
     """
 
-    __slots__ = ("_predictions", "_dataset")
+    __slots__ = ("_predictions", "_dataset", "_accepted_cells")
 
     def __init__(self, predictions, dataset: Dataset):
         preds = _as_given(predictions)
         check_length(preds, dataset, "prediction vector", DataFormatError)
         check_predictions(preds)
-        preds = preds.astype(np.int8)  # a copy, checked first: 255 would wrap to -1
-        preds.setflags(write=False)
-        self._predictions = preds
+        # a copy, checked first: 255 would wrap to -1
+        self._predictions = _read_only(preds.astype(np.int8))
         self._dataset = dataset
+        self._accepted_cells = None
 
     @property
     def predictions(self) -> np.ndarray:

@@ -36,6 +36,19 @@ def _as_given(values) -> np.ndarray:
     return values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array``'s values that no caller can make writeable.
+
+    numpy lets the owner of an array's data set its write flag again, but
+    not a view of a read-only owner. So the data gets an owner of its own,
+    which is frozen, and only a view of it is handed out.
+    """
+    if array.base is not None:
+        array = array.copy()
+    array.setflags(write=False)
+    return array.view()
+
+
 class Dataset:
     """Immutable, array-backed collection of instances.
 
@@ -78,12 +91,10 @@ class Dataset:
         if faults.any():
             row, fault = np.argwhere(faults)[0]
             raise DataFormatError(f"{_FAULTS[fault]} at row {row + 1}")
-        labels = labels.astype(int)
-        sensitive = sensitive.astype(int)
-        for array in (features, labels, sensitive):
-            array.setflags(write=False)
         ds = object.__new__(cls)
-        ds._features, ds._labels, ds._sensitive = features, labels, sensitive
+        ds._features = _read_only(features)
+        ds._labels = _read_only(labels.astype(int))
+        ds._sensitive = _read_only(sensitive.astype(int))
         return ds
 
     @property
@@ -119,7 +130,9 @@ class Dataset:
         )
 
     def __hash__(self):
-        return hash((self._features.shape, self._features.tobytes()))
+        # -0.0 == 0.0 but their bytes differ; adding 0.0 maps -0.0 to 0.0
+        # (NaN, which would break the contract too, is rejected at construction)
+        return hash((self._features.shape, (self._features + 0.0).tobytes()))
 
 
 def _expected_header(d: int) -> list[str]:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .classifiers import Classifier, prediction_matrix
+from .classifiers import Classifier, TableClassifier, prediction_matrix
 from .dataset import Dataset, check_integer
 from .distributional import dispersion
 from .errors import FairmixError
@@ -112,11 +112,33 @@ def _profile(weights: np.ndarray, accepts: np.ndarray) -> np.ndarray:
     return q
 
 
+def _bound_table(member, dataset: Dataset) -> bool:
+    return isinstance(member, TableClassifier) and member.dataset is dataset
+
+
 def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts:
-    """The members' (M, 4) accepted cell counts, in one counting pass."""
+    """The members' (M, 4) accepted cell counts, in one counting pass or none.
+
+    A table bound to this very ``dataset`` object (identity, not ``==``)
+    stores a read-only copy of its row the first time it is counted here.
+    When every member is such a table and holds its row, the rows are
+    stacked into a fresh array and no prediction is read. Any other list,
+    for example one with a ``LinearClassifier`` in it, is counted whole on
+    every call, so the errors and the integers are the same either way.
+    Threads that fill a row at once write equal values.
+    """
     if not members:
         raise FairmixError("need at least one member")
-    return metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
+    rows = [m._accepted_cells if _bound_table(m, dataset) else None for m in members]
+    if all(row is not None for row in rows):
+        return CellCounts(np.stack(rows), np.bincount(metrics.cell_index(dataset), minlength=4))
+    counts = metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
+    for member, row in zip(members, counts.accepted):
+        if _bound_table(member, dataset) and member._accepted_cells is None:
+            row = row.copy()
+            row.setflags(write=False)
+            member._accepted_cells = row
+    return counts
 
 
 def ensemble_group_rate(

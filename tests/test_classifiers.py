@@ -116,6 +116,12 @@ class TestTableClassifier:
         with pytest.raises(ValueError):
             table.predictions[0] = -1
 
+    def test_predictions_cannot_be_made_writeable(self, ds):
+        table = TableClassifier([1, -1, 1, -1], ds)
+        with pytest.raises(ValueError):
+            table.predictions.setflags(write=True)
+        assert not table.predictions.flags.writeable
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float64, object])
     def test_predictions_are_an_int8_copy(self, ds, dtype):
         source = np.array([1, -1, 1, -1], dtype=dtype)

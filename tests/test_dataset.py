@@ -173,6 +173,22 @@ class TestFromArrays:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("name", ["features", "labels", "sensitive"])
+    def test_arrays_cannot_be_made_writeable(self, name):
+        # a flat feature list is one instance: its 2-D features start as a view
+        for ds in (small_dataset(), Dataset.from_arrays([0.5, 1.0], [1], [0])):
+            array = getattr(ds, name)
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+            assert not getattr(ds, name).flags.writeable
+
+    def test_hash_agrees_with_equality_on_signed_zeros(self):
+        a = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
+        b = Dataset.from_arrays([[-0.0], [1.0]], [1, -1], [0, 1])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_arrays_are_copies(self):
         feats = np.array([[1.0], [2.0]])
         ds = Dataset.from_arrays(feats, [1, -1], [0, 1])

@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmix import (
+    CompatibilityError,
     Ensemble,
     FairmixError,
+    LinearClassifier,
     MetricKind,
     acceptance_probability,
     closure_check,
@@ -28,7 +30,9 @@ from fairmix import (
     member_counts,
     mixture_accuracy,
     sample,
+    solve_fair_mixture,
 )
+from fairmix import ensemble as ensemble_mod
 from fairmix import Dataset, TableClassifier, build_counterfactual_pairs
 from fairmix.dataset import twin_pairs
 from fairmix.ensemble import GENERATOR_NAME
@@ -370,6 +374,113 @@ class TestCountDifferential:
                 assert gap == pytest.approx(float(wants[0] - wants[1]), abs=1e-12)
         want = fraction_accuracy(ens, ds)
         assert mixture_accuracy(ens, ds) == pytest.approx(float(want), abs=1e-12)
+
+
+class TestStoredCounts:
+    """A table's row of cell counts is stored on the first count against
+    its own dataset object and stacked on later calls."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts the calls ``member_counts`` makes to ``prediction_matrix``."""
+        calls = []
+        real = ensemble_mod.prediction_matrix
+
+        def counting(members, dataset):
+            calls.append(len(members))
+            return real(members, dataset)
+
+        monkeypatch.setattr(ensemble_mod, "prediction_matrix", counting)
+        return calls
+
+    def test_second_call_reads_no_predictions(self, rng, monkeypatch):
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, 5)
+        first = member_counts(members, ds)
+
+        def fail(members, dataset):
+            raise AssertionError("prediction_matrix called on stored tables")
+
+        monkeypatch.setattr(ensemble_mod, "prediction_matrix", fail)
+        second = member_counts(members, ds)
+        assert second.accepted.dtype == first.accepted.dtype
+        assert np.array_equal(second.accepted, first.accepted)
+        assert second.sizes.dtype == first.sizes.dtype
+        assert np.array_equal(second.sizes, first.sizes)
+
+    def test_equal_dataset_is_recounted_and_stores_nothing(self, rng, counted):
+        ds = make_random_dataset(rng, 40)
+        twin = Dataset.from_arrays(ds.features, ds.labels, ds.sensitive)
+        assert twin == ds and twin is not ds
+        members = make_random_members(rng, ds, 4)
+        results = [member_counts(members, twin) for _ in range(2)]
+        results.append(member_counts(members, ds))  # nothing was stored for ds
+        assert counted == [4, 4, 4]
+        for counts in results[1:]:
+            assert np.array_equal(counts.accepted, results[0].accepted)
+            assert np.array_equal(counts.sizes, results[0].sizes)
+        member_counts(members, ds)
+        assert counted == [4, 4, 4]
+
+    def test_unequal_dataset_still_rejected(self, rng):
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, 3)
+        member_counts(members, ds)
+        other = Dataset.from_arrays(ds.features + 1.0, ds.labels, ds.sensitive)
+        with pytest.raises(CompatibilityError, match="not bound to"):
+            member_counts(members, other)
+
+    def test_non_classifier_still_named_by_position(self, rng):
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, 3)
+        member_counts(members, ds)
+        mixed = [*members, LinearClassifier((1.0, -1.0)), object()]
+        with pytest.raises(FairmixError, match="member 5 is not a classifier: object"):
+            member_counts(mixed, ds)
+
+    def test_linear_members_counted_on_every_call(self, rng, counted):
+        ds = make_random_dataset(rng, 40)
+        members = [*make_random_members(rng, ds, 2), LinearClassifier((1.0, -1.0))]
+        first = member_counts(members, ds)
+        second = member_counts(members, ds)
+        assert counted == [3, 3]
+        assert np.array_equal(first.accepted, second.accepted)
+
+    def test_writing_a_result_leaves_the_next_unchanged(self, rng):
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, 4)
+        counts = member_counts(members, ds)  # counted, then stored
+        accepted, sizes = counts.accepted.copy(), counts.sizes.copy()
+        for _ in range(2):  # the counted result, then a stacked one
+            counts.accepted[:] = -7
+            counts.sizes[:] = -7
+            counts = member_counts(members, ds)
+            assert np.array_equal(counts.accepted, accepted)
+            assert np.array_equal(counts.sizes, sizes)
+
+    def test_tolerance_sweep_equals_solves_on_fresh_tables(self):
+        # a small frontier: equal groups and base rates, members that err
+        # at different rates per group, and the two constant rules (every
+        # gap zero) so every tolerance is feasible
+        rng = np.random.default_rng(20)
+        n, m = 240, 12
+        labels = np.tile([1, -1], n // 2)
+        sensitive = np.repeat([0, 1], n // 2)
+        ds = Dataset.from_arrays(rng.normal(size=(n, 2)), labels, sensitive)
+        flips = rng.random((m, n)) < rng.uniform(0.05, 0.4, (m, 2))[:, sensitive]
+        rows = [*np.where(flips, -labels, labels), np.ones(n), -np.ones(n)]
+        members = [TableClassifier(row, ds) for row in rows]
+        kinds = [MetricKind.ACCEPTANCE_RATE, MetricKind.TPR, MetricKind.TNR]
+        statuses = set()
+        for tolerance in np.geomspace(5e-4, 0.1, 8):
+            got = solve_fair_mixture(members, ds, kinds, tolerance)
+            fresh = [TableClassifier(row, ds) for row in rows]
+            want = solve_fair_mixture(fresh, ds, kinds, tolerance)
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.to_json_dict() == want.to_json_dict()
+            assert got.iterations == want.iterations
+            statuses.add(got.status.value)
+        assert statuses == {"optimal"}
 
 
 class TestClosure:
