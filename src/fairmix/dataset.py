@@ -53,10 +53,11 @@ class Dataset:
     """Immutable, array-backed collection of instances.
 
     All operations on a dataset are pure reads, so sharing one across
-    threads is safe.
+    threads is safe. One private, write-once slot holds the read-only four
+    cell sizes; only :func:`fairmix.metrics.cell_sizes` fills or reads it.
     """
 
-    __slots__ = ("_features", "_labels", "_sensitive")
+    __slots__ = ("_features", "_labels", "_sensitive", "_cell_sizes")
 
     @classmethod
     def from_arrays(cls, features, labels, sensitive) -> "Dataset":
@@ -95,6 +96,7 @@ class Dataset:
         ds._features = _read_only(features)
         ds._labels = _read_only(labels.astype(int))
         ds._sensitive = _read_only(sensitive.astype(int))
+        ds._cell_sizes = None
         return ds
 
     @property
@@ -337,9 +339,9 @@ def save_dataset(path: PathArg, dataset: Dataset) -> None:
 
 
 def check_group(z) -> None:
-    """Raise unless ``z`` is a sensitive value: 0 or 1."""
-    # an array has no single truth value, so it must not reach `in`
-    if getattr(z, "ndim", 0) or z not in VALID_SENSITIVE:
+    """Raise unless ``z`` is the integer 0 or 1, a numpy one included; a bool,
+    a float or an array is not a group, as in :func:`check_integer`."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Integral) or z not in VALID_SENSITIVE:
         raise FairmixError(f"sensitive value must be 0 or 1, got {z!r}")
 
 

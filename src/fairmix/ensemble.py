@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .classifiers import Classifier, TableClassifier, prediction_matrix
-from .dataset import Dataset, check_integer
+from .dataset import Dataset, _read_only, check_integer
 from .distributional import dispersion
 from .errors import FairmixError
 from . import metrics
@@ -55,10 +55,13 @@ class Ensemble:
         members = tuple(members)
         if len(members) < 1:
             raise FairmixError("ensemble needs at least one member")
-        # each weight is checked as given, before any float conversion
-        w = weights.tolist() if isinstance(weights, np.ndarray) else weights
+        # each weight is checked as given, before any float conversion; a
+        # finite float vector in one pass, any other array as its list
+        checked = isinstance(weights, np.ndarray) and weights.dtype == float and weights.ndim == 1
+        checked = checked and np.isfinite(weights).all()
+        w = weights.tolist() if isinstance(weights, np.ndarray) and not checked else weights
         # a scalar is one weight, so it fails the shape check below
-        for x in w if isinstance(w, (list, tuple)) else [w]:
+        for x in () if checked else w if isinstance(w, (list, tuple)) else [w]:
             if isinstance(x, bool) or not isinstance(x, numbers.Real):
                 raise FairmixError(f"non-numeric weight {x!r}")
             # false for NaN, infinities and integers past the float range
@@ -79,9 +82,8 @@ class Ensemble:
             raise FairmixError(
                 f"weights sum to {float(np.sum(w))!r}, expected 1"
             )
-        w.setflags(write=False)
         self._members = members
-        self._weights = w
+        self._weights = _read_only(w)
 
     @property
     def members(self) -> tuple[Classifier, ...]:
@@ -112,10 +114,6 @@ def _profile(weights: np.ndarray, accepts: np.ndarray) -> np.ndarray:
     return q
 
 
-def _bound_table(member, dataset: Dataset) -> bool:
-    return isinstance(member, TableClassifier) and member.dataset is dataset
-
-
 def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts:
     """The members' (M, 4) accepted cell counts, in one counting pass or none.
 
@@ -129,15 +127,14 @@ def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts
     """
     if not members:
         raise FairmixError("need at least one member")
-    rows = [m._accepted_cells if _bound_table(m, dataset) else None for m in members]
+    bound = [isinstance(m, TableClassifier) and m._dataset is dataset for m in members]
+    rows = [m._accepted_cells if b else None for m, b in zip(members, bound)]
     if all(row is not None for row in rows):
-        return CellCounts(np.stack(rows), np.bincount(metrics.cell_index(dataset), minlength=4))
+        return CellCounts(np.array(rows), metrics.cell_sizes(dataset))
     counts = metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
-    for member, row in zip(members, counts.accepted):
-        if _bound_table(member, dataset) and member._accepted_cells is None:
-            row = row.copy()
-            row.setflags(write=False)
-            member._accepted_cells = row
+    for member, row, stored, b in zip(members, counts.accepted, rows, bound):
+        if b and stored is None:
+            member._accepted_cells = _read_only(row.copy())
     return counts
 
 

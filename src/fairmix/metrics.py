@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -22,6 +22,7 @@ import numpy as np
 from .dataset import (
     Dataset,
     _as_given,
+    _read_only,
     check_group,
     check_length,
     check_predictions,
@@ -74,33 +75,44 @@ class CellCounts:
     (z1,y-), (z1,y+). ``accepted[j, k]`` counts the instances of cell k
     that row j accepts and ``sizes[k]`` counts the cell. Every group
     rate and the accuracy of a row, and of any random mixture of rows,
-    follow from these integers.
+    follow from these integers, held as read-only copies: each rate is kept once computed.
     """
 
     accepted: np.ndarray
     sizes: np.ndarray
+    _rates: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("accepted", "sizes"):
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
 
     def counts(self, kind: MetricKind, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-row integer (numerator, denominator) of a group rate."""
         check_kind(kind)
         check_group(z)
-        k = 2 * z
-        acc_neg, acc_pos = self.accepted[:, k], self.accepted[:, k + 1]
-        size_neg, size_pos = np.broadcast_to(self.sizes[k:k + 2], (len(acc_neg), 2)).T
-        rej_neg, rej_pos = size_neg - acc_neg, size_pos - acc_pos
-        return {
-            MetricKind.ACCEPTANCE_RATE: (acc_neg + acc_pos, size_neg + size_pos),
-            MetricKind.TPR: (acc_pos, size_pos),
-            MetricKind.TNR: (rej_neg, size_neg),
-            MetricKind.PPV: (acc_pos, acc_neg + acc_pos),
-            MetricKind.NPV: (rej_neg, rej_neg + rej_pos),
-        }[kind]
+        acc_neg, acc_pos = self.accepted[:, 2 * z], self.accepted[:, 2 * z + 1]
+        size_neg, size_pos = self.sizes[2 * z], self.sizes[2 * z + 1]
+        if kind is MetricKind.PPV:
+            return acc_pos, acc_neg + acc_pos
+        if kind is MetricKind.NPV:
+            return size_neg - acc_neg, (size_neg - acc_neg) + (size_pos - acc_pos)
+        if kind is MetricKind.ACCEPTANCE_RATE:
+            num, den = acc_neg + acc_pos, size_neg + size_pos
+        elif kind is MetricKind.TPR:
+            num, den = acc_pos, size_pos
+        else:  # TNR
+            num, den = size_neg - acc_neg, size_neg
+        return num, np.full(len(num), den)
 
     def rates(self, kind: MetricKind, z: int) -> np.ndarray:
-        """Per-row group rates; NaN where the conditioning set is empty."""
-        num, den = self.counts(kind, z)
-        with np.errstate(invalid="ignore"):
-            return num / den
+        """Per-row group rates, read-only; NaN where the conditioning set is empty."""
+        check_kind(kind)
+        check_group(z)  # before the lookup: 1.0 and True would find the key of 1
+        if (kind, z) not in self._rates:
+            num, den = self.counts(kind, z)
+            with np.errstate(invalid="ignore"):
+                self._rates[kind, z] = _read_only(num / den)
+        return self._rates[kind, z]
 
     def gaps(self, kind: MetricKind) -> np.ndarray:
         """Per-row ``rate(z=0) - rate(z=1)``; NaN where either is undefined."""
@@ -146,6 +158,13 @@ def cell_index(dataset: Dataset) -> np.ndarray:
     return 2 * dataset.sensitive + (dataset.labels == 1)
 
 
+def cell_sizes(dataset: Dataset) -> np.ndarray:
+    """The dataset's four cell sizes, read-only, counted once and kept on it."""
+    if dataset._cell_sizes is None:
+        dataset._cell_sizes = _read_only(np.bincount(cell_index(dataset), minlength=4))
+    return dataset._cell_sizes
+
+
 def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
     """Count an (M, N) boolean accept matrix into the four (z, y) cells."""
     cell = cell_index(dataset)
@@ -155,7 +174,7 @@ def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
     accepted = np.empty((len(bits), 4), dtype=np.intp)
     for k in range(4):
         accepted[:, k] = np.bitwise_count(bits & np.packbits(cell == k)).sum(axis=1)
-    return CellCounts(accepted, np.bincount(cell, minlength=4))
+    return CellCounts(accepted, cell_sizes(dataset))
 
 
 def defined(value) -> Optional[float]:

@@ -30,7 +30,7 @@ from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
 from .metrics import (
-    CellCounts, LINEAR_KINDS, MetricKind, cell_index, check_kind, check_tolerance,
+    CellCounts, LINEAR_KINDS, MetricKind, cell_index, cell_sizes, check_kind, check_tolerance,
 )
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
@@ -159,8 +159,7 @@ def solve_fair_mixture(
             tolerance=tolerance,
             iterations=result.iterations,
         )
-    weights = np.asarray(result.x, dtype=float)
-    weights = weights / weights.sum()  # simplex row holds within 1e-9; make it exact
+    weights = result.x / result.x.sum()  # simplex row holds within 1e-9; make it exact
     Ensemble(members, weights)  # rejects weights that are not a distribution
     accuracy = counts.mixed_accuracy(weights)
     gaps = {}
@@ -377,7 +376,7 @@ def best_fair_single_threshold(
         in_cell = np.sort(x[cell == k])
         accepted[0::2, k] = in_cell.size - np.searchsorted(in_cell, candidates, "left")
         accepted[1::2, k] = np.searchsorted(in_cell, candidates, "right")
-    counts = CellCounts(accepted, np.bincount(cell, minlength=4))
+    counts = CellCounts(accepted, cell_sizes(dataset))
     gaps = counts.gaps(MetricKind.ACCEPTANCE_RATE)
     fair = np.flatnonzero(~(np.isnan(gaps) | (np.abs(gaps) > tolerance)))
     if fair.size == 0:

@@ -91,7 +91,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    tableau -= factors[:, None] * tableau[row]  # np.outer's product, without its call
     basis[row] = col
 
 
@@ -99,16 +99,17 @@ def _run(tableau: np.ndarray, basis: np.ndarray, tol: float) -> tuple[bool, int]
     """Pivot to optimality. Returns (bounded, pivot_count)."""
     pivots = 0
     while True:
-        improving = np.flatnonzero(tableau[-1, :-1] < -tol)
-        if improving.size == 0:
+        improving = tableau[-1, :-1] < -tol
+        entering = int(improving.argmax())  # Bland: first improving column
+        if not improving[entering]:
             return True, pivots
-        entering = improving[0]  # Bland: first improving column
+        # on Python floats: the IEEE operations of numpy scalars, at less cost
+        column, rhs = tableau[:-1, entering].tolist(), tableau[:-1, -1].tolist()
         leaving = -1
         best = np.inf
-        for i in range(basis.shape[0]):
-            a = tableau[i, entering]
+        for i, a in enumerate(column):
             if a > tol:
-                ratio = tableau[i, -1] / a
+                ratio = rhs[i] / a
                 # Bland on ties: keep the row whose basic variable has
                 # the smallest index
                 if ratio < best - tol or (

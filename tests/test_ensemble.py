@@ -178,6 +178,49 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ens.weights[0] = 0.5
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            *(
+                np.insert(np.full(4, 0.25), pos, bad)
+                for bad in (np.nan, np.inf, -np.inf)
+                for pos in (0, 2, 4)
+            ),
+            np.array([0.5, np.nan, 0.25, np.inf, 0.25]),
+            np.array([0.5, -np.inf, 0.25, np.nan, 0.25]),
+            np.array([0.5, -0.25, 0.75]),
+            np.array([0.5, 0.6]),
+            np.array([0.2, 0.3, 0.5]),
+            np.array([-0.0, 1.0]),
+            np.array(0.5),
+            np.array(np.nan),
+            np.array([[0.5, 0.5]]),
+            np.array([[0.5, np.nan]]),
+        ],
+        ids=lambda w: repr(w.tolist()),
+    )
+    def test_float_array_checked_as_its_list(self, rng, weights):
+        # a float64 vector is checked in one pass, its list element by
+        # element; both must reach the same verdict with the same message
+        ds = make_random_dataset(rng, 8)
+        members = make_random_members(rng, ds, weights.size if weights.ndim == 1 else 2)
+        outcomes = []
+        for given in (weights, weights.tolist()):
+            try:
+                outcomes.append(Ensemble(members, given).weights.tobytes())
+            except FairmixError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_float_array_copied(self, rng):
+        ds = make_random_dataset(rng, 8)
+        w = np.array([0.125, 0.375, 0.5])
+        ens = Ensemble(make_random_members(rng, ds, 3), w)
+        w[:] = np.nan
+        assert ens.weights.tolist() == [0.125, 0.375, 0.5]
+        with pytest.raises(ValueError):  # a view of a frozen copy, for good
+            ens.weights.setflags(write=True)
+
     def test_uniform(self, rng):
         ds = make_random_dataset(rng, 8)
         ens = Ensemble(make_random_members(rng, ds, 4), np.full(4, 0.25))
@@ -452,8 +495,10 @@ class TestStoredCounts:
         counts = member_counts(members, ds)  # counted, then stored
         accepted, sizes = counts.accepted.copy(), counts.sizes.copy()
         for _ in range(2):  # the counted result, then a stacked one
-            counts.accepted[:] = -7
-            counts.sizes[:] = -7
+            # a result's arrays are read-only, so the write itself is refused
+            for array in (counts.accepted, counts.sizes):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:] = -7
             counts = member_counts(members, ds)
             assert np.array_equal(counts.accepted, accepted)
             assert np.array_equal(counts.sizes, sizes)

@@ -25,6 +25,7 @@ from fairmix import (
     build_counterfactual_pairs,
     classifier_report,
     dispersion,
+    ensemble_group_rate,
     fairness_gap,
     group_indices,
     indicator_profile,
@@ -36,6 +37,7 @@ from fairmix.errors import FairmixError
 from fairmix.metrics import (
     LINEAR_KINDS,
     RATIO_KINDS,
+    CellCounts,
     cell_counts,
     cell_index,
     mixture_report,
@@ -187,6 +189,79 @@ class TestCellCountsDifferential:
                 assert np.array_equal(result.per_draw_rates[z], expected)
             else:
                 assert result.per_draw_rates[z] is None
+
+
+class TestFrozenCounts:
+    """A ``CellCounts`` holds read-only copies, so its memoized rates stay true."""
+
+    def counted(self):
+        rng = np.random.default_rng(4)
+        ds = Dataset.from_arrays(
+            np.zeros((40, 1)), rng.choice((-1, 1), size=40), np.arange(40) % 2
+        )
+        return cell_counts(rng.random((5, 40)) < 0.5, ds)
+
+    def test_arrays_reject_writes(self):
+        counts = self.counted()
+        for array in (counts.accepted, counts.sizes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+
+    def test_caller_arrays_are_copied_not_frozen(self):
+        accepted, sizes = np.array([[1, 2, 3, 4]]), np.array([2, 4, 6, 8])
+        counts = CellCounts(accepted, sizes)
+        accepted[:] = 0
+        sizes[:] = 1  # the caller's arrays stay writeable, and count for nothing
+        assert counts.accepted.tolist() == [[1, 2, 3, 4]]
+        assert counts.rates(MetricKind.TPR, 1).tolist() == [0.5]
+
+    @pytest.mark.parametrize("kind", list(MetricKind))
+    def test_repeated_rates_equal_and_read_only(self, kind):
+        counts = self.counted()
+        for z in (0, 1, np.int64(1)):
+            first = counts.rates(kind, z)
+            again = counts.rates(kind, z)
+            num, den = counts.counts(kind, z)
+            assert again is first  # computed once per instance
+            assert first.tobytes() == (num / den).tobytes()
+            for rates in (first, again):
+                with pytest.raises(ValueError, match="read-only"):
+                    rates[0] = 0.5
+                with pytest.raises(ValueError):
+                    rates.setflags(write=True)
+
+
+class TestGroupArgument:
+    """A group is the integer 0 or 1, a numpy one included, as ``check_integer``
+    reads integers: a bool or a float is rejected, not used as an index."""
+
+    @staticmethod
+    def calls():
+        ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
+        member = TableClassifier([1, -1], ds)
+        counts = vector_counts(np.array([1, -1]), ds)
+        ens = Ensemble([member], [1.0])
+        return [
+            lambda z: counts.counts(MetricKind.TPR, z),
+            lambda z: counts.rates(MetricKind.TPR, z),
+            lambda z: group_indices(ds, z),
+            lambda z: ensemble_group_rate(ens, MetricKind.TPR, ds, z),
+        ]
+
+    @pytest.mark.parametrize(
+        "z", [1.0, 0.0, True, False, np.float64(1.0), np.True_, np.array(1), "1", None, 2, -1]
+    )
+    def test_rejected(self, z):
+        for call in self.calls():
+            with pytest.raises(FairmixError, match=re.escape(f"sensitive value must be 0 or 1, got {z!r}")):
+                call(z)
+
+    @pytest.mark.parametrize("z", [np.int8(1), np.uint64(0), np.intp(1)])
+    def test_numpy_integers_pass(self, z):
+        for call, plain in zip(self.calls(), self.calls()):
+            assert repr(call(z)) == repr(plain(int(z)))
 
 
 class TestPredictionValues:

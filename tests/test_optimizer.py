@@ -269,6 +269,92 @@ class TestSolveFairMixture:
         assert doc["post_hoc_gaps"].keys() == {"ppv", "npv"}
 
 
+def sweep_instance(seed=21, n=3000, m=120, d=4):
+    """A seeded curve instance shaped like the benchmark's: equal groups with
+    equal positives, and noisy linear members that favour one group."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    z = rng.permutation(np.arange(n) % 2)
+    beta = rng.normal(size=d) * 2.0
+    like = 1 / (1 + np.exp(-(x @ beta)))
+    y = np.full(n, -1)
+    for g in (0, 1):
+        idx = np.flatnonzero(z == g)
+        p = like[idx] / like[idx].sum()
+        y[rng.choice(idx, int(0.45 * idx.size), replace=False, p=p)] = 1
+    side = (1 - 2 * z)[:, None]
+    a = beta[:, None] + rng.normal(scale=0.7, size=(d, m))
+    score = (x @ a) * (1 + side * rng.normal(scale=0.5, size=m))
+    score += side * rng.normal(scale=0.3, size=m)
+    score += rng.normal(scale=0.3, size=m) + rng.normal(scale=0.5, size=(n, m))
+    ds = Dataset.from_arrays(x, y, z)
+    return ds, [TableClassifier(np.where(col >= 0, 1, -1), ds) for col in score.T]
+
+
+#: Per tolerance of ``np.geomspace(5e-4, 0.1, 8)``: iterations, accuracy,
+#: the (acceptance_rate, tpr, tnr) gaps, the (ppv, npv) post-hoc gaps and
+#: the nonzero weights by member index, all as ``float.hex``.
+SWEEP_PIN = [
+    (21, '0x1.98eb5ae661d26p-1',
+     ('0x1.a36e2eb1c0000p-15', '-0x1.0624dd2f1ac00p-11', '-0x1.0624dd2f1ac00p-11'),
+     ('-0x1.084b92f5c2c00p-11', '-0x1.fa22359128800p-12'),
+     {55: '0x1.bf482ce6f0b11p-4', 114: '0x1.55875d778df35p-2', 117: '0x1.1d534ba75af04p-1'}),
+    (21, '0x1.98f0857b4da42p-1',
+     ('0x1.bf0acaca04000p-14', '-0x1.1766bebe42a00p-10', '-0x1.1766bebe42a00p-10'),
+     ('-0x1.19919d6377000p-10', '-0x1.0dd7351501800p-10'),
+     {55: '0x1.7ce6ced8b6b37p-4', 114: '0x1.6049581864ce0p-2', 117: '0x1.203e7a18b6c29p-1'}),
+    (21, '0x1.98fb88c7c3d0ep-1',
+     ('0x1.dc78bd4ed8000p-13', '-0x1.29cb765147700p-9', '-0x1.29cb765147800p-9'),
+     ('-0x1.2bd20b5cd6600p-9', '-0x1.1fdd39ed92100p-9'),
+     {55: '0x1.decd58d15a666p-5', 114: '0x1.7737e64d397e0p-2', 117: '0x1.2677374c4d9aap-1'}),
+    (21, '0x1.990ea0a000fe9p-1',
+     ('0x1.f68b7d35ffc00p-11', '-0x1.f0ac3be9d6e00p-9', '-0x1.3d662954a9480p-8'),
+     ('-0x1.2f7da42106700p-8', '-0x1.f656b24b00700p-9'),
+     {114: '0x1.a36a530ba7978p-2', 117: '0x1.2e4ad67a2c344p-1'}),
+    (24, '0x1.991363453c672p-1',
+     ('0x1.a3d7d80e60d80p-8', '0x1.a82d0ff17ba00p-10', '-0x1.524b3fe002a80p-7'),
+     ('-0x1.f8159778b2900p-8', '-0x1.36d94146c0000p-12'),
+     {114: '0x1.db33535bd8bb2p-2', 117: '0x1.1266565213a27p-1'}),
+    (28, '0x1.991d8903116e0p-1',
+     ('0x1.27399d5dd9bc0p-6', '0x1.aebb58694d080p-7', '-0x1.689079f3ec5e0p-6'),
+     ('-0x1.d2b60ef467740p-7', '0x1.d8e410e291880p-8'),
+     {114: '0x1.290ecdfa20d74p-1', 117: '0x1.ade2640bbe517p-2'}),
+    (25, '0x1.99332a85944fbp-1',
+     ('0x1.5e66f639f0358p-5', '0x1.34f87106ea7c0p-5', '-0x1.804d061ddd9e0p-5'),
+     ('-0x1.d07940821af40p-6', '0x1.7b1fef6811c20p-6'),
+     {114: '0x1.a7cd26b102ee2p-1', 117: '0x1.60cb653bf4479p-3'}),
+    (29, '0x1.994237fa89e61p-1',
+     ('0x1.eb851eb851ec0p-5', '0x1.c10aff9ee8de0p-5', '-0x1.0723107231070p-4'),
+     ('-0x1.39c37d570c7d0p-5', '0x1.17f9f56d7fa00p-5'),
+     {114: '0x1.0000000000000p+0'}),
+]
+
+
+class TestSweepPin:
+    def test_curve_is_bit_for_bit(self):
+        # the values were taken from the solver before its bookkeeping was
+        # cut; any change to a pivot, a rate or a sum order moves a bit here
+        ds, members = sweep_instance()
+        tolerances = np.geomspace(5e-4, 0.1, 8).tolist()
+        for tol, pin in zip(tolerances, SWEEP_PIN):
+            sol = solve_fair_mixture(members, ds, ALL_LINEAR, tol)
+            assert sol.status is SolveStatus.OPTIMAL
+            weights = sol.weights.tolist()
+            got = (
+                sol.iterations,
+                sol.accuracy.hex(),
+                tuple(sol.gaps[k].hex() for k in ALL_LINEAR),
+                tuple(sol.post_hoc_gaps[k].hex() for k in (MetricKind.PPV, MetricKind.NPV)),
+                {i: w.hex() for i, w in enumerate(weights) if w},
+            )
+            assert got == pin, tol
+            assert all(w.hex() == "0x0.0p+0" for w in weights if not w)
+            # a second solve on the same members reads the stored counts
+            assert solve_fair_mixture(members, ds, ALL_LINEAR, tol).weights.tobytes() == (
+                sol.weights.tobytes()
+            )
+
+
 def recursive_compositions(total, parts):
     """The recursive generator the stars-and-bars lattice replaced."""
     if parts == 1:

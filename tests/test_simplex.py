@@ -282,7 +282,38 @@ def random_program(rng):
     return LinearProgram(c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
 
 
+def frontier_program(rng):
+    """An LP shaped like one fairness-curve solve: 50-256 member columns,
+    the simplex row, and k <= 3 pairs of +-gap rows at one tolerance."""
+    n, k = int(rng.integers(50, 257)), int(rng.integers(0, 4))
+    tol = float(rng.choice([0.0, 5e-4, 0.1]))
+    c = rng.uniform(0.5, 0.9, n)
+    gaps = rng.normal(scale=0.05, size=(k, n))
+    if rng.random() < 0.5:  # coarse values: repeated columns and tied ratios
+        c, gaps = np.round(c * 16) / 16, np.round(gaps * 64) / 64
+    a_ub = np.stack([gaps, -gaps], axis=1).reshape(2 * k, n)  # +g1, -g1, +g2, ...
+    return LinearProgram(
+        c, a_ub=a_ub, b_ub=np.full(2 * k, tol), a_eq=np.ones((1, n)), b_eq=[1.0]
+    )
+
+
 class TestAgainstLoopReference:
+    def test_wide_programs_same_pivots_and_bits(self):
+        rng = np.random.default_rng(21)
+        pivots_seen = []
+        for _ in range(60):
+            problem = frontier_program(rng)
+            status, x, objective, pivots = reference_simplex(problem)
+            res = simplex_solve(problem)
+            assert (res.status, res.iterations) == (status, pivots)
+            assert res.objective == objective
+            assert (res.x is None) == (x is None)
+            if x is not None:
+                assert res.x.tobytes() == x.tobytes()
+            pivots_seen.append(pivots)
+        # the ratio test must run many times at full width, not stop at once
+        assert sum(pivots_seen) > 60 * 8
+
     def test_same_pivots_and_bits(self):
         rng = np.random.default_rng(16)
         statuses = []
