@@ -75,12 +75,13 @@ class CellCounts:
     (z1,y-), (z1,y+). ``accepted[j, k]`` counts the instances of cell k
     that row j accepts and ``sizes[k]`` counts the cell. Every group
     rate and the accuracy of a row, and of any random mixture of rows,
-    follow from these integers, held as read-only copies: each rate is kept once computed.
+    follow from these integers, held as read-only copies; each rate, gap
+    and accuracy array is kept, read-only, once computed.
     """
 
     accepted: np.ndarray
     sizes: np.ndarray
-    _rates: dict = field(default_factory=dict, init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("accepted", "sizes"):
@@ -108,21 +109,26 @@ class CellCounts:
         """Per-row group rates, read-only; NaN where the conditioning set is empty."""
         check_kind(kind)
         check_group(z)  # before the lookup: 1.0 and True would find the key of 1
-        if (kind, z) not in self._rates:
+        if (kind, z) not in self._cache:
             num, den = self.counts(kind, z)
             with np.errstate(invalid="ignore"):
-                self._rates[kind, z] = _read_only(num / den)
-        return self._rates[kind, z]
+                self._cache[kind, z] = _read_only(num / den)
+        return self._cache[kind, z]
 
     def gaps(self, kind: MetricKind) -> np.ndarray:
-        """Per-row ``rate(z=0) - rate(z=1)``; NaN where either is undefined."""
-        return self.rates(kind, 0) - self.rates(kind, 1)
+        """Per-row ``rate(z=0) - rate(z=1)``, read-only; NaN where either is undefined."""
+        check_kind(kind)  # before the lookup: a list has no hash
+        if kind not in self._cache:
+            self._cache[kind] = _read_only(self.rates(kind, 0) - self.rates(kind, 1))
+        return self._cache[kind]
 
     def accuracies(self) -> np.ndarray:
-        """Per-row fraction of instances predicted correctly."""
-        a, s = self.accepted, self.sizes
-        correct = a[:, 1] + a[:, 3] + (s[0] - a[:, 0]) + (s[2] - a[:, 2])
-        return correct / int(s.sum())
+        """Per-row fraction of instances predicted correctly, read-only."""
+        if None not in self._cache:
+            a, s = self.accepted, self.sizes
+            correct = a[:, 1] + a[:, 3] + (s[0] - a[:, 0]) + (s[2] - a[:, 2])
+            self._cache[None] = _read_only(correct / int(s.sum()))
+        return self._cache[None]
 
     def mixed_rate(self, weights, kind: MetricKind, z: int) -> Optional[float]:
         """Group rate of the random mixture ``weights`` over the rows.

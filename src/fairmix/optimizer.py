@@ -116,14 +116,18 @@ def build_mixture_program(
 
     Every program built here includes the row sum(p) = 1; each
     constrained kind contributes the pair +/- (sum_j p_j gap_j) <= tol.
-    A tolerance of infinity drops the gap rows entirely. The rows follow
-    the order of ``constrained``.
+    A tolerance above 1 (infinity too) drops the gap rows, as no gap in
+    [-1, 1] can reach it. The rows follow the order of ``constrained``.
     """
     _constrained_kinds(constrained, tolerance)
+    return _program(counts, constrained, tolerance, objective)
+
+
+def _program(counts: CellCounts, constrained, tolerance: float, objective: Objective):
     m = counts.accepted.shape[0]
     c = counts.accuracies() if objective is Objective.MAX_ACCURACY else np.zeros(m)
     gap_rows = _gap_rows(counts, constrained)  # rejects undefined gaps even at inf
-    if not math.isfinite(tolerance):
+    if tolerance > 1:  # a sum of bounds near the float maximum would overflow phase 1
         gap_rows = []
     a_ub = [row for gaps in gap_rows for row in (gaps, -gaps)]
     b_ub = [tolerance] * len(a_ub)
@@ -145,45 +149,35 @@ def solve_fair_mixture(
     1e-9, otherwise this raises rather than returning a bad certificate.
     """
     constrained = _constrained_kinds(constrained, tolerance)
+    members = tuple(members)  # an iterator is read once
     counts = member_counts(members, dataset)
-    program = build_mixture_program(counts, constrained, tolerance, objective)
-    result: SimplexResult = simplex_solve(program)
-    if result.status is not SolveStatus.OPTIMAL:
-        return MixtureSolution(
-            status=result.status,
-            weights=None,
-            accuracy=None,
-            gaps={},
-            post_hoc_gaps={},
-            objective=objective,
-            tolerance=tolerance,
-            iterations=result.iterations,
-        )
-    weights = result.x / result.x.sum()  # simplex row holds within 1e-9; make it exact
-    Ensemble(members, weights)  # rejects weights that are not a distribution
-    accuracy = counts.mixed_accuracy(weights)
-    gaps = {}
-    for kind in constrained:
-        g = counts.mixed_gap(weights, kind)
-        if g is None or abs(g) > tolerance + VALIDATION_TOLERANCE:
+    result: SimplexResult = simplex_solve(_program(counts, constrained, tolerance, objective))
+    weights, accuracy, gaps, post_hoc = None, None, {}, {}
+    if result.status is SolveStatus.OPTIMAL:
+        weights = result.x / result.x.sum()  # simplex row holds within 1e-9; make it exact
+        Ensemble(members, weights)  # rejects weights that are not a distribution
+        accuracy = counts.mixed_accuracy(weights)
+        for kind in constrained:
+            g = counts.mixed_gap(weights, kind)
+            if g is None or abs(g) > tolerance + VALIDATION_TOLERANCE:
+                raise FairmixError(
+                    f"solver returned weights violating the {kind} constraint: "
+                    f"gap {g!r} vs tolerance {tolerance!r}"
+                )
+            gaps[kind] = g
+        if objective is Objective.MAX_ACCURACY and abs(accuracy - result.objective) > (
+            VALIDATION_TOLERANCE
+        ):
             raise FairmixError(
-                f"solver returned weights violating the {kind} constraint: "
-                f"gap {g!r} vs tolerance {tolerance!r}"
+                f"LP objective {result.objective!r} disagrees with recomputed "
+                f"mixture accuracy {accuracy!r}"
             )
-        gaps[kind] = g
-    if objective is Objective.MAX_ACCURACY and abs(accuracy - result.objective) > (
-        VALIDATION_TOLERANCE
-    ):
-        raise FairmixError(
-            f"LP objective {result.objective!r} disagrees with recomputed "
-            f"mixture accuracy {accuracy!r}"
-        )
-    post_hoc = {
-        kind: counts.mixed_gap(weights, kind)
-        for kind in (MetricKind.PPV, MetricKind.NPV)
-    }
+        post_hoc = {
+            kind: counts.mixed_gap(weights, kind)
+            for kind in (MetricKind.PPV, MetricKind.NPV)
+        }
     return MixtureSolution(
-        status=SolveStatus.OPTIMAL,
+        status=result.status,
         weights=weights,
         accuracy=accuracy,
         gaps=gaps,
@@ -255,6 +249,7 @@ def grid_oracle(
     smallest weight vector, which makes the result independent of any
     enumeration partitioning.
     """
+    members = tuple(members)  # an iterator is read once
     m = len(members)
     if m > GRID_MAX_MEMBERS:
         raise FairmixError(

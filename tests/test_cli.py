@@ -8,6 +8,7 @@ codes under test: 0 success, 1 input error, 2 infeasible, 3 not found.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import fairmix
 from fairmix import (
     DataFormatError,
     Dataset,
+    MetricKind,
     TableClassifier,
     build_counterfactual_pairs,
     classifier_report,
@@ -415,6 +417,21 @@ class TestSolveCommands:
         assert err == (
             "fairmix: error: out of memory: Unable to allocate 3.47 EiB for an array\n"
         )
+
+    def test_tolerance_no_gap_reaches_is_unconstrained(self, fig2_dir, capsys):
+        data, preds = str(fig2_dir / "dataset.csv"), str(fig2_dir / "predictions.csv")
+        names = ["acceptance_rate", "tpr", "tnr"]
+        flags = [arg for name in names for arg in ("--metric", name)]
+        code, out, _ = run(["optimize", data, preds, *flags, "--verify", "--tol", "1e308"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["oracle"]["consistent"] is True
+        ds = load_dataset(data)
+        kinds = [MetricKind(name) for name in names]
+        want = optimizer.solve_fair_mixture(load_prediction_matrix(preds, ds), ds, kinds, math.inf)
+        keys = ("status", "weights", "accuracy", "gaps")  # not the tolerance: JSON has no inf
+        want = json.loads(jsonio.dumps({key: want.to_json_dict()[key] for key in keys}))
+        assert {key: doc[key] for key in keys} == want
 
     def test_mix_reports_feasibility_objective(self, fig2_dir, capsys):
         code, out, _ = run(

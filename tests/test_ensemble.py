@@ -33,9 +33,12 @@ from fairmix import (
     solve_fair_mixture,
 )
 from fairmix import ensemble as ensemble_mod
+from fairmix import metrics
+from fairmix.classifiers import prediction_matrix
 from fairmix import Dataset, TableClassifier, build_counterfactual_pairs
 from fairmix.dataset import twin_pairs
 from fairmix.ensemble import GENERATOR_NAME
+from fairmix.metrics import CellCounts
 
 from conftest import (
     make_grid_ensemble,
@@ -470,8 +473,9 @@ class TestStoredCounts:
         members = make_random_members(rng, ds, 3)
         member_counts(members, ds)
         other = Dataset.from_arrays(ds.features + 1.0, ds.labels, ds.sensitive)
-        with pytest.raises(CompatibilityError, match="not bound to"):
-            member_counts(members, other)
+        for other in (other, "not a dataset"):
+            with pytest.raises(CompatibilityError, match="not bound to"):
+                member_counts(members, other)
 
     def test_non_classifier_still_named_by_position(self, rng):
         ds = make_random_dataset(rng, 40)
@@ -503,7 +507,54 @@ class TestStoredCounts:
             assert np.array_equal(counts.accepted, accepted)
             assert np.array_equal(counts.sizes, sizes)
 
-    def test_tolerance_sweep_equals_solves_on_fresh_tables(self):
+    STEPS = ("same", "copy", "swap in place", "permutation", "sub-list", "linear",
+             "rebuilt", "twin-bound")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(STEPS), min_size=1, max_size=10), st.integers(0, 2**32 - 1))
+    def test_kept_table_is_invisible_in_results(self, steps, seed):
+        """Any sequence of calls gives what a fresh count gives, and only the
+        same member objects, in the same order, get the kept table back."""
+        rng = np.random.default_rng(seed)
+        ds = make_random_dataset(rng, 30)
+        twin = Dataset.from_arrays(ds.features, ds.labels, ds.sensitive)
+        rows = [m.predictions for m in make_random_members(rng, ds, 5)]
+        base = [TableClassifier(row, ds) for row in rows]
+        current, kept, results = base, None, []  # kept: the last all-table tuple, its result
+        for step in steps:
+            if step == "copy":
+                current = list(current)
+            elif step == "swap in place" and len(current) > 1:
+                current[0], current[-1] = current[-1], current[0]
+            elif step == "permutation":
+                current = [base[i] for i in rng.permutation(len(base))]
+            elif step == "sub-list":
+                current = base[: int(rng.integers(1, len(base) + 1))]
+            elif step == "linear":
+                current = [*base, LinearClassifier((1.0, -1.0))]
+            elif step == "rebuilt":
+                current = [TableClassifier(row, ds) for row in rows]
+            elif step == "twin-bound":
+                current = [TableClassifier(row, twin) for row in rows]
+            got = member_counts(current, ds)
+            fresh = metrics.cell_counts(prediction_matrix(current, ds) == 1, ds)
+            assert got.accepted.dtype == fresh.accepted.dtype
+            assert np.array_equal(got.accepted, fresh.accepted)
+            assert np.array_equal(got.sizes, fresh.sizes)
+            for kind in MetricKind:
+                assert np.array_equal(got.gaps(kind), fresh.gaps(kind), equal_nan=True)
+            assert np.array_equal(got.accuracies(), fresh.accuracies())
+            same = kept is not None and len(kept[0]) == len(current)
+            same = same and all(a is b for a, b in zip(kept[0], current))
+            if same:
+                assert got is kept[1]
+            else:
+                assert all(got is not r for r in results)
+            results.append(got)
+            if all(isinstance(m, TableClassifier) and m.dataset is ds for m in current):
+                kept = tuple(current), got
+
+    def test_tolerance_sweep_equals_solves_on_fresh_tables(self, monkeypatch):
         # a small frontier: equal groups and base rates, members that err
         # at different rates per group, and the two constant rules (every
         # gap zero) so every tolerance is feasible
@@ -516,9 +567,21 @@ class TestStoredCounts:
         rows = [*np.where(flips, -labels, labels), np.ones(n), -np.ones(n)]
         members = [TableClassifier(row, ds) for row in rows]
         kinds = [MetricKind.ACCEPTANCE_RATE, MetricKind.TPR, MetricKind.TNR]
+        tolerances = np.geomspace(5e-4, 0.1, 8)
+        built = []
+        post_init = CellCounts.__post_init__
+
+        def counting(counts):
+            built.append(counts)
+            post_init(counts)
+
+        monkeypatch.setattr(CellCounts, "__post_init__", counting)
+        sweep = [solve_fair_mixture(members, ds, kinds, t) for t in tolerances]
+        assert len(built) == 1  # the first solve counts; the rest share its table
+        assert member_counts(members, ds) is built[0]
+        monkeypatch.undo()
         statuses = set()
-        for tolerance in np.geomspace(5e-4, 0.1, 8):
-            got = solve_fair_mixture(members, ds, kinds, tolerance)
+        for tolerance, got in zip(tolerances, sweep):
             fresh = [TableClassifier(row, ds) for row in rows]
             want = solve_fair_mixture(fresh, ds, kinds, tolerance)
             assert got.weights.tobytes() == want.weights.tobytes()

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -153,6 +154,41 @@ class TestSolveFairMixture:
         assert sol.weights == pytest.approx([1.0, 0.0], abs=1e-9)
         assert sol.accuracy == pytest.approx(1.0)
         assert sol.tolerance == math.inf
+
+    @pytest.mark.parametrize("kinds", [ALL_LINEAR, [MetricKind.TPR]], ids=["three", "one"])
+    @pytest.mark.parametrize("tolerance", [1.5, 3e307, 9e307, sys.float_info.max])
+    def test_tolerance_no_gap_reaches_solves_as_infinity(self, rng, kinds, tolerance):
+        # every gap lies in [-1, 1]; summed bounds near the float maximum
+        # would overflow phase 1 and read as infeasible
+        for _ in range(5):
+            ds = make_random_dataset(rng, 30)
+            members = make_random_members(rng, ds, 4)
+            got = solve_fair_mixture(members, ds, kinds, tolerance)
+            want = solve_fair_mixture(members, ds, kinds, math.inf)
+            assert got.status is SolveStatus.OPTIMAL
+            assert got.weights.tobytes() == want.weights.tobytes()
+            assert got.accuracy == want.accuracy
+            assert got.gaps == want.gaps
+            assert got.tolerance == tolerance
+
+    def test_tolerance_one_keeps_its_gap_rows(self, rng):
+        ds = make_random_dataset(rng, 30)
+        counts = member_counts(make_random_members(rng, ds, 3), ds)
+        for tolerance, rows in ((1.0, 6), (np.nextafter(1.0, 2.0), 0)):
+            program = build_mixture_program(counts, ALL_LINEAR, tolerance, Objective.MAX_ACCURACY)
+            assert program.a_ub.shape == (rows, 3)
+
+    def test_members_may_be_an_iterator(self, rng):
+        ds = make_random_dataset(rng, 30)
+        members = make_random_members(rng, ds, 3)
+        want = member_counts(list(members), ds)
+        got = member_counts(iter(list(members)), ds)
+        assert np.array_equal(got.accepted, want.accepted)
+        for solve in (
+            lambda ms: solve_fair_mixture(ms, ds, ALL_LINEAR, 0.5),
+            lambda ms: grid_oracle(ms, ds, ALL_LINEAR, 0.5, 10),
+        ):
+            assert solve(iter(members)).to_json_dict() == solve(members).to_json_dict()
 
     def test_infeasible(self):
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
