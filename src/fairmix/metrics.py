@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -76,7 +78,8 @@ class CellCounts:
     that row j accepts and ``sizes[k]`` counts the cell. Every group
     rate and the accuracy of a row, and of any random mixture of rows,
     follow from these integers, held as read-only copies; each rate, gap
-    and accuracy array is kept, read-only, once computed.
+    and accuracy array, and each ratio kind's (hits, size) rows, is kept,
+    read-only, once computed.
     """
 
     accepted: np.ndarray
@@ -138,21 +141,32 @@ class CellCounts:
         size under the random draw. ``None`` when undefined. One row with
         weight 1 gives exactly that row's own rate.
         """
+        check_kind(kind)  # before the set lookup: a list has no hash
         if kind in LINEAR_KINDS:
             # every row has the same conditioning set, so the rates are
             # all defined or all NaN
             return defined(np.dot(weights, self.rates(kind, z)))
-        hits, size = self.counts(kind, z)
-        # summed strictly in row order, so the value does not move with
-        # numpy's pairwise or BLAS summation order
-        hits = np.cumsum(weights * hits)[-1]
-        size = np.cumsum(weights * size)[-1]
-        return None if size == 0.0 else float(hits / size)
+        check_group(z)
+        return self._mixed_ratios(weights, kind)[z]
 
     def mixed_gap(self, weights, kind: MetricKind) -> Optional[float]:
         """``mixed_rate(z=0) - mixed_rate(z=1)``; ``None`` if either is undefined."""
-        r0, r1 = (self.mixed_rate(weights, kind, z) for z in (0, 1))
+        check_kind(kind)
+        if kind in LINEAR_KINDS:
+            r0, r1 = (defined(np.dot(weights, self.rates(kind, z))) for z in (0, 1))
+        else:
+            r0, r1 = self._mixed_ratios(weights, kind)
         return None if r0 is None or r1 is None else r0 - r1
+
+    def _mixed_ratios(self, weights, kind: MetricKind) -> list:
+        """``mixed_rate`` of a ratio kind at z=0 and z=1."""
+        if (kind, "terms") not in self._cache:  # (4, M): hits, size at z=0, then z=1
+            terms = [t for z in (0, 1) for t in self.counts(kind, z)]
+            self._cache[kind, "terms"] = _read_only(np.array(terms))
+        # each row summed strictly in row order, so the value does not move
+        # with numpy's pairwise or BLAS summation order
+        sums = np.cumsum(weights * self._cache[kind, "terms"], axis=1)[:, -1].tolist()
+        return [None if s == 0.0 else h / s for h, s in zip(sums[0::2], sums[1::2])]
 
     def mixed_accuracy(self, weights) -> float:
         """Accuracy of the mixture: the weighted average of row accuracies."""
@@ -264,7 +278,14 @@ def _index_pairs(pairs: Pairs, n: int) -> np.ndarray:
 
 
 def check_tolerance(tolerance: float) -> None:
-    """Raise unless ``tolerance`` is >= 0; NaN is rejected, infinity allowed."""
+    """Raise unless ``tolerance`` is a real number >= 0; NaN, a bool and an
+    integer past the float range are rejected, infinity allowed."""
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+        raise FairmixError(f"tolerance must be a real number, got {tolerance!r}")
+    # the decimal text of such an integer can exceed str()'s limit
+    if isinstance(tolerance, numbers.Integral) and abs(tolerance) > sys.float_info.max:
+        bits = int(tolerance).bit_length()
+        raise FairmixError(f"tolerance is an integer of {bits} bits, past the float range")
     if not tolerance >= 0:  # also rejects NaN
         raise FairmixError(f"tolerance must be >= 0, got {tolerance!r}")
 

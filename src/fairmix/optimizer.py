@@ -92,18 +92,18 @@ def _constrained_kinds(constrained, tolerance: float) -> list:
     return kinds
 
 
-def _gap_rows(counts: CellCounts, constrained: Sequence[MetricKind]) -> list:
-    """Per-member gap vector of each constrained kind, all defined."""
-    rows = []
-    for kind in constrained:
-        gaps = counts.gaps(kind)
-        undefined = np.flatnonzero(np.isnan(gaps))
-        if undefined.size:
-            raise FairmixError(
-                f"{kind} is undefined for member {undefined[0] + 1}; cannot constrain it"
-            )
-        rows.append(gaps)
-    return rows
+def _gap_rows(counts: CellCounts, constrained: Sequence[MetricKind]) -> np.ndarray:
+    """(K, M): each constrained kind's per-member gaps, all defined."""
+    rows = [counts.gaps(kind) for kind in constrained]
+    gaps = np.array(rows) if rows else np.empty((0, len(counts.accepted)))
+    if np.isnan(gaps).any():
+        for kind, row in zip(constrained, gaps):  # names the first kind at fault
+            undefined = np.flatnonzero(np.isnan(row))
+            if undefined.size:
+                raise FairmixError(
+                    f"{kind} is undefined for member {undefined[0] + 1}; cannot constrain it"
+                )
+    return gaps
 
 
 def build_mixture_program(
@@ -119,18 +119,23 @@ def build_mixture_program(
     A tolerance above 1 (infinity too) drops the gap rows, as no gap in
     [-1, 1] can reach it. The rows follow the order of ``constrained``.
     """
+    constrained = tuple(constrained)  # an iterator is read once
     _constrained_kinds(constrained, tolerance)
     return _program(counts, constrained, tolerance, objective)
 
 
 def _program(counts: CellCounts, constrained, tolerance: float, objective: Objective):
+    if not isinstance(objective, Objective):
+        raise FairmixError(f"objective must be an Objective, got {objective!r}")
     m = counts.accepted.shape[0]
     c = counts.accuracies() if objective is Objective.MAX_ACCURACY else np.zeros(m)
-    gap_rows = _gap_rows(counts, constrained)  # rejects undefined gaps even at inf
+    gaps = _gap_rows(counts, constrained)  # rejects undefined gaps even at inf
     if tolerance > 1:  # a sum of bounds near the float maximum would overflow phase 1
-        gap_rows = []
-    a_ub = [row for gaps in gap_rows for row in (gaps, -gaps)]
-    b_ub = [tolerance] * len(a_ub)
+        gaps = gaps[:0]
+    a_ub = np.empty((2 * len(gaps), m))  # rows +gaps, -gaps, kind by kind
+    a_ub[0::2] = gaps
+    np.negative(gaps, out=a_ub[1::2])
+    b_ub = np.full(len(a_ub), float(tolerance))
     return LinearProgram(c, a_ub, b_ub, a_eq=np.ones((1, m)), b_eq=np.array([1.0]))
 
 
@@ -271,7 +276,7 @@ def grid_oracle(
         gaps.append(n0 * d1 - n1 * d0)
         bound = r * int(np.abs(gaps[-1]).max())  # no |k.G| exceeds it
         if math.isfinite(tolerance):
-            bound = min(bound, math.floor(Fraction(tolerance + 1e-12) * (r * d0 * d1)))
+            bound = min(bound, math.floor(Fraction(float(tolerance) + 1e-12) * (r * d0 * d1)))
         bounds.append(bound)
     correct = sum(
         counts.counts(kind, z)[0] for kind in (MetricKind.TPR, MetricKind.TNR) for z in (0, 1)

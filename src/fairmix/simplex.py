@@ -32,10 +32,23 @@ class SolveStatus(enum.Enum):
         return self.value
 
 
+def _as_floats(a, name: str) -> np.ndarray:
+    """``a`` as a float array; raises for ragged rows or a non-numeric entry."""
+    try:
+        given = np.asarray(a)
+        if given.dtype.kind in "biufO":  # not text, which numpy would parse: "1.5" as 1.5
+            return given.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an entry float() rejects
+        pass
+    raise FairmixError(f"{name} has ragged rows or a non-numeric entry")
+
+
 def _as_matrix(a, n: int, name: str) -> np.ndarray:
     if a is None:
         return np.zeros((0, n))
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = np.atleast_2d(_as_floats(a, name))
+    if a.ndim > 2:
+        raise FairmixError(f"{name} must be a matrix, got {a.ndim} dimensions")
     if a.size == 0:
         return np.zeros((0, n))
     if a.shape[1] != n:
@@ -46,7 +59,7 @@ def _as_matrix(a, n: int, name: str) -> np.ndarray:
 def _as_vector(b, m: int, name: str) -> np.ndarray:
     if b is None:
         b = np.zeros(0)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    b = np.atleast_1d(_as_floats(b, name))
     if b.shape != (m,):
         raise FairmixError(f"{name} has shape {b.shape}, expected ({m},)")
     return b
@@ -58,7 +71,7 @@ class LinearProgram:
     __slots__ = ("c", "a_ub", "b_ub", "a_eq", "b_eq")
 
     def __init__(self, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-        c = np.atleast_1d(np.asarray(c, dtype=float))
+        c = np.atleast_1d(_as_floats(c, "c"))
         if c.ndim != 1 or c.shape[0] < 1:
             raise FairmixError("objective must be a non-empty vector")
         n = c.shape[0]
@@ -66,10 +79,11 @@ class LinearProgram:
         a_eq = _as_matrix(a_eq, n, "a_eq")
         b_ub = _as_vector(b_ub, a_ub.shape[0], "b_ub")
         b_eq = _as_vector(b_eq, a_eq.shape[0], "b_eq")
-        for name, arr in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
-                          ("a_eq", a_eq), ("b_eq", b_eq)):
-            if not np.all(np.isfinite(arr)):
-                raise FairmixError(f"{name} contains a non-finite entry")
+        arrays = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq}
+        if not np.isfinite(np.concatenate(list(arrays.values()), axis=None)).all():
+            for name, arr in arrays.items():  # names the first one at fault
+                if not np.isfinite(arr).all():
+                    raise FairmixError(f"{name} contains a non-finite entry")
         self.c = c
         self.a_ub, self.b_ub = a_ub, b_ub
         self.a_eq, self.b_eq = a_eq, b_eq
@@ -87,24 +101,29 @@ class SimplexResult:
     iterations: int
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
+def _pivot(tableau: np.ndarray, basis: list | np.ndarray, row: int, col: int) -> None:
+    pivot_row = tableau[row]
+    pivot_row /= pivot_row[col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]  # np.outer's product, without its call
+    tableau -= factors[:, None] * pivot_row  # np.outer's product, without its call
     basis[row] = col
 
 
-def _run(tableau: np.ndarray, basis: np.ndarray, tol: float) -> tuple[bool, int]:
-    """Pivot to optimality. Returns (bounded, pivot_count)."""
-    pivots = 0
+def _run(tableau: np.ndarray, basis: np.ndarray, tol: float, columns: int) -> tuple[bool, int]:
+    """Pivot to optimality, with the first ``columns`` columns as candidates to
+    enter and ``basis`` updated in place. Returns (bounded, pivot_count)."""
+    # views, taken once: each pivot writes the tableau in place
+    costs, body, rhs_column = tableau[-1, :columns], tableau[:-1], tableau[:-1, -1]
+    order = basis.tolist()  # the tie rule compares Python ints
+    pivots, bounded = 0, True
     while True:
-        improving = tableau[-1, :-1] < -tol
+        improving = costs < -tol
         entering = int(improving.argmax())  # Bland: first improving column
         if not improving[entering]:
-            return True, pivots
+            break
         # on Python floats: the IEEE operations of numpy scalars, at less cost
-        column, rhs = tableau[:-1, entering].tolist(), tableau[:-1, -1].tolist()
+        column, rhs = body[:, entering].tolist(), rhs_column.tolist()
         leaving = -1
         best = np.inf
         for i, a in enumerate(column):
@@ -114,14 +133,17 @@ def _run(tableau: np.ndarray, basis: np.ndarray, tol: float) -> tuple[bool, int]
                 # the smallest index
                 if ratio < best - tol or (
                     ratio < best + tol
-                    and (leaving < 0 or basis[i] < basis[leaving])
+                    and (leaving < 0 or order[i] < order[leaving])
                 ):
                     best = min(best, ratio)
                     leaving = i
         if leaving < 0:
-            return False, pivots
-        _pivot(tableau, basis, leaving, entering)
+            bounded = False
+            break
+        _pivot(tableau, order, leaving, entering)
         pivots += 1
+    basis[:] = order
+    return bounded, pivots
 
 
 def simplex_solve(problem: LinearProgram) -> SimplexResult:
@@ -137,10 +159,12 @@ def simplex_solve(problem: LinearProgram) -> SimplexResult:
     tableau = np.zeros((m + 1, n_cols + 1))
     tableau[:m_ub, :n] = problem.a_ub
     tableau[m_ub:m, :n] = problem.a_eq
-    tableau[:m_ub, n:real] = np.eye(m_ub)
+    # entry (i, j + i) of the flat tableau sits at j + i * (n_cols + 2): a
+    # strided view sets each identity block without building it
+    tableau.reshape(-1)[n :: n_cols + 2][:m_ub] = 1.0  # slack i: column n + i
     rhs = np.concatenate([problem.b_ub, problem.b_eq])
     tableau[np.flatnonzero(rhs < 0), :real] *= -1.0
-    tableau[:m, real:n_cols] = np.eye(m)
+    tableau.reshape(-1)[real :: n_cols + 2][:m] = 1.0  # artificial i: column real + i
     tableau[:m, -1] = np.abs(rhs)
     basis = np.arange(real, n_cols)
 
@@ -149,7 +173,7 @@ def simplex_solve(problem: LinearProgram) -> SimplexResult:
     tableau[-1, real:n_cols] = 1.0
     tableau[-1] -= tableau[:m].sum(axis=0)
 
-    bounded, pivots = _run(tableau, basis, PIVOT_TOLERANCE)
+    bounded, pivots = _run(tableau, basis, PIVOT_TOLERANCE, n_cols)
     assert bounded  # phase-1 objective is bounded below by 0
     if -tableau[-1, -1] > PIVOT_TOLERANCE:
         return SimplexResult(SolveStatus.INFEASIBLE, None, None, pivots)
@@ -163,18 +187,18 @@ def simplex_solve(problem: LinearProgram) -> SimplexResult:
             _pivot(tableau, basis, i, pivot_cols[0])
             pivots += 1
     keep = np.flatnonzero(basis < real)
-    tableau = tableau[np.ix_(np.append(keep, m), np.r_[:real, n_cols])]
-    basis = basis[keep]
+    if keep.size < m:
+        tableau, basis = tableau[np.append(keep, m)], basis[keep]
 
-    # phase 2: minimize -c.x over the surviving columns, starting from
-    # the feasible basis found above
-    cost = np.zeros(real + 1)
+    # phase 2: minimize -c.x from the feasible basis found above. The
+    # artificial columns stay in place, but only the real ones may enter
+    cost = np.zeros(n_cols + 1)
     cost[:n] = -problem.c
     tableau[-1] = cost
     for i in np.flatnonzero(cost[basis]):
         tableau[-1] -= cost[basis[i]] * tableau[i]
 
-    bounded, extra = _run(tableau, basis, PIVOT_TOLERANCE)
+    bounded, extra = _run(tableau, basis, PIVOT_TOLERANCE, real)
     pivots += extra
     if not bounded:
         return SimplexResult(SolveStatus.UNBOUNDED, None, None, pivots)

@@ -248,6 +248,7 @@ class TestGroupArgument:
             lambda z: counts.rates(MetricKind.TPR, z),
             lambda z: group_indices(ds, z),
             lambda z: ensemble_group_rate(ens, MetricKind.TPR, ds, z),
+            lambda z: counts.mixed_rate(np.ones(1), MetricKind.PPV, z),
         ]
 
     @pytest.mark.parametrize(
@@ -369,6 +370,22 @@ class TestGap:
         with pytest.raises(FairmixError, match="metric kind must be a MetricKind, got 'tpr'"):
             call(ds)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: c.mixed_rate(np.ones(1), [1], 0),
+            lambda c: c.mixed_gap(np.ones(1), [1]),
+            lambda c: c.gaps([1]),
+            lambda c: c.rates([1], 0),
+        ],
+        ids=["mixed_rate", "mixed_gap", "gaps", "rates"],
+    )
+    def test_unhashable_kind_rejected(self, call):
+        # checked before the set or cache lookup, which would raise TypeError
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
+        with pytest.raises(FairmixError, match=re.escape("must be a MetricKind, got [1]")):
+            call(vector_counts(np.ones(3), ds))
+
     def test_argument_errors_are_fairmix_errors(self):
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
         calls = [
@@ -380,6 +397,56 @@ class TestGap:
         for call in calls:
             with pytest.raises(FairmixError):
                 call()
+
+
+def two_cumsum_rate(counts, weights, kind, z):
+    """The per-group form the cached (hits, size) rows replaced: two separate
+    in-order sums of the weighted counts."""
+    hits, size = counts.counts(kind, z)
+    hits = np.cumsum(weights * hits)[-1]
+    size = np.cumsum(weights * size)[-1]
+    return None if size == 0.0 else float(hits / size)
+
+
+def as_hex(value):
+    return None if value is None else value.hex()
+
+
+@st.composite
+def ratio_case(draw):
+    """(M, 4) cell counts and weights; zero weights and empty predicted classes
+    (so undefined PPV or NPV) included."""
+    m = draw(st.integers(1, 8))
+    sizes = np.array(draw(st.lists(st.integers(0, 40), min_size=4, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    accepted = rng.integers(0, sizes + 1, size=(m, 4))
+    shape = draw(st.sampled_from(("random", "accept all", "accept none")))
+    if shape == "accept all":
+        accepted[:] = sizes  # no predicted negatives: NPV undefined
+    elif shape == "accept none":
+        accepted[:] = 0  # no predicted positives: PPV undefined
+    weights = draw(st.lists(st.just(0.0) | st.floats(0, 1), min_size=m, max_size=m))
+    return CellCounts(accepted, sizes), np.array(weights)
+
+
+class TestMixedRatios:
+    @settings(max_examples=300)
+    @given(ratio_case())
+    def test_bits_match_two_cumsum_reference(self, case):
+        counts, weights = case
+        for kind in RATIO_KINDS:
+            want = [two_cumsum_rate(counts, weights, kind, z) for z in (0, 1)]
+            got = [counts.mixed_rate(weights, kind, z) for z in (0, 1)]
+            assert list(map(as_hex, got)) == list(map(as_hex, want))
+            gap = None if None in want else want[0] - want[1]
+            assert as_hex(counts.mixed_gap(weights, kind)) == as_hex(gap)
+
+    def test_undefined_side_gives_none(self):
+        counts = CellCounts([[0, 0, 2, 1], [0, 0, 1, 1]], [3, 2, 4, 2])
+        weights = np.array([0.25, 0.75])
+        assert counts.mixed_rate(weights, MetricKind.PPV, 0) is None
+        assert counts.mixed_rate(weights, MetricKind.PPV, 1) == (0.25 + 0.75) / (0.75 + 1.5)
+        assert counts.mixed_gap(weights, MetricKind.PPV) is None
 
 
 class TestKindTaxonomy:

@@ -33,8 +33,10 @@ from fairmix import (
     mixture_accuracy,
     ppv_counterexample_search,
     solve_fair_mixture,
+    treatment_violations,
 )
 from fairmix.cli import entrypoint
+from fairmix.metrics import RATIO_KINDS, CellCounts
 from fairmix.optimizer import _exact_ppv_gap_is_zero, _lattice
 
 from conftest import make_random_dataset, make_random_members, random_weights
@@ -112,6 +114,14 @@ class TestBuildProgram:
                 want = ensemble_gap(ens, kind, ds)
                 assert float(row @ p) == pytest.approx(want, abs=1e-12)
 
+    def test_iterator_of_kinds_read_once(self, rng):
+        ds = make_random_dataset(rng, 10)
+        counts = member_counts(make_random_members(rng, ds, 2), ds)
+        got = build_mixture_program(counts, iter(ALL_LINEAR), 0.25, Objective.MAX_ACCURACY)
+        want = build_mixture_program(counts, ALL_LINEAR, 0.25, Objective.MAX_ACCURACY)
+        assert got.a_ub.shape == (6, 2)
+        assert got.a_ub.tobytes() == want.a_ub.tobytes()
+
     def test_feasibility_objective_is_zero(self, rng):
         ds = make_random_dataset(rng, 10)
         members = make_random_members(rng, ds, 2)
@@ -119,6 +129,62 @@ class TestBuildProgram:
             member_counts(members, ds), [], 0.1, Objective.FEASIBILITY_ONLY
         )
         assert program.c.tolist() == [0.0, 0.0]
+
+
+class TestArgumentTypes:
+    """Arguments of the wrong type raise :class:`FairmixError`, before any solve."""
+
+    @pytest.mark.parametrize("objective", ["max_accuracy", None, 1])
+    def test_objective_must_be_an_objective(self, objective, monkeypatch):
+        ds, members = thirds_pair()
+        monkeypatch.setattr("fairmix.optimizer.simplex_solve", None)  # never reached
+        message = f"objective must be an Objective, got {objective!r}"
+        kinds = [MetricKind.ACCEPTANCE_RATE]
+        with pytest.raises(FairmixError, match=f"^{re.escape(message)}$"):
+            solve_fair_mixture(members, ds, kinds, 0.05, objective)
+        with pytest.raises(FairmixError, match=f"^{re.escape(message)}$"):
+            build_mixture_program(member_counts(members, ds), kinds, 0.05, objective)
+
+    @staticmethod
+    def tolerance_calls():
+        ds, members = thirds_pair()
+        kinds = [MetricKind.ACCEPTANCE_RATE]
+        return {
+            "treatment_violations": lambda t: treatment_violations([0.5, 0.5], [(0, 1)], t),
+            "solve_fair_mixture": lambda t: solve_fair_mixture(members, ds, kinds, t),
+            "build_mixture_program": lambda t: build_mixture_program(
+                member_counts(members, ds), kinds, t, Objective.MAX_ACCURACY
+            ),
+            "grid_oracle": lambda t: grid_oracle(members, ds, kinds, t, 10),
+            "best_fair_single_threshold": lambda t: best_fair_single_threshold(ds, 0, t),
+        }
+
+    @pytest.mark.parametrize(
+        "caller",
+        ["treatment_violations", "solve_fair_mixture", "build_mixture_program",
+         "grid_oracle", "best_fair_single_threshold"],
+    )
+    @pytest.mark.parametrize(
+        "tolerance, message",
+        [
+            ("0.1", "tolerance must be a real number, got '0.1'"),
+            (None, "tolerance must be a real number, got None"),
+            ([0.1], "tolerance must be a real number, got [0.1]"),
+            (True, "tolerance must be a real number, got True"),
+            (np.True_, "tolerance must be a real number, got np.True_"),
+            (10**400, "tolerance is an integer of 1329 bits, past the float range"),
+            (-(10**5000), "tolerance is an integer of 16610 bits, past the float range"),
+        ],
+        ids=["str", "None", "list", "True", "np.True_", "10**400", "-10**5000"],
+    )
+    def test_tolerance_must_be_a_real_number(self, caller, tolerance, message):
+        with pytest.raises(FairmixError, match=f"^{re.escape(message)}$"):
+            self.tolerance_calls()[caller](tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0, np.float32(0.5), Fraction(1, 2), 10**300])
+    def test_other_real_tolerances_accepted(self, tolerance):
+        for caller, call in self.tolerance_calls().items():
+            call(tolerance)
 
 
 class TestSolveFairMixture:
@@ -389,6 +455,26 @@ class TestSweepPin:
             assert solve_fair_mixture(members, ds, ALL_LINEAR, tol).weights.tobytes() == (
                 sol.weights.tobytes()
             )
+
+
+def test_sweep_builds_ratio_terms_once(monkeypatch):
+    # the post-hoc PPV/NPV gaps of every solve read one cached set of rows
+    ds, members = sweep_instance()
+    calls = []
+    counts = CellCounts.counts
+
+    def counting(self, kind, z):
+        calls.append((kind, z))
+        return counts(self, kind, z)
+
+    monkeypatch.setattr(CellCounts, "counts", counting)
+    for tol in np.geomspace(5e-4, 0.1, 8).tolist():
+        sol = solve_fair_mixture(members, ds, ALL_LINEAR, tol)
+        assert set(sol.post_hoc_gaps) == RATIO_KINDS
+    ratio_calls = [call for call in calls if call[0] in RATIO_KINDS]
+    assert sorted(ratio_calls, key=str) == sorted(
+        ((kind, z) for kind in RATIO_KINDS for z in (0, 1)), key=str
+    )
 
 
 def recursive_compositions(total, parts):

@@ -1,6 +1,8 @@
 """Simplex solver: textbook cases, edge statuses, a scipy cross-check and
 the element-by-element reference it must match bit for bit."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,43 @@ class TestValidation:
             LinearProgram([np.inf])
         with pytest.raises(FairmixError, match="non-finite"):
             LinearProgram([1.0], a_ub=[[np.nan]], b_ub=[0.0])
+
+    def test_non_finite_entry_names_the_first_array_at_fault(self):
+        with pytest.raises(FairmixError, match="^b_ub contains a non-finite entry$"):
+            LinearProgram([1.0], a_ub=[[1.0]], b_ub=[np.inf], a_eq=[[np.nan]], b_eq=[1.0])
+        with pytest.raises(FairmixError, match="^a_eq contains a non-finite entry$"):
+            LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0], a_eq=[[np.nan]], b_eq=[1.0])
+
+    @pytest.mark.parametrize(
+        "a_ub, message",
+        [
+            (np.ones((2, 2, 2)), "a_ub must be a matrix, got 3 dimensions"),
+            (np.ones((1, 1, 2)), "a_ub must be a matrix, got 3 dimensions"),
+            ([[1.0, 0.0], [1.0]], "a_ub has ragged rows or a non-numeric entry"),
+            ([[1.0, "x"], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
+            ([[1.0, "1.5"], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
+            ([[1.0, 1j], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
+            ([[1.0, 10**400], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
+        ],
+        ids=["2x2x2", "1x1x2", "ragged", "string", "numeric string", "complex", "huge int"],
+    )
+    def test_malformed_matrix_rejected(self, a_ub, message):
+        with pytest.raises(FairmixError, match=f"^{re.escape(message)}$"):
+            LinearProgram([1.0, 2.0], a_ub=a_ub, b_ub=[1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"c": ["1"]}, "c"),
+            ({"c": [1.0], "a_eq": [[1.0], []], "b_eq": [1.0, 1.0]}, "a_eq"),
+            ({"c": [1.0], "a_ub": [[1.0]], "b_ub": [[1.0], []]}, "b_ub"),
+            ({"c": [1.0], "a_eq": [[1.0]], "b_eq": ["1"]}, "b_eq"),
+        ],
+    )
+    def test_malformed_argument_named(self, kwargs, name):
+        message = f"{name} has ragged rows or a non-numeric entry"
+        with pytest.raises(FairmixError, match=f"^{re.escape(message)}$"):
+            LinearProgram(**kwargs)
 
     def test_n_variables(self):
         assert LinearProgram([1.0, 0.0, 0.0]).n_variables == 3
