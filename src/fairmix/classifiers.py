@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -45,7 +47,17 @@ class LinearClassifier:
     bias: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        weights = tuple(self.weights)  # an iterator is read once
+        for x in (*weights, self.sensitive_weight, self.bias):  # as given, before float()
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise FairmixError(f"classifier parameter must be a real number, got {x!r}")
+            # the decimal text of such an integer can exceed str()'s limit
+            if isinstance(x, numbers.Integral) and abs(x) > sys.float_info.max:
+                bits = int(x).bit_length()
+                raise FairmixError(
+                    f"classifier parameter is an integer of {bits} bits, past the float range"
+                )
+        object.__setattr__(self, "weights", tuple(map(float, weights)))
         if not all(map(math.isfinite, (*self.weights, self.sensitive_weight, self.bias))):
             raise FairmixError(f"non-finite classifier parameter in {self!r}")
 
@@ -71,25 +83,19 @@ class TableClassifier:
     In particular it cannot score a synthesized flipped-attribute
     instance; treatment tests on tables need counterfactual pairs drawn
     from the dataset itself.
-
-    A table also holds one private, write-once slot: its read-only (4,)
-    row of accepted cell counts on the bound dataset. Only
-    :func:`fairmix.ensemble.member_counts` fills or reads it, the first
-    time it counts the table on that very dataset object; both the
-    predictions and the dataset are read-only, so the row cannot go
-    stale. Threads that fill it at once write equal values.
     """
 
-    __slots__ = ("_predictions", "_dataset", "_accepted_cells")
+    __slots__ = ("_predictions", "_dataset")
 
     def __init__(self, predictions, dataset: Dataset):
+        if not isinstance(dataset, Dataset):
+            raise FairmixError(f"a table must be bound to a Dataset, got {type(dataset).__name__}")
         preds = _as_given(predictions)
         check_length(preds, dataset, "prediction vector", DataFormatError)
         check_predictions(preds)
         # a copy, checked first: 255 would wrap to -1
         self._predictions = _read_only(preds.astype(np.int8))
         self._dataset = dataset
-        self._accepted_cells = None
 
     @property
     def predictions(self) -> np.ndarray:

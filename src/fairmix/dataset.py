@@ -53,12 +53,12 @@ class Dataset:
     """Immutable, array-backed collection of instances.
 
     All operations on a dataset are pure reads, so sharing one across
-    threads is safe. Private slots cache the read-only cell sizes and the
-    last all-table member tuple with its count table, which keeps those
-    tables alive; only ``cell_sizes`` and ``member_counts`` use them.
+    threads is safe. One private slot keeps the last all-table member
+    tuple with its count table, which keeps those tables alive; only
+    ``member_counts`` uses it.
     """
 
-    __slots__ = ("_features", "_labels", "_sensitive", "_cell_sizes", "_member_counts")
+    __slots__ = ("_features", "_labels", "_sensitive", "_member_counts")
 
     @classmethod
     def from_arrays(cls, features, labels, sensitive) -> "Dataset":
@@ -97,7 +97,7 @@ class Dataset:
         ds._features = _read_only(features)
         ds._labels = _read_only(labels.astype(int))
         ds._sensitive = _read_only(sensitive.astype(int))
-        ds._cell_sizes = ds._member_counts = None
+        ds._member_counts = None
         return ds
 
     @property

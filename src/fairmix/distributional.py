@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import Dataset, check_length, check_profile, group_indices
+from .dataset import Dataset, check_group, check_length, check_profile, group_indices
 
 DETERMINISM_CLAMP = 1e-12
 
@@ -51,6 +51,7 @@ class DispersionReport:
     group_z1: GroupDispersion
 
     def group(self, z: int) -> GroupDispersion:
+        check_group(z)
         return self.group_z0 if z == 0 else self.group_z1
 
     def to_json_dict(self) -> dict:

@@ -118,15 +118,13 @@ def _profile(weights: np.ndarray, accepts: np.ndarray) -> np.ndarray:
 def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts:
     """The members' (M, 4) accepted cell counts, in one counting pass or none.
 
-    ``members`` is read once, so an iterator works. A table bound to this
-    very ``dataset`` object (identity, not ``==``) stores a read-only copy
-    of its row on its first count here. When every member is such a table,
-    the dataset keeps the member tuple and the result: the same member
-    objects in the same order get that table back, with every array it has
-    computed; other such lists stack the stored rows and read no
-    prediction. Any other list is counted whole on every call, so the
-    errors and the integers are the same either way. Concurrent calls
-    write equal values.
+    ``members`` is read once, so an iterator works. When every member is a
+    table bound to this very ``dataset`` object (identity, not ``==``), the
+    dataset keeps the member tuple and the result, replacing the pair it
+    kept before: the same member objects in the same order get that table
+    back, with every array it has computed. Any other list, a re-ordered
+    or shortened one included, is counted whole, so the errors and the
+    integers are the same either way. Concurrent calls write equal values.
     """
     members = tuple(members)
     if not members:
@@ -134,16 +132,8 @@ def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts
     kept = getattr(dataset, "_member_counts", None)  # a non-dataset fails in prediction_matrix
     if kept and len(kept[0]) == len(members) and all(map(operator.is_, kept[0], members)):
         return kept[1]
-    bound = [isinstance(m, TableClassifier) and m._dataset is dataset for m in members]
-    rows = [m._accepted_cells if b else None for m, b in zip(members, bound)]
-    if all(row is not None for row in rows):
-        counts = CellCounts(np.array(rows), metrics.cell_sizes(dataset))
-    else:
-        counts = metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
-        for member, row, stored, b in zip(members, counts.accepted, rows, bound):
-            if b and stored is None:
-                member._accepted_cells = _read_only(row.copy())
-    if all(bound):
+    counts = metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
+    if all(isinstance(m, TableClassifier) and m.dataset is dataset for m in members):
         dataset._member_counts = members, counts
     return counts
 

@@ -56,17 +56,19 @@ LINEAR_KINDS = frozenset(
 RATIO_KINDS = frozenset({MetricKind.PPV, MetricKind.NPV})
 
 
-def _vector_counts(predictions, dataset: Dataset) -> CellCounts:
-    """Cell counts of one prediction vector, as a single-row matrix."""
+def _vector_counts(predictions, dataset: Dataset) -> tuple[CellCounts, np.ndarray]:
+    """Cell counts of one prediction vector, as a single-row matrix, and
+    its (N,) bool accepts, from one check of the vector."""
     predictions = _as_given(predictions)
     check_length(predictions, dataset, "prediction vector")
     check_predictions(predictions)
-    return cell_counts(predictions[None, :] == 1, dataset)
+    accepts = predictions == 1
+    return cell_counts(accepts[None, :], dataset), accepts
 
 
 def accuracy(predictions, dataset: Dataset) -> float:
     """Fraction of instances whose prediction equals the true label."""
-    return float(_vector_counts(predictions, dataset).accuracies()[0])
+    return float(_vector_counts(predictions, dataset)[0].accuracies()[0])
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -178,15 +180,8 @@ def cell_index(dataset: Dataset) -> np.ndarray:
     return 2 * dataset.sensitive + (dataset.labels == 1)
 
 
-def cell_sizes(dataset: Dataset) -> np.ndarray:
-    """The dataset's four cell sizes, read-only, counted once and kept on it."""
-    if dataset._cell_sizes is None:
-        dataset._cell_sizes = _read_only(np.bincount(cell_index(dataset), minlength=4))
-    return dataset._cell_sizes
-
-
 def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
-    """Count an (M, N) boolean accept matrix into the four (z, y) cells."""
+    """Count an (M, N) boolean accept matrix, and the dataset, into the four (z, y) cells."""
     cell = cell_index(dataset)
     # popcount over packed rows; the pad bits are 0 in both operands. The
     # counts are intp, as uint64 ones would turn CellCounts arithmetic into floats
@@ -194,7 +189,7 @@ def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
     accepted = np.empty((len(bits), 4), dtype=np.intp)
     for k in range(4):
         accepted[:, k] = np.bitwise_count(bits & np.packbits(cell == k)).sum(axis=1)
-    return CellCounts(accepted, cell_sizes(dataset))
+    return CellCounts(accepted, np.bincount(cell, minlength=4))
 
 
 def defined(value) -> Optional[float]:
@@ -205,7 +200,7 @@ def defined(value) -> Optional[float]:
 
 def fairness_gap(kind: MetricKind, predictions, dataset: Dataset) -> Optional[float]:
     """Group rate at z=0 minus z=1; ``None`` if either side is undefined."""
-    return defined(_vector_counts(predictions, dataset).gaps(kind)[0])
+    return defined(_vector_counts(predictions, dataset)[0].gaps(kind)[0])
 
 
 def check_kind(kind) -> None:
@@ -394,6 +389,5 @@ def classifier_report(
 
     A deterministic classifier is the mixture of itself with weight 1.
     """
-    counts = _vector_counts(predictions, dataset)
-    profile = indicator_profile(predictions)
-    return mixture_report(counts, np.ones(1), profile, pairs, tolerance)
+    counts, accepts = _vector_counts(predictions, dataset)
+    return mixture_report(counts, np.ones(1), accepts.astype(float), pairs, tolerance)

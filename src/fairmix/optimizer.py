@@ -29,9 +29,7 @@ from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
-from .metrics import (
-    CellCounts, LINEAR_KINDS, MetricKind, cell_index, cell_sizes, check_kind, check_tolerance,
-)
+from .metrics import CellCounts, LINEAR_KINDS, MetricKind, cell_index, check_kind, check_tolerance
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -121,10 +119,6 @@ def build_mixture_program(
     """
     constrained = tuple(constrained)  # an iterator is read once
     _constrained_kinds(constrained, tolerance)
-    return _program(counts, constrained, tolerance, objective)
-
-
-def _program(counts: CellCounts, constrained, tolerance: float, objective: Objective):
     if not isinstance(objective, Objective):
         raise FairmixError(f"objective must be an Objective, got {objective!r}")
     m = counts.accepted.shape[0]
@@ -156,7 +150,8 @@ def solve_fair_mixture(
     constrained = _constrained_kinds(constrained, tolerance)
     members = tuple(members)  # an iterator is read once
     counts = member_counts(members, dataset)
-    result: SimplexResult = simplex_solve(_program(counts, constrained, tolerance, objective))
+    program = build_mixture_program(counts, constrained, tolerance, objective)
+    result: SimplexResult = simplex_solve(program)
     weights, accuracy, gaps, post_hoc = None, None, {}, {}
     if result.status is SolveStatus.OPTIMAL:
         weights = result.x / result.x.sum()  # simplex row holds within 1e-9; make it exact
@@ -372,11 +367,13 @@ def best_fair_single_threshold(
     # row 2i + 1 is (t_i, "-").
     cell = cell_index(dataset)
     accepted = np.empty((2 * len(candidates), 4), dtype=np.int64)
+    sizes = []
     for k in range(4):
         in_cell = np.sort(x[cell == k])
+        sizes.append(in_cell.size)
         accepted[0::2, k] = in_cell.size - np.searchsorted(in_cell, candidates, "left")
         accepted[1::2, k] = np.searchsorted(in_cell, candidates, "right")
-    counts = CellCounts(accepted, cell_sizes(dataset))
+    counts = CellCounts(accepted, sizes)
     gaps = counts.gaps(MetricKind.ACCEPTANCE_RATE)
     fair = np.flatnonzero(~(np.isnan(gaps) | (np.abs(gaps) > tolerance)))
     if fair.size == 0:

@@ -82,7 +82,32 @@ class TestLinearClassifier:
         with pytest.raises(FairmixError, match="non-finite classifier parameter"):
             LinearClassifier((1.0,), bias=bad)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"weights": ("1.5",)}, "must be a real number, got '1.5'"),
+            ({"weights": (1.0,), "bias": "0"}, "must be a real number, got '0'"),
+            ({"weights": (1.0,), "bias": True}, "must be a real number, got True"),
+            ({"weights": (False, 1.0)}, "must be a real number, got False"),
+            ({"weights": (10**400,)}, "an integer of 1329 bits, past the float range"),
+            ({"weights": (1.0,), "sensitive_weight": -(10**400)}, "an integer of 1329 bits"),
+        ],
+        ids=["string weight", "string bias", "bool bias", "bool weight", "huge weight",
+             "huge sensitive weight"],
+    )
+    def test_parameters_checked_as_given(self, kwargs, message):
+        """Text is not parsed, a bool is not a number, and an integer past the
+        float range is named by its size, not leaked as ``OverflowError``."""
+        with pytest.raises(FairmixError, match=re.escape(message)):
+            LinearClassifier(**kwargs)
+
+
 class TestTableClassifier:
+    @pytest.mark.parametrize("bad", ["abc", None, [[0.0]]])
+    def test_bound_to_a_dataset_only(self, bad):
+        with pytest.raises(FairmixError, match="a table must be bound to a Dataset, got "):
+            TableClassifier([1, -1, 1], bad)
+
     def test_predictions_returned_verbatim(self, ds):
         table = TableClassifier([1, -1, -1, 1], ds)
         assert table.predict_all(ds).tolist() == [1, -1, -1, 1]

@@ -423,8 +423,9 @@ class TestCountDifferential:
 
 
 class TestStoredCounts:
-    """A table's row of cell counts is stored on the first count against
-    its own dataset object and stacked on later calls."""
+    """A dataset keeps the count table of the last all-table member list
+    bound to it; only the same member objects, in the same order, get it
+    back, and any other list is counted whole."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -485,6 +486,15 @@ class TestStoredCounts:
         with pytest.raises(FairmixError, match="member 5 is not a classifier: object"):
             member_counts(mixed, ds)
 
+    def test_other_lists_are_counted_whole(self, rng, counted):
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, 4)
+        member_counts(members, ds)
+        member_counts(members[::-1], ds)  # re-ordered: counted, then kept
+        member_counts(members[:2], ds)  # a sub-list: counted, then kept
+        member_counts(members[:2], ds)
+        assert counted == [4, 4, 2]
+
     def test_linear_members_counted_on_every_call(self, rng, counted):
         ds = make_random_dataset(rng, 40)
         members = [*make_random_members(rng, ds, 2), LinearClassifier((1.0, -1.0))]
@@ -498,7 +508,7 @@ class TestStoredCounts:
         members = make_random_members(rng, ds, 4)
         counts = member_counts(members, ds)  # counted, then stored
         accepted, sizes = counts.accepted.copy(), counts.sizes.copy()
-        for _ in range(2):  # the counted result, then a stacked one
+        for _ in range(2):  # the counted result, then the kept one
             # a result's arrays are read-only, so the write itself is refused
             for array in (counts.accepted, counts.sizes):
                 with pytest.raises(ValueError, match="read-only"):

@@ -32,6 +32,7 @@ from fairmix import (
     sample,
     treatment_violations,
 )
+from fairmix import metrics as metrics_mod
 from fairmix.dataset import twin_pairs
 from fairmix.errors import FairmixError
 from fairmix.metrics import (
@@ -249,6 +250,7 @@ class TestGroupArgument:
             lambda z: group_indices(ds, z),
             lambda z: ensemble_group_rate(ens, MetricKind.TPR, ds, z),
             lambda z: counts.mixed_rate(np.ones(1), MetricKind.PPV, z),
+            lambda z: dispersion(np.array([0.5, 1.0]), ds).group(z),
         ]
 
     @pytest.mark.parametrize(
@@ -286,6 +288,18 @@ class TestPredictionValues:
             DataFormatError, match="^invalid prediction at row 2: must be -1 or 1$"
         ):
             call([1, bad, -1], ds)
+
+    def test_classifier_report_checks_the_vector_once(self, monkeypatch):
+        ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
+        calls = []
+        for name in ("_as_given", "check_predictions"):
+            real = getattr(metrics_mod, name)
+            monkeypatch.setattr(
+                metrics_mod, name, lambda v, real=real, name=name: calls.append(name) or real(v)
+            )
+        report = classifier_report([1, -1, -1], ds)
+        assert calls == ["_as_given", "check_predictions"]
+        assert report.accuracy == 2 / 3
 
     def test_valid_values_in_any_numeric_type_accepted(self):
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])

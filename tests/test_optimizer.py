@@ -35,6 +35,7 @@ from fairmix import (
     solve_fair_mixture,
     treatment_violations,
 )
+from fairmix import optimizer as optimizer_mod
 from fairmix.cli import entrypoint
 from fairmix.metrics import RATIO_KINDS, CellCounts
 from fairmix.optimizer import _exact_ppv_gap_is_zero, _lattice
@@ -121,6 +122,23 @@ class TestBuildProgram:
         want = build_mixture_program(counts, ALL_LINEAR, 0.25, Objective.MAX_ACCURACY)
         assert got.a_ub.shape == (6, 2)
         assert got.a_ub.tobytes() == want.a_ub.tobytes()
+
+    def test_each_solve_builds_through_the_public_builder(self, rng, monkeypatch):
+        ds = make_random_dataset(rng, 20)
+        members = make_random_members(rng, ds, 3)
+        calls = []
+
+        def counting(counts, constrained, tolerance, objective):
+            calls.append(tuple(constrained))
+            return build_mixture_program(counts, constrained, tolerance, objective)
+
+        monkeypatch.setattr(optimizer_mod, "build_mixture_program", counting)
+        kinds = ALL_LINEAR[::-1]
+        for k, tolerance in enumerate((0.0, 0.1, math.inf), start=1):
+            solve_fair_mixture(members, ds, kinds, tolerance)
+            assert len(calls) == k
+        # the solver passes its sorted kinds
+        assert set(calls) == {tuple(sorted(kinds, key=lambda kind: kind.value))}
 
     def test_feasibility_objective_is_zero(self, rng):
         ds = make_random_dataset(rng, 10)
