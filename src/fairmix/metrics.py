@@ -17,6 +17,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -174,6 +175,25 @@ class CellCounts:
         """Accuracy of the mixture: the weighted average of row accuracies."""
         return float(np.dot(weights, self.accuracies()))
 
+    def _gap_terms(self, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the gap n0/d0 - n1/d1 as G/D: G = n0*d1 - n1*d0, D = d0*d1; in int64
+        while the instance total, which bounds every count, is below 2**31, else Python ints."""
+        dtype = np.int64 if self.sizes.sum() < 2**31 else object
+        (n0, d0), (n1, d1) = (self.counts(kind, z) for z in (0, 1))
+        n0, d0, n1, d1 = (v.astype(dtype, copy=False) for v in (n0, d0, n1, d1))
+        return n0 * d1 - n1 * d0, d0 * d1
+
+    def _mixture_row(self, weights) -> CellCounts:
+        """The mixture ``weights`` as one row of Python-int counts: float weight j is the
+        binary fraction a_j/2^e it is, and the row counts sum_j a_j*accepted_j in cells
+        of sizes*sum_j a_j, which normalises the weights to sum 1."""
+        ratios = [w.as_integer_ratio() for w in np.asarray(weights, dtype=float).tolist()]
+        scale = max(den for _, den in ratios)  # powers of 2: the largest is their lcm
+        a = [num * (scale // den) for num, den in ratios]
+        accepted = [sum(x * y for x, y in zip(a, cell)) for cell in zip(*self.accepted.tolist())]
+        sizes = [size * sum(a) for size in self.sizes.tolist()]
+        return CellCounts(np.array([accepted], dtype=object), np.array(sizes, dtype=object))
+
 
 def cell_index(dataset: Dataset) -> np.ndarray:
     """Each instance's cell ``k = 2*z + (y == +1)``, as in :class:`CellCounts`."""
@@ -196,6 +216,14 @@ def defined(value) -> Optional[float]:
     """A rate or gap as a float, or ``None`` when it is undefined (NaN)."""
     value = float(value)
     return None if math.isnan(value) else value
+
+
+def _gap_bound(den, tolerance):
+    """Every gap verdict, exactly: G/D passes iff ``abs(G) <= _gap_bound(D, tolerance)``,
+    floor(t*D) as a Python int for an integer D, -1 where D is 0. t is the shortest decimal
+    that parses back to the float tolerance (0.3 is 3/10), capped at 1 as no gap exceeds 1."""
+    t = Fraction(repr(float(min(tolerance, 1))))
+    return int(den) * t.numerator // t.denominator if den > 0 else -1
 
 
 def fairness_gap(kind: MetricKind, predictions, dataset: Dataset) -> Optional[float]:
@@ -360,14 +388,17 @@ def mixture_report(
     """Report on the random mixture ``weights`` over the counted rows.
 
     ``profile`` is the mixture's per-instance acceptance probability,
-    which the treatment test compares across twin pairs. That test
-    raises :class:`FairmixError` for a NaN or negative ``tolerance``.
+    which the treatment test compares across twin pairs. Each ``pass`` is exact, on
+    integer counts. A NaN or negative ``tolerance`` raises :class:`FairmixError`.
     """
+    check_tolerance(tolerance)
+    exact = counts._mixture_row(weights)
     entries = []
     for kind in MetricKind:
         r0, r1 = (counts.mixed_rate(weights, kind, z) for z in (0, 1))
         gap = None if r0 is None or r1 is None else r0 - r1
-        passed = None if gap is None else abs(gap) <= tolerance
+        g, d = exact._gap_terms(kind)
+        passed = None if gap is None else bool(abs(g[0]) <= _gap_bound(d[0], tolerance))
         entries.append(GroupMetric(kind, r0, r1, gap, passed))
     return FairnessReport(
         accuracy=counts.mixed_accuracy(weights),

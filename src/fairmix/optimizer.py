@@ -29,7 +29,8 @@ from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
-from .metrics import CellCounts, LINEAR_KINDS, MetricKind, cell_index, check_kind, check_tolerance
+from .metrics import CellCounts, LINEAR_KINDS, MetricKind, _gap_bound, cell_index
+from .metrics import check_kind, check_tolerance
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -240,10 +241,10 @@ def grid_oracle(
     Completely independent of the LP machinery, and decided on integers.
     For a constrained kind with group rates n_z/d_z per member, the gap at
     k/r is (k.G)/(r*d0*d1) with G_j = n0_j*d1 - n1_j*d0, so the point is
-    feasible iff |k.G| <= floor((tolerance + 1e-12)*r*d0*d1) in exact
-    arithmetic; its accuracy is (k.C)/(r*N), C_j counting member j's correct
-    predictions. Only the prefixes (k_1..k_{M-2}) are enumerated: along
-    t = k_{M-1}, with k_M = r - sum(prefix) - t, every gap and the
+    feasible iff |k.G| <= _gap_bound(r*d0*d1, tolerance), the rule of every
+    gap verdict; its accuracy is (k.C)/(r*N), C_j counting member j's
+    correct predictions. Only the prefixes (k_1..k_{M-2}) are enumerated:
+    along t = k_{M-1}, with k_M = r - sum(prefix) - t, every gap and the
     accuracy are linear, so a prefix's feasible points are one interval of
     t and its best point an end of it. Ties go to the lexicographically
     smallest weight vector, which makes the result independent of any
@@ -266,17 +267,13 @@ def grid_oracle(
     r, n = int(resolution), int(counts.sizes.sum())
     gaps, bounds = [], []
     for kind in constrained:
-        (n0, d0), (n1, d1) = (counts.counts(kind, z) for z in (0, 1))
-        d0, d1 = int(d0[0]), int(d1[0])  # a linear kind conditions every member alike
-        gaps.append(n0 * d1 - n1 * d0)
-        bound = r * int(np.abs(gaps[-1]).max())  # no |k.G| exceeds it
-        if math.isfinite(tolerance):
-            bound = min(bound, math.floor(Fraction(float(tolerance) + 1e-12) * (r * d0 * d1)))
-        bounds.append(bound)
+        g, d = counts._gap_terms(kind)
+        gaps.append(g)
+        bounds.append(_gap_bound(r * int(d[0]), tolerance))  # a linear kind has one D
     correct = sum(
         counts.counts(kind, z)[0] for kind in (MetricKind.TPR, MetricKind.TNR) for z in (0, 1)
     )
-    top = r * m * max(int(np.abs(v).max()) for v in [correct, *gaps])
+    top = max([r * m * max(int(np.abs(v).max()) for v in [correct, *gaps]), *bounds])
     dtype = np.int64 if top < 2**62 else object  # Python ints past int64's reach
     lattice = _lattice(r, max(m - 1, 1)).astype(dtype)
     head, rem = lattice[:, :-1], lattice[:, -1]
@@ -374,8 +371,8 @@ def best_fair_single_threshold(
         accepted[0::2, k] = in_cell.size - np.searchsorted(in_cell, candidates, "left")
         accepted[1::2, k] = np.searchsorted(in_cell, candidates, "right")
     counts = CellCounts(accepted, sizes)
-    gaps = counts.gaps(MetricKind.ACCEPTANCE_RATE)
-    fair = np.flatnonzero(~(np.isnan(gaps) | (np.abs(gaps) > tolerance)))
+    g, d = counts._gap_terms(MetricKind.ACCEPTANCE_RATE)
+    fair = np.flatnonzero(np.abs(g) <= _gap_bound(d[0], tolerance))  # a linear kind has one D
     if fair.size == 0:
         return None
     accuracies = counts.accuracies()
@@ -384,9 +381,8 @@ def best_fair_single_threshold(
     threshold = float(candidates[best // 2])
     direction = "+-"[best % 2]
     rule = _threshold_classifier(dataset.dimension, feature_index, threshold, direction)
-    return ThresholdRule(
-        threshold, direction, float(accuracies[best]), float(gaps[best]), rule
-    )
+    gap = float(counts.gaps(MetricKind.ACCEPTANCE_RATE)[best])
+    return ThresholdRule(threshold, direction, float(accuracies[best]), gap, rule)
 
 
 @dataclass(frozen=True)
@@ -404,15 +400,6 @@ class PPVWitness:
     ensemble_gap: float
     seed: int
     trial_index: int
-
-
-def _exact_ppv_gap_is_zero(counts: CellCounts) -> bool:
-    """Whether every counted row has equal, defined PPVs in both groups.
-
-    Cross-multiplied integer counts, so no rounding can fake a zero gap.
-    """
-    (n0, d0), (n1, d1) = (counts.counts(MetricKind.PPV, z) for z in (0, 1))
-    return bool(np.all((d0 > 0) & (d1 > 0) & (n0 * d1 == n1 * d0)))
 
 
 MIN_WITNESS_GAP = Fraction(1, 20)
@@ -472,7 +459,8 @@ def ppv_counterexample_search(seed: int, max_trials: int) -> Optional[PPVWitness
             continue  # identical members can never witness non-closure
         member_a = TableClassifier(pred_a, dataset)
         member_b = TableClassifier(pred_b, dataset)
-        if not _exact_ppv_gap_is_zero(member_counts((member_a, member_b), dataset)):
+        g, d = member_counts((member_a, member_b), dataset)._gap_terms(MetricKind.PPV)
+        if not all(abs(gj) <= _gap_bound(dj, 0) for gj, dj in zip(g, d)):
             continue
         return PPVWitness(
             dataset=dataset,

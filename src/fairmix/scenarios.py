@@ -283,32 +283,11 @@ def scenario_by_name(name: str) -> Scenario:
     return _SCENARIOS[name]()
 
 
-#: scenario numbers are exact rationals; recomputation must agree to
-#: the last couple of bits
-VERIFY_TOLERANCE = 1e-12
-
-
-def _values_match(expected, actual) -> bool:
-    if expected is None or actual is None:
-        return expected is None and actual is None
-    if isinstance(expected, (list, tuple)):
-        return (
-            isinstance(actual, (list, tuple))
-            and len(expected) == len(actual)
-            and all(_values_match(e, a) for e, a in zip(expected, actual))
-        )
-    if isinstance(expected, bool) or isinstance(actual, bool):
-        return expected == actual
-    if isinstance(expected, (int, float)):
-        return abs(float(expected) - float(actual)) <= VERIFY_TOLERANCE
-    return expected == actual
-
-
 def verify_scenario(scenario: Scenario) -> list[ScenarioCheck]:
-    """Recompute every expectation through the library; self-test a scenario."""
+    """Recompute every expectation through the library and compare it exactly."""
     actuals = _actuals(scenario)
     checks = []
     for key, expected in scenario.expectations.items():
         actual = actuals[key]
-        checks.append(ScenarioCheck(key, expected, actual, _values_match(expected, actual)))
+        checks.append(ScenarioCheck(key, expected, actual, expected == actual))
     return checks

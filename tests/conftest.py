@@ -129,6 +129,16 @@ def make_zero_gap_instance(rng: np.random.Generator, kind: MetricKind):
     return dataset, members, random_weights(rng, m)
 
 
+def make_three_tenths_gap() -> tuple[Dataset, TableClassifier]:
+    """(dataset, member) whose acceptance rates are 4/10 in group 0 and 1/10
+    in group 1: a gap of exactly 3/10, which as floats reads
+    0.4 - 0.1 = 0.30000000000000004."""
+    sensitive = [0] * 10 + [1] * 10
+    preds = [1] * 4 + [-1] * 6 + [1] + [-1] * 9
+    dataset = Dataset.from_arrays([[float(i)] for i in range(20)], [1, -1] * 10, sensitive)
+    return dataset, TableClassifier(preds, dataset)
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -26,6 +26,7 @@ from fairmix import (
     classifier_report,
     dispersion,
     ensemble_group_rate,
+    ensemble_report,
     fairness_gap,
     group_indices,
     indicator_profile,
@@ -43,6 +44,9 @@ from fairmix.metrics import (
     cell_index,
     mixture_report,
 )
+from fairmix.optimizer import best_fair_single_threshold
+
+from conftest import make_random_dataset, make_random_members, make_three_tenths_gap
 
 
 def vector_counts(preds, ds):
@@ -675,3 +679,114 @@ class TestReport:
         assert npv.gap is None and npv.passed is None
         doc = npv.to_json_dict()
         assert doc["pass"] is None
+
+
+def reference_tolerance(tolerance):
+    """The tolerance as every gap verdict reads it: the shortest decimal that
+    parses back to the float, capped at 1."""
+    return min(Fraction(repr(float(tolerance))), 1)
+
+
+#: per kind, (in the conditioning set, a hit) from (accepted, label)
+CONDITIONS = {
+    MetricKind.ACCEPTANCE_RATE: lambda acc, y: (True, acc),
+    MetricKind.TPR: lambda acc, y: (y == 1, acc),
+    MetricKind.TNR: lambda acc, y: (y == -1, not acc),
+    MetricKind.PPV: lambda acc, y: (acc, y == 1),
+    MetricKind.NPV: lambda acc, y: (not acc, y == -1),
+}
+
+
+def reference_gap(rows, weights, ds, kind):
+    """The ``kind`` gap of the mixture ``weights`` over the +-1 prediction
+    ``rows``, in plain ``Fraction``s from the instances: each weight is the
+    binary fraction it is, the weights are normalised to sum 1, and a group's
+    rate is the weighted hits over the weighted conditioning set. None when
+    either rate is undefined."""
+    w = [Fraction(x) for x in weights]
+    w = [x / sum(w) for x in w]
+    rates = []
+    for z in (0, 1):
+        hits = size = Fraction(0)
+        for wj, row in zip(w, rows):
+            for p, y, g in zip(row, ds.labels.tolist(), ds.sensitive.tolist()):
+                cond, hit = CONDITIONS[kind](p == 1, y)
+                if g == z and cond:
+                    size += wj
+                    hits += wj * hit
+        rates.append(None if size == 0 else hits / size)
+    return None if None in rates else rates[0] - rates[1]
+
+
+def reference_pass(gap, tolerance):
+    return None if gap is None else abs(gap) <= reference_tolerance(tolerance)
+
+
+def reference_rules(ds):
+    """Every threshold rule on feature 0, as (threshold, direction, exact
+    acceptance-rate gap, correct count), smaller thresholds first, "+"
+    before "-"."""
+    x = ds.features[:, 0].tolist()
+    values = sorted(set(x))
+    rules = []
+    for t in [values[0] - 1.0, *values, values[-1] + 1.0]:
+        for direction in "+-":
+            rule = [1 if (v >= t if direction == "+" else v <= t) else -1 for v in x]
+            gap = reference_gap([rule], [1.0], ds, MetricKind.ACCEPTANCE_RATE)
+            correct = sum(p == y for p, y in zip(rule, ds.labels.tolist()))
+            rules.append((t, direction, gap, correct))
+    return rules
+
+
+def reference_sweep(rules, tolerance):
+    """(threshold, direction) of the first most accurate rule that passes, or None."""
+    fair = [r for r in rules if reference_pass(r[2], tolerance)]
+    return max(fair, key=lambda r: r[3])[:2] if fair else None  # max keeps the first
+
+
+class TestExactVerdicts:
+    TOLERANCES = (0.0, 1e-9, 0.01, 0.3)
+
+    def test_reports_and_sweep_match_fraction_reference(self):
+        # weights are small integer ratios, so exact-zero mixture gaps occur;
+        # a float gap can read -5.55e-17 for one of them, or
+        # 0.30000000000000004 for an exact 3/10
+        rng = np.random.default_rng(5)
+        exact_zeros = 0
+        for _ in range(100):
+            ds = make_random_dataset(rng, 30)
+            m = int(rng.integers(2, 5))
+            members = make_random_members(rng, ds, m)
+            a = rng.integers(1, 5, size=m)
+            weights = a / a.sum()
+            rows = [member.predictions.tolist() for member in members]
+            member_gaps = [
+                {k: reference_gap([row], [1.0], ds, k) for k in MetricKind} for row in rows
+            ]
+            mixture_gaps = {k: reference_gap(rows, weights, ds, k) for k in MetricKind}
+            exact_zeros += list(mixture_gaps.values()).count(0)
+            ens, rules = Ensemble(members, weights), reference_rules(ds)
+            for tol in self.TOLERANCES:
+                for member, gaps in zip(members, member_gaps):
+                    report = classifier_report(member.predictions, ds, tolerance=tol)
+                    for entry in report.metrics:
+                        assert entry.passed is reference_pass(gaps[entry.kind], tol), tol
+                for entry in ensemble_report(ens, ds, tolerance=tol).metrics:
+                    want = reference_pass(mixture_gaps[entry.kind], tol)
+                    assert entry.passed is want, (weights.tolist(), entry.kind, tol)
+                rule = best_fair_single_threshold(ds, 0, tol)
+                got = None if rule is None else (rule.threshold, rule.direction)
+                assert got == reference_sweep(rules, tol), tol
+        assert exact_zeros >= 5
+
+    def test_gap_of_exactly_three_tenths(self):
+        # 0.4 - 0.1 is 0.30000000000000004 as floats; the verdict reads 3/10
+        ds, member = make_three_tenths_gap()
+        at = {
+            tol: classifier_report(member.predictions, ds, tolerance=tol).metrics[0]
+            for tol in (0.3, 0.2999999999995)
+        }
+        assert at[0.3].kind is MetricKind.ACCEPTANCE_RATE
+        assert at[0.3].gap == 0.30000000000000004
+        assert at[0.3].passed is True
+        assert at[0.2999999999995].passed is False

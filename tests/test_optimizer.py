@@ -38,9 +38,14 @@ from fairmix import (
 from fairmix import optimizer as optimizer_mod
 from fairmix.cli import entrypoint
 from fairmix.metrics import RATIO_KINDS, CellCounts
-from fairmix.optimizer import _exact_ppv_gap_is_zero, _lattice
+from fairmix.optimizer import _lattice
 
-from conftest import make_random_dataset, make_random_members, random_weights
+from conftest import (
+    make_random_dataset,
+    make_random_members,
+    make_three_tenths_gap,
+    random_weights,
+)
 
 ALL_LINEAR = [MetricKind.ACCEPTANCE_RATE, MetricKind.TPR, MetricKind.TNR]
 
@@ -527,9 +532,10 @@ def stars_and_bars_oracle(members, dataset, constrained, tolerance, resolution):
 
     Every ``stars_and_bars`` point k/r is kept when each constrained gap,
     a ``Fraction`` sum of k_j/r times member j's ``Fraction`` gap, is at
-    most ``tolerance + 1e-12`` (the float sum, taken exactly) in absolute
-    value. Returns the first point of highest exact accuracy, that
-    accuracy as a ``Fraction``, and the number of points kept.
+    most ``tolerance`` in absolute value, the tolerance read as the
+    shortest decimal that parses back to it (``Fraction(repr(tolerance))``).
+    Returns the first point of highest exact accuracy, that accuracy as a
+    ``Fraction``, and the number of points kept.
     """
     counts = member_counts(members, dataset)
     rows = []
@@ -541,7 +547,7 @@ def stars_and_bars_oracle(members, dataset, constrained, tolerance, resolution):
         ])
     n = int(counts.sizes.sum())
     member_accuracies = [Fraction(round(a * n), n) for a in counts.accuracies()]
-    slack = Fraction(tolerance + 1e-12) if math.isfinite(tolerance) else None
+    slack = Fraction(repr(tolerance)) if math.isfinite(tolerance) else None
     best, best_point, count = None, None, 0
     for point in stars_and_bars(resolution, len(members)).tolist():
         w = [Fraction(k, resolution) for k in point]
@@ -660,7 +666,7 @@ class TestGridOracle:
         assert r * max(abs(g) for g in numerators) > 2**63
         gaps = [Fraction(g, d0 * d1) for g in numerators]
         # |t*g1 + (r - t)*g2| <= r*slack, linear in t
-        slack = Fraction(tol + 1e-12) * r
+        slack = Fraction(repr(tol)) * r
         slope, base = gaps[0] - gaps[1], r * gaps[1]
         ends = sorted(((-slack - base) / slope, (slack - base) / slope))
         lo, hi = max(0, math.ceil(ends[0])), min(r, math.floor(ends[1]))
@@ -671,6 +677,16 @@ class TestGridOracle:
         assert oracle.feasible_count == hi - lo + 1
         assert oracle.weights.tolist() == [t / r, (r - t) / r]
         assert oracle.accuracy == float(Fraction(t * correct[0] + (r - t) * correct[1], r * n))
+
+    def test_tolerance_read_as_its_shortest_decimal(self):
+        # the one lattice point has a gap of exactly 3/10: 0.3 reads as 3/10,
+        # and a tolerance 5e-13 below it excludes the point, with no slack
+        ds, member = make_three_tenths_gap()
+        kinds = [MetricKind.ACCEPTANCE_RATE]
+        assert grid_oracle([member], ds, kinds, 0.3, 10).feasible_count == 1
+        oracle = grid_oracle([member], ds, kinds, 0.2999999999995, 10)
+        assert oracle.feasible_count == 0
+        assert oracle.weights is None and oracle.accuracy is None
 
     def test_single_member(self, rng):
         ds = make_random_dataset(rng, 8)
@@ -978,9 +994,12 @@ class TestWitnessSearch:
         witness = ppv_counterexample_search(seed=0, max_trials=10_000)
         ds = witness.dataset
         a, b = witness.members
-        # member gaps: exactly zero on integer counts
-        assert _exact_ppv_gap_is_zero(member_counts([a], ds))
-        assert _exact_ppv_gap_is_zero(member_counts([b], ds))
+        # member gaps: both PPVs defined and exactly equal on integer counts
+        for member in (a, b):
+            counts = member_counts([member], ds)
+            (n0, d0), (n1, d1) = (counts.counts(MetricKind.PPV, z) for z in (0, 1))
+            assert d0[0] > 0 and d1[0] > 0
+            assert Fraction(int(n0[0]), int(d0[0])) == Fraction(int(n1[0]), int(d1[0]))
         # accept sets are disjoint and non-empty
         assert not np.any((a.predictions == 1) & (b.predictions == 1))
         assert np.any(a.predictions == 1) and np.any(b.predictions == 1)
