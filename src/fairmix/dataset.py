@@ -402,25 +402,46 @@ def build_counterfactual_pairs(dataset: Dataset) -> list[tuple[int, int]]:
     return list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()))
 
 
+def _feature_hash(features: np.ndarray) -> np.ndarray:
+    """A 64-bit hash per feature row, built in place; ``+ 0.0`` hashes -0.0 as 0.0."""
+    h = np.zeros(len(features), dtype=np.uint64)
+    for column in features.T:
+        h ^= (column + 0.0).view(np.uint64)
+        h *= 0x9E3779B97F4A7C15
+        h ^= h >> 29
+    return h
+
+
+def _bucket_starts(features: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Where, in ``order``, a feature row differs from the one before it (-0.0 == 0.0)."""
+    new_bucket = np.zeros(len(order), dtype=bool)
+    new_bucket[0] = True
+    for column in features.T:
+        column = column[order]
+        new_bucket[1:] |= column[1:] != column[:-1]
+    return new_bucket
+
+
 def twin_pairs(dataset: Dataset) -> np.ndarray:
     """The pairs of ``build_counterfactual_pairs`` as a (K, 2) intp array.
 
-    One stable sort by (feature row, group) makes each bucket of identical
-    rows a run of group 0 followed by a run of group 1, and every pair joins
-    one row of the first run with one of the second.
+    One sort of a key per row, the feature hash above a group bit, makes each
+    bucket of identical rows a run of group 0 followed by a run of group 1;
+    every pair joins one row of the first run with one of the second. Two
+    different rows side by side under one hash make the rows sort by value.
     """
-    # lexsort compares floats with <, so -0.0 and 0.0 tie, and the stable
-    # sort keeps their bucket's runs whole; != below also treats them equal
-    columns = list(dataset.features.T)
-    z = dataset.sensitive
-    order = np.lexsort([z] + columns[::-1])
+    features, z = dataset.features, dataset.sensitive
+    key = _feature_hash(features)
+    key <<= 1
+    key |= z.astype(np.uint64)
+    order = np.argsort(key)
+    new_bucket = _bucket_starts(features, order)
+    key = key[order]
+    if np.any(new_bucket[1:] & ((key[1:] ^ key[:-1]) < 2)):  # two rows, one hash
+        order = np.lexsort([z] + list(features.T[::-1]))  # its < ties -0.0 with 0.0
+        new_bucket = _bucket_starts(features, order)
     n = len(order)
     z = z[order]
-    new_bucket = np.zeros(n, dtype=bool)
-    new_bucket[0] = True
-    for column in columns:
-        column = column[order]
-        new_bucket[1:] |= column[1:] != column[:-1]
     bucket_start = np.flatnonzero(new_bucket)
     group_1 = np.add.reduceat(z, bucket_start)  # rows of group 1 per bucket
     run_1 = np.append(bucket_start[1:], n) - group_1  # where those rows start

@@ -5,7 +5,8 @@ changes only. The emitter is hand-rolled because the stdlib encoder
 does not let callers pin float formatting; everything else matches
 ``json.dumps(..., sort_keys=True, indent=2)``. Numpy scalars/arrays and
 enums are converted, and non-finite numbers are rejected (they have no
-JSON representation and would silently degrade downstream).
+JSON representation and would silently degrade downstream). A 2-D
+integer array, such as the twin pairs, is written 1,024 rows at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 FLOAT_FORMAT = ".12g"
 _INDENT = "  "
+_BLOCK_ROWS = 1024  # rows of a 2-D integer array written per format call
 
 
 def _scalar(value):
@@ -46,12 +48,17 @@ def _emit(value, parts: list[str], depth: int) -> None:
     if isinstance(value, np.ndarray) and value.ndim == 2 and value.size and (
         value.dtype.kind in "iu"  # not bool, whose kind is "b"
     ):
-        # the text of value.tolist() (the violation pairs), from one template
-        # and one format call
+        # the text of value.tolist() (the violation pairs), one format call
+        # per _BLOCK_ROWS rows, so no template or tuple grows with the array
         cell = inner + _INDENT
         row = "[\n" + cell + (",\n" + cell).join(["%s"] * value.shape[1]) + "\n" + inner + "]"
-        rows = (",\n" + inner).join([row] * value.shape[0])
-        parts.append(f"[\n{inner}{rows}\n{pad}]" % tuple(value.ravel().tolist()))
+        sep = ",\n" + inner
+        for start in range(0, len(value), _BLOCK_ROWS):
+            rows = value[start:start + _BLOCK_ROWS]
+            if start == 0 or len(rows) < _BLOCK_ROWS:  # the first and the last block
+                block = sep.join([row] * len(rows))
+            parts.append((sep if start else "[\n" + inner) + block % tuple(rows.ravel().tolist()))
+        parts.append("\n" + pad + "]")
         return
     value = _scalar(value)
     if value is None:

@@ -44,6 +44,8 @@ class MetricKind(enum.Enum):
     PPV = "ppv"
     NPV = "npv"
 
+    __hash__ = object.__hash__  # equality is identity; Enum's hashes the name in Python
+
     def __str__(self) -> str:
         return self.value
 
@@ -97,19 +99,8 @@ class CellCounts:
         """Per-row integer (numerator, denominator) of a group rate."""
         check_kind(kind)
         check_group(z)
-        acc_neg, acc_pos = self.accepted[:, 2 * z], self.accepted[:, 2 * z + 1]
-        size_neg, size_pos = self.sizes[2 * z], self.sizes[2 * z + 1]
-        if kind is MetricKind.PPV:
-            return acc_pos, acc_neg + acc_pos
-        if kind is MetricKind.NPV:
-            return size_neg - acc_neg, (size_neg - acc_neg) + (size_pos - acc_pos)
-        if kind is MetricKind.ACCEPTANCE_RATE:
-            num, den = acc_neg + acc_pos, size_neg + size_pos
-        elif kind is MetricKind.TPR:
-            num, den = acc_pos, size_pos
-        else:  # TNR
-            num, den = size_neg - acc_neg, size_neg
-        return num, np.full(len(num), den)
+        num, den = _rate_terms(kind, self.accepted.T, self.sizes, z)
+        return num, den if isinstance(den, np.ndarray) else np.full(len(num), den)
 
     def rates(self, kind: MetricKind, z: int) -> np.ndarray:
         """Per-row group rates, read-only; NaN where the conditioning set is empty."""
@@ -183,16 +174,31 @@ class CellCounts:
         n0, d0, n1, d1 = (v.astype(dtype, copy=False) for v in (n0, d0, n1, d1))
         return n0 * d1 - n1 * d0, d0 * d1
 
-    def _mixture_row(self, weights) -> CellCounts:
-        """The mixture ``weights`` as one row of Python-int counts: float weight j is the
-        binary fraction a_j/2^e it is, and the row counts sum_j a_j*accepted_j in cells
-        of sizes*sum_j a_j, which normalises the weights to sum 1."""
+    def _mixture_row(self, weights) -> tuple[list[int], list[int]]:
+        """The mixture ``weights`` as one row of Python-int (accepted, sizes): float weight j
+        is the binary fraction a_j/2^e it is, and the row counts sum_j a_j*accepted_j in
+        cells of sizes*sum_j a_j, which normalises the weights to sum 1."""
         ratios = [w.as_integer_ratio() for w in np.asarray(weights, dtype=float).tolist()]
         scale = max(den for _, den in ratios)  # powers of 2: the largest is their lcm
         a = [num * (scale // den) for num, den in ratios]
         accepted = [sum(x * y for x, y in zip(a, cell)) for cell in zip(*self.accepted.tolist())]
         sizes = [size * sum(a) for size in self.sizes.tolist()]
-        return CellCounts(np.array([accepted], dtype=object), np.array(sizes, dtype=object))
+        return accepted, sizes
+
+
+def _rate_terms(kind: MetricKind, accepted, sizes, z: int):
+    """(numerator, denominator) of a group-z rate from each cell k's accepted count
+    ``accepted[k]`` and size ``sizes[k]``: arrays over rows, or Python ints."""
+    acc_neg, acc_pos, size_neg, size_pos = *accepted[2 * z:2 * z + 2], *sizes[2 * z:2 * z + 2]
+    if kind is MetricKind.PPV:
+        return acc_pos, acc_neg + acc_pos
+    if kind is MetricKind.NPV:
+        return size_neg - acc_neg, (size_neg - acc_neg) + (size_pos - acc_pos)
+    if kind is MetricKind.ACCEPTANCE_RATE:
+        return acc_neg + acc_pos, size_neg + size_pos
+    if kind is MetricKind.TPR:
+        return acc_pos, size_pos
+    return size_neg - acc_neg, size_neg  # TNR
 
 
 def cell_index(dataset: Dataset) -> np.ndarray:
@@ -218,11 +224,15 @@ def defined(value) -> Optional[float]:
     return None if math.isnan(value) else value
 
 
-def _gap_bound(den, tolerance):
-    """Every gap verdict, exactly: G/D passes iff ``abs(G) <= _gap_bound(D, tolerance)``,
-    floor(t*D) as a Python int for an integer D, -1 where D is 0. t is the shortest decimal
-    that parses back to the float tolerance (0.3 is 3/10), capped at 1 as no gap exceeds 1."""
-    t = Fraction(repr(float(min(tolerance, 1))))
+def _exact_tolerance(tolerance) -> Fraction:
+    """The shortest decimal that parses back to the float tolerance (0.3 is 3/10), capped
+    at 1 as no gap exceeds 1; parsed once per report, sweep or oracle call."""
+    return Fraction(repr(float(min(tolerance, 1))))
+
+
+def _gap_bound(den, t: Fraction):
+    """Every gap verdict, exactly: G/D passes iff ``abs(G) <= _gap_bound(D, t)`` for
+    t from ``_exact_tolerance``; floor(t*D) as a Python int, -1 where D is 0."""
     return int(den) * t.numerator // t.denominator if den > 0 else -1
 
 
@@ -392,13 +402,14 @@ def mixture_report(
     integer counts. A NaN or negative ``tolerance`` raises :class:`FairmixError`.
     """
     check_tolerance(tolerance)
-    exact = counts._mixture_row(weights)
+    t = _exact_tolerance(tolerance)
+    accepted, sizes = counts._mixture_row(weights)
     entries = []
     for kind in MetricKind:
         r0, r1 = (counts.mixed_rate(weights, kind, z) for z in (0, 1))
         gap = None if r0 is None or r1 is None else r0 - r1
-        g, d = exact._gap_terms(kind)
-        passed = None if gap is None else bool(abs(g[0]) <= _gap_bound(d[0], tolerance))
+        (n0, d0), (n1, d1) = (_rate_terms(kind, accepted, sizes, z) for z in (0, 1))
+        passed = None if gap is None else abs(n0 * d1 - n1 * d0) <= _gap_bound(d0 * d1, t)
         entries.append(GroupMetric(kind, r0, r1, gap, passed))
     return FairnessReport(
         accuracy=counts.mixed_accuracy(weights),

@@ -30,7 +30,7 @@ from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
 from .metrics import CellCounts, LINEAR_KINDS, MetricKind, _gap_bound, cell_index
-from .metrics import check_kind, check_tolerance
+from .metrics import _exact_tolerance, check_kind, check_tolerance
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -241,7 +241,7 @@ def grid_oracle(
     Completely independent of the LP machinery, and decided on integers.
     For a constrained kind with group rates n_z/d_z per member, the gap at
     k/r is (k.G)/(r*d0*d1) with G_j = n0_j*d1 - n1_j*d0, so the point is
-    feasible iff |k.G| <= _gap_bound(r*d0*d1, tolerance), the rule of every
+    feasible iff |k.G| <= _gap_bound(r*d0*d1, tol), the rule of every
     gap verdict; its accuracy is (k.C)/(r*N), C_j counting member j's
     correct predictions. Only the prefixes (k_1..k_{M-2}) are enumerated:
     along t = k_{M-1}, with k_M = r - sum(prefix) - t, every gap and the
@@ -265,11 +265,11 @@ def grid_oracle(
     if max(size, resolution) > np.iinfo(np.intp).max:  # before the prefixes are built
         raise FairmixError(f"grid resolution {resolution} is too large to index")
     r, n = int(resolution), int(counts.sizes.sum())
-    gaps, bounds = [], []
+    gaps, bounds, tol = [], [], _exact_tolerance(tolerance)
     for kind in constrained:
         g, d = counts._gap_terms(kind)
         gaps.append(g)
-        bounds.append(_gap_bound(r * int(d[0]), tolerance))  # a linear kind has one D
+        bounds.append(_gap_bound(r * int(d[0]), tol))  # a linear kind has one D
     correct = sum(
         counts.counts(kind, z)[0] for kind in (MetricKind.TPR, MetricKind.TNR) for z in (0, 1)
     )
@@ -372,7 +372,8 @@ def best_fair_single_threshold(
         accepted[1::2, k] = np.searchsorted(in_cell, candidates, "right")
     counts = CellCounts(accepted, sizes)
     g, d = counts._gap_terms(MetricKind.ACCEPTANCE_RATE)
-    fair = np.flatnonzero(np.abs(g) <= _gap_bound(d[0], tolerance))  # a linear kind has one D
+    # a linear kind has one D
+    fair = np.flatnonzero(np.abs(g) <= _gap_bound(d[0], _exact_tolerance(tolerance)))
     if fair.size == 0:
         return None
     accuracies = counts.accuracies()
@@ -460,7 +461,7 @@ def ppv_counterexample_search(seed: int, max_trials: int) -> Optional[PPVWitness
         member_a = TableClassifier(pred_a, dataset)
         member_b = TableClassifier(pred_b, dataset)
         g, d = member_counts((member_a, member_b), dataset)._gap_terms(MetricKind.PPV)
-        if not all(abs(gj) <= _gap_bound(dj, 0) for gj, dj in zip(g, d)):
+        if not all(abs(gj) <= _gap_bound(dj, Fraction(0)) for gj, dj in zip(g, d)):
             continue
         return PPVWitness(
             dataset=dataset,

@@ -352,6 +352,58 @@ class TestCounterfactualPairs:
         assert pairs == expected
         assert all(type(i) is int and type(j) is int for i, j in pairs)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_dict_of_feature_tuples(self, data):
+        # categorical levels beside arbitrary floats, one group only, all rows
+        # identical and N = 1 all come up; the dict keys rows after + 0.0
+        n = data.draw(st.integers(1, 40), label="n")
+        d = data.draw(st.integers(1, 4), label="d")
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]),
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        row = st.lists(value, min_size=d, max_size=d)
+        if data.draw(st.booleans(), label="identical rows"):
+            features = [data.draw(row)] * n
+        else:
+            features = data.draw(st.lists(row, min_size=n, max_size=n))
+        group = st.sampled_from((0, 1))
+        if data.draw(st.booleans(), label="one group"):
+            z = [data.draw(group)] * n
+        else:
+            z = data.draw(st.lists(group, min_size=n, max_size=n))
+        buckets = {}
+        for i, features_i in enumerate(features):
+            buckets.setdefault(tuple(v + 0.0 for v in features_i), []).append(i)
+        expected = sorted(
+            (i, j) for rows in buckets.values() for i in rows for j in rows
+            if i < j and z[i] != z[j]
+        )
+        ds = Dataset.from_arrays(features, [1] * n, z)
+        assert build_counterfactual_pairs(ds) == expected
+
+    def test_hash_collisions_fall_back_to_the_exact_sort(self, monkeypatch):
+        # one hash for every row: neighbours with equal hashes and different
+        # features must send the pairs through the sort by value
+        rng = np.random.default_rng(3)
+        n = 300
+        features = rng.integers(0, 3, size=(n, 2)).astype(float)
+        features[::7] *= -1.0  # -0.0 beside 0.0
+        z = rng.integers(0, 2, size=n)
+        ds = Dataset.from_arrays(features, np.ones(n, dtype=int), z)
+        expected = dataset_module.twin_pairs(ds)
+        assert len(expected) > 1000
+        sorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(
+            dataset_module, "_feature_hash", lambda f: np.zeros(len(f), dtype=np.uint64)
+        )
+        monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(keys) or lexsort(keys))
+        pairs = dataset_module.twin_pairs(ds)
+        assert len(sorts) == 1
+        assert pairs.dtype == expected.dtype and np.array_equal(pairs, expected)
+
 
 FEATURE_TOKENS = ["0", "1.5", "-2.25", "1e-300", "-0.0", "4.9e-324", " 1.5", "1_0"]
 BAD_FEATURE_TOKENS = ["abc", "nan", "inf", "-inf", "1e999", "", "0x1", "-"]

@@ -2,6 +2,7 @@
 
 import enum
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from fairmix import (
     classifier_report,
     ensemble_report,
 )
-from fairmix.jsonio import FLOAT_FORMAT, _INDENT, _key, _scalar, dumps, dump_path
+from fairmix.jsonio import (
+    FLOAT_FORMAT, _BLOCK_ROWS, _INDENT, _key, _scalar, dumps, dump_path
+)
 
 
 class Color(enum.Enum):
@@ -250,3 +253,37 @@ class TestIntBlockPath:
         }
         for doc in (weighted, per_member):
             assert dumps(doc) == reference_dumps(doc)
+
+
+class TestBlockBoundaries:
+    """A 2-D integer array is written ``_BLOCK_ROWS`` rows per format call:
+    the text is the same on both sides of a block boundary, and the memory
+    it takes beyond the text does not grow with the array."""
+
+    @pytest.mark.parametrize(
+        "rows", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_matches_node_by_node_emitter(self, rows, width, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(rows * width)
+        value = rng.integers(info.min, info.max, size=(rows, width), dtype=dtype, endpoint=True)
+        # the extremes open and close every block
+        value[::_BLOCK_ROWS] = info.min
+        value[_BLOCK_ROWS - 1::_BLOCK_ROWS] = info.max
+        value[-1] = info.max
+        doc = {"pairs": value, "nested": [[value]]}
+        assert dumps(doc) == reference_dumps(doc)
+
+    def test_peak_memory_is_bounded_by_the_text(self):
+        value = np.arange(400_000, dtype=np.int64).reshape(200_000, 2)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            text = dumps({"pairs": value})
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        # the parts and their join: two copies of the text, and a few blocks
+        assert peak <= 2 * len(text) + 4 * 2**20

@@ -796,6 +796,7 @@ def reference_sweep(dataset, feature_index, tolerance):
         low = min(values[0] - 1.0, np.nextafter(values[0], -np.inf))
         high = max(values[-1] + 1.0, np.nextafter(values[-1], np.inf))
     candidates = [float(t) for t in (low, *values, high) if np.isfinite(t)]
+    z = dataset.sensitive
     best = None
     for threshold in candidates:
         for direction, sign in (("+", 1.0), ("-", -1.0)):
@@ -804,7 +805,12 @@ def reference_sweep(dataset, feature_index, tolerance):
             rule = LinearClassifier(tuple(weights), 0.0, -sign * threshold)
             predictions = rule.predict_all(dataset)
             gap = fairness_gap(MetricKind.ACCEPTANCE_RATE, predictions, dataset)
-            if gap is None or abs(gap) > tolerance:
+            # the verdict is exact, on the rates as fractions: a float gap
+            # can round onto the tolerance (1/3 at tolerance 1/3)
+            if gap is None or abs(
+                Fraction(int(np.sum(predictions[z == 0] == 1)), int(np.sum(z == 0)))
+                - Fraction(int(np.sum(predictions[z == 1] == 1)), int(np.sum(z == 1)))
+            ) > Fraction(repr(tolerance)):
                 continue
             acc = accuracy(predictions, dataset)
             if best is None or acc > best[2]:
