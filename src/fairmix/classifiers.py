@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -28,6 +26,7 @@ from .dataset import (
     _read_only,
     check_length,
     check_predictions,
+    check_real,
 )
 from .errors import CompatibilityError, DataFormatError, FairmixError
 
@@ -49,14 +48,7 @@ class LinearClassifier:
     def __post_init__(self):
         weights = tuple(self.weights)  # an iterator is read once
         for x in (*weights, self.sensitive_weight, self.bias):  # as given, before float()
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise FairmixError(f"classifier parameter must be a real number, got {x!r}")
-            # the decimal text of such an integer can exceed str()'s limit
-            if isinstance(x, numbers.Integral) and abs(x) > sys.float_info.max:
-                bits = int(x).bit_length()
-                raise FairmixError(
-                    f"classifier parameter is an integer of {bits} bits, past the float range"
-                )
+            check_real(x, "classifier parameter")
         object.__setattr__(self, "weights", tuple(map(float, weights)))
         if not all(map(math.isfinite, (*self.weights, self.sensitive_weight, self.bias))):
             raise FairmixError(f"non-finite classifier parameter in {self!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import numbers
+import sys
 from os import PathLike
 from typing import Callable, Optional, Union
 
@@ -353,6 +354,16 @@ def check_integer(value, what: str, minimum: Optional[int] = None) -> None:
         raise FairmixError(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise FairmixError(f"{what} must be >= {minimum}, got {value}")
+
+
+def check_real(value, what: str) -> None:
+    """Raise unless ``value`` is a real number: not a bool, nor an integer past the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise FairmixError(f"{what} must be a real number, got {value!r}")
+    # the decimal text of such an integer can exceed str()'s limit
+    if isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        bits = int(value).bit_length()
+        raise FairmixError(f"{what} is an integer of {bits} bits, past the float range")
 
 
 def check_length(values: np.ndarray, dataset: Dataset, what: str, error=FairmixError):

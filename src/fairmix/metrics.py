@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -30,6 +28,7 @@ from .dataset import (
     check_length,
     check_predictions,
     check_profile,
+    check_real,
 )
 from .distributional import DispersionReport
 from .errors import FairmixError
@@ -122,9 +121,8 @@ class CellCounts:
     def accuracies(self) -> np.ndarray:
         """Per-row fraction of instances predicted correctly, read-only."""
         if None not in self._cache:
-            a, s = self.accepted, self.sizes
-            correct = a[:, 1] + a[:, 3] + (s[0] - a[:, 0]) + (s[2] - a[:, 2])
-            self._cache[None] = _read_only(correct / int(s.sum()))
+            correct = _correct(self.accepted.T, self.sizes)
+            self._cache[None] = _read_only(correct / int(self.sizes.sum()))
         return self._cache[None]
 
     def mixed_rate(self, weights, kind: MetricKind, z: int) -> Optional[float]:
@@ -201,6 +199,11 @@ def _rate_terms(kind: MetricKind, accepted, sizes, z: int):
     return size_neg - acc_neg, size_neg  # TNR
 
 
+def _correct(accepted, sizes):
+    """Correct predictions, from the per-cell arguments of :func:`_rate_terms`."""
+    return accepted[1] + accepted[3] + (sizes[0] - accepted[0]) + (sizes[2] - accepted[2])
+
+
 def cell_index(dataset: Dataset) -> np.ndarray:
     """Each instance's cell ``k = 2*z + (y == +1)``, as in :class:`CellCounts`."""
     return 2 * dataset.sensitive + (dataset.labels == 1)
@@ -237,8 +240,9 @@ def _gap_bound(den, t: Fraction):
 
 
 def fairness_gap(kind: MetricKind, predictions, dataset: Dataset) -> Optional[float]:
-    """Group rate at z=0 minus z=1; ``None`` if either side is undefined."""
-    return defined(_vector_counts(predictions, dataset)[0].gaps(kind)[0])
+    """Group rate at z=0 minus z=1, correctly rounded; ``None`` if either is undefined."""
+    g, d = _vector_counts(predictions, dataset)[0]._gap_terms(kind)
+    return int(g[0]) / int(d[0]) if d[0] else None  # Python's int division rounds correctly
 
 
 def check_kind(kind) -> None:
@@ -313,12 +317,7 @@ def _index_pairs(pairs: Pairs, n: int) -> np.ndarray:
 def check_tolerance(tolerance: float) -> None:
     """Raise unless ``tolerance`` is a real number >= 0; NaN, a bool and an
     integer past the float range are rejected, infinity allowed."""
-    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
-        raise FairmixError(f"tolerance must be a real number, got {tolerance!r}")
-    # the decimal text of such an integer can exceed str()'s limit
-    if isinstance(tolerance, numbers.Integral) and abs(tolerance) > sys.float_info.max:
-        bits = int(tolerance).bit_length()
-        raise FairmixError(f"tolerance is an integer of {bits} bits, past the float range")
+    check_real(tolerance, "tolerance")
     if not tolerance >= 0:  # also rejects NaN
         raise FairmixError(f"tolerance must be >= 0, got {tolerance!r}")
 
@@ -397,22 +396,22 @@ def mixture_report(
 ) -> FairnessReport:
     """Report on the random mixture ``weights`` over the counted rows.
 
-    ``profile`` is the mixture's per-instance acceptance probability,
-    which the treatment test compares across twin pairs. Each ``pass`` is exact, on
-    integer counts. A NaN or negative ``tolerance`` raises :class:`FairmixError`.
+    ``profile`` is the mixture's per-instance acceptance probability, which the treatment
+    test compares across twin pairs. Every rate, gap, accuracy and ``pass`` comes from one
+    exact row of integer counts. A NaN or negative ``tolerance`` raises :class:`FairmixError`.
     """
     check_tolerance(tolerance)
     t = _exact_tolerance(tolerance)
     accepted, sizes = counts._mixture_row(weights)
     entries = []
     for kind in MetricKind:
-        r0, r1 = (counts.mixed_rate(weights, kind, z) for z in (0, 1))
-        gap = None if r0 is None or r1 is None else r0 - r1
         (n0, d0), (n1, d1) = (_rate_terms(kind, accepted, sizes, z) for z in (0, 1))
-        passed = None if gap is None else abs(n0 * d1 - n1 * d0) <= _gap_bound(d0 * d1, t)
+        g, d = n0 * d1 - n1 * d0, d0 * d1  # Python's int division rounds correctly
+        r0, r1, gap = (n / d if d else None for n, d in ((n0, d0), (n1, d1), (g, d)))
+        passed = abs(g) <= _gap_bound(d, t) if d else None
         entries.append(GroupMetric(kind, r0, r1, gap, passed))
     return FairnessReport(
-        accuracy=counts.mixed_accuracy(weights),
+        accuracy=_correct(accepted, sizes) / sum(sizes),
         metrics=tuple(entries),
         treatment_pairs_checked=len(pairs),
         treatment_violations=_violations(profile, pairs, tolerance),

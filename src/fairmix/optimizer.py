@@ -29,8 +29,8 @@ from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
-from .metrics import CellCounts, LINEAR_KINDS, MetricKind, _gap_bound, cell_index
-from .metrics import _exact_tolerance, check_kind, check_tolerance
+from .metrics import CellCounts, LINEAR_KINDS, MetricKind, _correct, _gap_bound
+from .metrics import _exact_tolerance, cell_index, check_kind, check_tolerance
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -260,19 +260,18 @@ def grid_oracle(
     check_integer(resolution, "grid resolution", GRID_MIN_RESOLUTION)
     constrained = _constrained_kinds(constrained, tolerance)
     counts = member_counts(members, dataset)
-    _gap_rows(counts, constrained)  # rejects undefined gaps, even at inf
-    size = math.comb(resolution + m - 1, m - 1)  # lattice points
-    if max(size, resolution) > np.iinfo(np.intp).max:  # before the prefixes are built
-        raise FairmixError(f"grid resolution {resolution} is too large to index")
     r, n = int(resolution), int(counts.sizes.sum())
     gaps, bounds, tol = [], [], _exact_tolerance(tolerance)
     for kind in constrained:
         g, d = counts._gap_terms(kind)
+        if d[0] == 0:  # a linear kind has one D, so every member is undefined, even at inf
+            raise FairmixError(f"{kind} is undefined for member 1; cannot constrain it")
         gaps.append(g)
-        bounds.append(_gap_bound(r * int(d[0]), tol))  # a linear kind has one D
-    correct = sum(
-        counts.counts(kind, z)[0] for kind in (MetricKind.TPR, MetricKind.TNR) for z in (0, 1)
-    )
+        bounds.append(_gap_bound(r * int(d[0]), tol))
+    size = math.comb(resolution + m - 1, m - 1)  # lattice points
+    if max(size, resolution) > np.iinfo(np.intp).max:  # before the prefixes are built
+        raise FairmixError(f"grid resolution {resolution} is too large to index")
+    correct = _correct(counts.accepted.T, counts.sizes)
     top = max([r * m * max(int(np.abs(v).max()) for v in [correct, *gaps]), *bounds])
     dtype = np.int64 if top < 2**62 else object  # Python ints past int64's reach
     lattice = _lattice(r, max(m - 1, 1)).astype(dtype)
@@ -371,8 +370,7 @@ def best_fair_single_threshold(
         accepted[0::2, k] = in_cell.size - np.searchsorted(in_cell, candidates, "left")
         accepted[1::2, k] = np.searchsorted(in_cell, candidates, "right")
     counts = CellCounts(accepted, sizes)
-    g, d = counts._gap_terms(MetricKind.ACCEPTANCE_RATE)
-    # a linear kind has one D
+    g, d = counts._gap_terms(MetricKind.ACCEPTANCE_RATE)  # a linear kind has one D
     fair = np.flatnonzero(np.abs(g) <= _gap_bound(d[0], _exact_tolerance(tolerance)))
     if fair.size == 0:
         return None
@@ -382,7 +380,7 @@ def best_fair_single_threshold(
     threshold = float(candidates[best // 2])
     direction = "+-"[best % 2]
     rule = _threshold_classifier(dataset.dimension, feature_index, threshold, direction)
-    gap = float(counts.gaps(MetricKind.ACCEPTANCE_RATE)[best])
+    gap = int(g[best]) / int(d[best])  # correctly rounded
     return ThresholdRule(threshold, direction, float(accuracies[best]), gap, rule)
 
 

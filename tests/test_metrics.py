@@ -46,7 +46,12 @@ from fairmix.metrics import (
 )
 from fairmix.optimizer import best_fair_single_threshold
 
-from conftest import make_random_dataset, make_random_members, make_three_tenths_gap
+from conftest import (
+    make_random_dataset,
+    make_random_members,
+    make_three_tenths_gap,
+    random_weights,
+)
 
 
 def vector_counts(preds, ds):
@@ -350,7 +355,7 @@ class TestGap:
         assert counts.rates(MetricKind.PPV, 1)[0] == 0.0
         assert counts.rates(MetricKind.NPV, 0)[0] == 1.0
         assert counts.rates(MetricKind.NPV, 1)[0] == 0.0
-        assert fairness_gap(MetricKind.ACCEPTANCE_RATE, preds, ds) == 2 / 3 - 1 / 2
+        assert fairness_gap(MetricKind.ACCEPTANCE_RATE, preds, ds) == 1 / 6
 
     def test_undefined_rate_gives_none_not_zero(self):
         ds = Dataset.from_arrays([[0.0], [1.0]], [-1, 1], [0, 1])
@@ -697,25 +702,55 @@ CONDITIONS = {
 }
 
 
-def reference_gap(rows, weights, ds, kind):
-    """The ``kind`` gap of the mixture ``weights`` over the +-1 prediction
-    ``rows``, in plain ``Fraction``s from the instances: each weight is the
-    binary fraction it is, the weights are normalised to sum 1, and a group's
-    rate is the weighted hits over the weighted conditioning set. None when
-    either rate is undefined."""
+def reference_weights(weights):
+    """Each weight as the binary fraction it is, normalised to sum 1."""
     w = [Fraction(x) for x in weights]
-    w = [x / sum(w) for x in w]
+    return [x / sum(w) for x in w]
+
+
+def reference_rates(rows, weights, ds, kind):
+    """The ``kind`` rates at z=0 and z=1 of the mixture ``weights`` over the
+    +-1 prediction ``rows``, in plain ``Fraction``s from the instances: a
+    group's rate is the weighted hits over the weighted conditioning set,
+    None when that set is empty."""
     rates = []
     for z in (0, 1):
         hits = size = Fraction(0)
-        for wj, row in zip(w, rows):
+        for wj, row in zip(reference_weights(weights), rows):
             for p, y, g in zip(row, ds.labels.tolist(), ds.sensitive.tolist()):
                 cond, hit = CONDITIONS[kind](p == 1, y)
                 if g == z and cond:
                     size += wj
                     hits += wj * hit
         rates.append(None if size == 0 else hits / size)
-    return None if None in rates else rates[0] - rates[1]
+    return rates
+
+
+def reference_gap(rows, weights, ds, kind):
+    """The ``kind`` gap of the mixture, from :func:`reference_rates`; None
+    when either rate is undefined."""
+    r0, r1 = reference_rates(rows, weights, ds, kind)
+    return None if r0 is None or r1 is None else r0 - r1
+
+
+def reference_printed(rows, weights, ds):
+    """What a report on the mixture must print: per kind (value_z0, value_z1,
+    gap), then the accuracy, each the exact ``Fraction`` correctly rounded by
+    ``float()``, None where undefined."""
+    values = {}
+    for kind in MetricKind:
+        r0, r1 = reference_rates(rows, weights, ds, kind)
+        gap = None if r0 is None or r1 is None else r0 - r1
+        values[kind] = tuple(None if v is None else float(v) for v in (r0, r1, gap))
+    labels = ds.labels.tolist()
+    correct = [sum(p == y for p, y in zip(row, labels)) for row in rows]
+    acc = sum(wj * c for wj, c in zip(reference_weights(weights), correct)) / len(labels)
+    return values, float(acc)
+
+
+def printed(report):
+    """A report's printed numbers, in the shape of :func:`reference_printed`."""
+    return {e.kind: (e.value_z0, e.value_z1, e.gap) for e in report.metrics}, report.accuracy
 
 
 def reference_pass(gap, tolerance):
@@ -749,8 +784,10 @@ class TestExactVerdicts:
 
     def test_reports_and_sweep_match_fraction_reference(self):
         # weights are small integer ratios, so exact-zero mixture gaps occur;
-        # a float gap can read -5.55e-17 for one of them, or
-        # 0.30000000000000004 for an exact 3/10
+        # a float r0 - r1 can read -5.55e-17 for one of them, or
+        # 0.30000000000000004 for an exact 3/10. Every verdict and every
+        # printed number is checked: a printed number is the exact value
+        # correctly rounded
         rng = np.random.default_rng(5)
         exact_zeros = 0
         for _ in range(100):
@@ -763,30 +800,63 @@ class TestExactVerdicts:
             member_gaps = [
                 {k: reference_gap([row], [1.0], ds, k) for k in MetricKind} for row in rows
             ]
+            member_printed = [reference_printed([row], [1.0], ds) for row in rows]
             mixture_gaps = {k: reference_gap(rows, weights, ds, k) for k in MetricKind}
+            mixture_printed = reference_printed(rows, weights, ds)
             exact_zeros += list(mixture_gaps.values()).count(0)
             ens, rules = Ensemble(members, weights), reference_rules(ds)
+            for member, want in zip(members, member_printed):
+                for kind in MetricKind:
+                    assert fairness_gap(kind, member.predictions, ds) == want[0][kind][2]
             for tol in self.TOLERANCES:
-                for member, gaps in zip(members, member_gaps):
+                for member, gaps, want in zip(members, member_gaps, member_printed):
                     report = classifier_report(member.predictions, ds, tolerance=tol)
                     for entry in report.metrics:
                         assert entry.passed is reference_pass(gaps[entry.kind], tol), tol
-                for entry in ensemble_report(ens, ds, tolerance=tol).metrics:
+                    assert printed(report) == want
+                report = ensemble_report(ens, ds, tolerance=tol)
+                for entry in report.metrics:
                     want = reference_pass(mixture_gaps[entry.kind], tol)
                     assert entry.passed is want, (weights.tolist(), entry.kind, tol)
+                assert printed(report) == mixture_printed, weights.tolist()
                 rule = best_fair_single_threshold(ds, 0, tol)
                 got = None if rule is None else (rule.threshold, rule.direction)
                 assert got == reference_sweep(rules, tol), tol
+                if rule is not None:
+                    gaps = {r[:2]: r[2] for r in rules}
+                    assert rule.gap == float(gaps[got]), tol
         assert exact_zeros >= 5
 
     def test_gap_of_exactly_three_tenths(self):
-        # 0.4 - 0.1 is 0.30000000000000004 as floats; the verdict reads 3/10
+        # 0.4 - 0.1 is 0.30000000000000004 as floats; the report reads 3/10
         ds, member = make_three_tenths_gap()
         at = {
             tol: classifier_report(member.predictions, ds, tolerance=tol).metrics[0]
             for tol in (0.3, 0.2999999999995)
         }
         assert at[0.3].kind is MetricKind.ACCEPTANCE_RATE
-        assert at[0.3].gap == 0.30000000000000004
+        assert at[0.3].gap == 0.3
         assert at[0.3].passed is True
         assert at[0.2999999999995].passed is False
+
+    def test_member_split_leaves_the_report_unchanged(self):
+        # a member split into two adjacent copies, each with half its weight,
+        # is the same exact mixture, so every printed rate, gap, accuracy and
+        # pass is byte-equal. The treatment block and the dispersion read the
+        # float benefit profile, whose sums do change, so they are outside
+        # the relation
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            ds = make_random_dataset(rng, 40)
+            m = int(rng.integers(2, 6))
+            members = make_random_members(rng, ds, m)
+            weights = random_weights(rng, m).tolist()
+            j = int(rng.integers(m))
+            split_members = members[:j] + [members[j]] + members[j:]
+            split_weights = weights[:j] + [weights[j] / 2] * 2 + weights[j + 1:]
+            docs = [
+                ensemble_report(Ensemble(ms, ws), ds, tolerance=0.0).to_json_dict()
+                for ms, ws in ((members, weights), (split_members, split_weights))
+            ]
+            got, want = (repr((d["metrics"], d["accuracy"])) for d in docs)
+            assert got == want, (weights, j)

@@ -577,6 +577,27 @@ class TestGridOracle:
         with pytest.raises(FairmixError, match="grid resolution must be an integer"):
             grid_oracle(members, ds, [MetricKind.ACCEPTANCE_RATE], 0.1, resolution)
 
+    def test_decided_without_the_lp_gap_rows(self, rng, monkeypatch):
+        # the oracle reads exact counts only, so the LP's float gap rows are
+        # never built, not even to reject an undefined kind
+        ds = make_random_dataset(rng, 20)
+        members = make_random_members(rng, ds, 3)
+        want = grid_oracle(members, ds, ALL_LINEAR, 0.1, 20).to_json_dict()
+
+        def built(*args):
+            raise AssertionError("grid_oracle built the LP's gap rows")
+
+        monkeypatch.setattr(optimizer_mod, "_gap_rows", built)
+        assert grid_oracle(members, ds, ALL_LINEAR, 0.1, 20).to_json_dict() == want
+        # no positive labels in group 0: TPR undefined for every member, which
+        # is named before the lattice is sized, even at an infinite tolerance
+        ds = Dataset.from_arrays([[0.0], [1.0]], [-1, 1], [0, 1])
+        members = [TableClassifier([1, 1], ds), TableClassifier([-1, 1], ds)]
+        with pytest.raises(FairmixError, match="^tpr is undefined for member 1; cannot"):
+            grid_oracle(members, ds, [MetricKind.ACCEPTANCE_RATE, MetricKind.TPR], 0.1, 10)
+        with pytest.raises(FairmixError, match="^tpr is undefined for member 1; cannot"):
+            grid_oracle(members, ds, [MetricKind.TPR], math.inf, 10**20)
+
     def test_lattice_matches_recursive_compositions(self):
         for total in (10, 13, 50):
             for parts in (1, 2, 3, 4):
