@@ -18,8 +18,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import ensemble as ensemble_mod
 from . import jsonio, metrics, optimizer
 from .classifiers import (
@@ -348,16 +346,16 @@ def cmd_counterexample(args) -> int:
         )
         return EXIT_NOT_FOUND
     counts = ensemble_mod.member_counts(witness.members, witness.dataset)
-    weights = np.asarray(witness.weights)
     ppv = [counts.counts(MetricKind.PPV, z) for z in (0, 1)]  # (hits, sizes) by group
+    (r0, r1, gap), _ = metrics._mixture_rates(counts._mixture_row(witness.weights), MetricKind.PPV)
     verification = {
         "member_ppv": [
             {f"z{z}": {"hits": int(h[j]), "size": int(s[j])} for z, (h, s) in enumerate(ppv)}
             for j in range(len(witness.members))
         ],
-        "ensemble_ppv_z0": counts.mixed_rate(weights, MetricKind.PPV, 0),
-        "ensemble_ppv_z1": counts.mixed_rate(weights, MetricKind.PPV, 1),
-        "ensemble_gap_recomputed": counts.mixed_gap(weights, MetricKind.PPV),
+        "ensemble_ppv_z0": r0,
+        "ensemble_ppv_z1": r1,
+        "ensemble_gap_recomputed": gap,
     }
     if args.out_dir is not None:
         _export(args.out_dir, witness.dataset, witness.members, witness.weights)

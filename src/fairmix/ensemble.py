@@ -12,7 +12,10 @@ Acceptance rate, TPR and TNR are averages over fixed conditioning sets,
 so the ensemble value is the p-weighted average of member values.
 PPV/NPV condition on the *predicted* class, which varies per member;
 their ensemble value is a ratio of weighted counts, not linear in p.
-Both come from the members' cell counts (:func:`member_counts`).
+Both are read from one exact row: the members' cell counts
+(:func:`member_counts`) summed with each weight as the binary fraction
+it is. Every ensemble rate, gap and accuracy is that row's exact value,
+correctly rounded.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .classifiers import Classifier, TableClassifier, prediction_matrix
-from .dataset import Dataset, _read_only, check_integer
+from .dataset import Dataset, _read_only, check_group, check_integer
 from .distributional import dispersion
 from .errors import FairmixError
 from . import metrics
@@ -40,7 +44,6 @@ from .metrics import (
 )
 
 WEIGHT_SUM_TOLERANCE = 1e-12
-CLOSURE_IDENTITY_TOLERANCE = 1e-9
 
 #: Recorded in sampler output; the seed-to-output mapping is part of the
 #: artifact's compatibility contract.
@@ -138,32 +141,47 @@ def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts
     return counts
 
 
+def _mixture(ensemble: Ensemble, dataset: Dataset) -> tuple[list[int], list[int]]:
+    """The ensemble as one exact row of counts (``CellCounts._mixture_row``)."""
+    return member_counts(ensemble.members, dataset)._mixture_row(ensemble.weights)
+
+
 def ensemble_group_rate(
     ensemble: Ensemble, kind: MetricKind, dataset: Dataset, z: int
 ) -> Optional[float]:
-    """Analytic group rate of the ensemble for one metric kind."""
-    return member_counts(ensemble.members, dataset).mixed_rate(ensemble.weights, kind, z)
+    """Analytic group rate of the ensemble for one metric kind, correctly
+    rounded; ``None`` if undefined."""
+    rates, _ = metrics._mixture_rates(_mixture(ensemble, dataset), kind)
+    check_group(z)
+    return rates[z]
 
 
 def ensemble_gap(
     ensemble: Ensemble, kind: MetricKind, dataset: Dataset
 ) -> Optional[float]:
-    return member_counts(ensemble.members, dataset).mixed_gap(ensemble.weights, kind)
+    """The ensemble's exact rate at z=0 minus z=1, correctly rounded; ``None``
+    if either rate is undefined."""
+    return metrics._mixture_rates(_mixture(ensemble, dataset), kind)[0][2]
 
 
 def mixture_accuracy(ensemble: Ensemble, dataset: Dataset) -> float:
-    """Ensemble accuracy: the p-weighted average of member accuracies."""
-    return member_counts(ensemble.members, dataset).mixed_accuracy(ensemble.weights)
+    """Ensemble accuracy: the p-weighted average of member accuracies,
+    correctly rounded."""
+    return metrics._row_accuracy(_mixture(ensemble, dataset))
 
 
 @dataclass(frozen=True)
 class ClosureReport:
     """Whether mixing preserved a fairness gap identity for one kind.
 
-    For linear kinds the ensemble gap provably equals the weighted sum
-    of member gaps and ``linear`` is True. For PPV/NPV both quantities
-    are reported without asserting equality; their difference is the
-    non-closure being measured.
+    ``ensemble_gap`` is the mixture's exact gap and
+    ``weighted_member_gap_sum`` the exact sum of member gaps times
+    weights (the weights normalised to sum 1), each correctly rounded;
+    the sum is None when any member's gap is undefined. For linear kinds
+    the two are equal in exact arithmetic, which is checked, and
+    ``linear`` is True. For PPV/NPV both quantities are reported without
+    asserting equality; their difference is the non-closure being
+    measured.
     """
 
     kind: MetricKind
@@ -176,17 +194,21 @@ def closure_check(
     ensemble: Ensemble, kind: MetricKind, dataset: Dataset
 ) -> ClosureReport:
     counts = member_counts(ensemble.members, dataset)
-    gap_ens = counts.mixed_gap(ensemble.weights, kind)
-    # NaN member gaps (an undefined member rate) make the sum undefined
-    weighted = metrics.defined(np.dot(ensemble.weights, counts.gaps(kind)))
+    (_, _, gap), (g, d) = metrics._mixture_rates(counts._mixture_row(ensemble.weights), kind)
+    member_g, member_d = counts._gap_terms(kind)
+    weighted = None
+    if member_d.all():  # an undefined member gap makes the sum undefined
+        w = [Fraction(x) for x in ensemble.weights.tolist()]
+        terms = zip(w, member_g.tolist(), member_d.tolist())
+        weighted = sum(x * Fraction(mg, md) for x, mg, md in terms) / sum(w)
     linear = kind in LINEAR_KINDS
-    if linear and gap_ens is not None and weighted is not None:
-        if abs(gap_ens - weighted) > CLOSURE_IDENTITY_TOLERANCE:
-            raise FairmixError(
-                f"linearity identity violated for {kind}: ensemble gap "
-                f"{gap_ens!r} vs weighted member sum {weighted!r}"
-            )
-    return ClosureReport(kind, linear, gap_ens, weighted)
+    # a linear kind's gap is defined for the mixture iff it is for every member
+    if linear and weighted is not None and Fraction(g, d) != weighted:
+        raise FairmixError(
+            f"linearity identity violated for {kind}: ensemble gap "
+            f"{gap!r} vs weighted member sum {float(weighted)!r}"
+        )
+    return ClosureReport(kind, linear, gap, None if weighted is None else float(weighted))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ stated in every serialized report.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -81,9 +80,10 @@ class CellCounts:
     (z1,y-), (z1,y+). ``accepted[j, k]`` counts the instances of cell k
     that row j accepts and ``sizes[k]`` counts the cell. Every group
     rate and the accuracy of a row, and of any random mixture of rows,
-    follow from these integers, held as read-only copies; each rate, gap
-    and accuracy array, and each ratio kind's (hits, size) rows, is kept,
-    read-only, once computed.
+    follow from these integers, held as read-only copies; each per-row
+    rate, gap and accuracy array is kept, read-only, once computed. A
+    mixture is read as one exact row (``_mixture_row``), from which
+    ``_mixture_rates`` and ``_row_accuracy`` give every number it has.
     """
 
     accepted: np.ndarray
@@ -125,45 +125,6 @@ class CellCounts:
             self._cache[None] = _read_only(correct / int(self.sizes.sum()))
         return self._cache[None]
 
-    def mixed_rate(self, weights, kind: MetricKind, z: int) -> Optional[float]:
-        """Group rate of the random mixture ``weights`` over the rows.
-
-        Linear kinds are weighted averages of row rates. PPV/NPV use the
-        weighted-ratio form: expected hits over expected conditioning-set
-        size under the random draw. ``None`` when undefined. One row with
-        weight 1 gives exactly that row's own rate.
-        """
-        check_kind(kind)  # before the set lookup: a list has no hash
-        if kind in LINEAR_KINDS:
-            # every row has the same conditioning set, so the rates are
-            # all defined or all NaN
-            return defined(np.dot(weights, self.rates(kind, z)))
-        check_group(z)
-        return self._mixed_ratios(weights, kind)[z]
-
-    def mixed_gap(self, weights, kind: MetricKind) -> Optional[float]:
-        """``mixed_rate(z=0) - mixed_rate(z=1)``; ``None`` if either is undefined."""
-        check_kind(kind)
-        if kind in LINEAR_KINDS:
-            r0, r1 = (defined(np.dot(weights, self.rates(kind, z))) for z in (0, 1))
-        else:
-            r0, r1 = self._mixed_ratios(weights, kind)
-        return None if r0 is None or r1 is None else r0 - r1
-
-    def _mixed_ratios(self, weights, kind: MetricKind) -> list:
-        """``mixed_rate`` of a ratio kind at z=0 and z=1."""
-        if (kind, "terms") not in self._cache:  # (4, M): hits, size at z=0, then z=1
-            terms = [t for z in (0, 1) for t in self.counts(kind, z)]
-            self._cache[kind, "terms"] = _read_only(np.array(terms))
-        # each row summed strictly in row order, so the value does not move
-        # with numpy's pairwise or BLAS summation order
-        sums = np.cumsum(weights * self._cache[kind, "terms"], axis=1)[:, -1].tolist()
-        return [None if s == 0.0 else h / s for h, s in zip(sums[0::2], sums[1::2])]
-
-    def mixed_accuracy(self, weights) -> float:
-        """Accuracy of the mixture: the weighted average of row accuracies."""
-        return float(np.dot(weights, self.accuracies()))
-
     def _gap_terms(self, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
         """Per row, the gap n0/d0 - n1/d1 as G/D: G = n0*d1 - n1*d0, D = d0*d1; in int64
         while the instance total, which bounds every count, is below 2**31, else Python ints."""
@@ -175,11 +136,15 @@ class CellCounts:
     def _mixture_row(self, weights) -> tuple[list[int], list[int]]:
         """The mixture ``weights`` as one row of Python-int (accepted, sizes): float weight j
         is the binary fraction a_j/2^e it is, and the row counts sum_j a_j*accepted_j in
-        cells of sizes*sum_j a_j, which normalises the weights to sum 1."""
-        ratios = [w.as_integer_ratio() for w in np.asarray(weights, dtype=float).tolist()]
-        scale = max(den for _, den in ratios)  # powers of 2: the largest is their lcm
+        cells of sizes*sum_j a_j, which normalises the weights to sum 1. A row of weight 0
+        adds nothing, so only the rows of nonzero weight are read."""
+        w = np.asarray(weights, dtype=float)
+        nonzero = np.flatnonzero(w)
+        ratios = [x.as_integer_ratio() for x in w[nonzero].tolist()]
+        scale = max((d for _, d in ratios), default=1)  # powers of 2: the largest is their lcm
         a = [num * (scale // den) for num, den in ratios]
-        accepted = [sum(x * y for x, y in zip(a, cell)) for cell in zip(*self.accepted.tolist())]
+        cells = self.accepted[nonzero].T.tolist()
+        accepted = [sum(x * y for x, y in zip(a, cell)) for cell in cells]
         sizes = [size * sum(a) for size in self.sizes.tolist()]
         return accepted, sizes
 
@@ -204,6 +169,21 @@ def _correct(accepted, sizes):
     return accepted[1] + accepted[3] + (sizes[0] - accepted[0]) + (sizes[2] - accepted[2])
 
 
+def _mixture_rates(row, kind: MetricKind) -> tuple[list, tuple[int, int]]:
+    """The ``kind`` rates at z=0 and z=1 of an exact mixture ``row`` (``_mixture_row``) and
+    their gap, each correctly rounded by Python's int division and ``None`` where undefined;
+    and the gap as the integers (G, D) that decide its verdicts with ``_gap_bound``."""
+    check_kind(kind)
+    (n0, d0), (n1, d1) = (_rate_terms(kind, *row, z) for z in (0, 1))
+    g, d = n0 * d1 - n1 * d0, d0 * d1
+    return [n / d if d else None for n, d in ((n0, d0), (n1, d1), (g, d))], (g, d)
+
+
+def _row_accuracy(row) -> float:
+    """The accuracy of an exact mixture ``row``, correctly rounded."""
+    return _correct(*row) / sum(row[1])
+
+
 def cell_index(dataset: Dataset) -> np.ndarray:
     """Each instance's cell ``k = 2*z + (y == +1)``, as in :class:`CellCounts`."""
     return 2 * dataset.sensitive + (dataset.labels == 1)
@@ -219,12 +199,6 @@ def cell_counts(accepts: np.ndarray, dataset: Dataset) -> CellCounts:
     for k in range(4):
         accepted[:, k] = np.bitwise_count(bits & np.packbits(cell == k)).sum(axis=1)
     return CellCounts(accepted, np.bincount(cell, minlength=4))
-
-
-def defined(value) -> Optional[float]:
-    """A rate or gap as a float, or ``None`` when it is undefined (NaN)."""
-    value = float(value)
-    return None if math.isnan(value) else value
 
 
 def _exact_tolerance(tolerance) -> Fraction:
@@ -402,16 +376,14 @@ def mixture_report(
     """
     check_tolerance(tolerance)
     t = _exact_tolerance(tolerance)
-    accepted, sizes = counts._mixture_row(weights)
+    row = counts._mixture_row(weights)
     entries = []
     for kind in MetricKind:
-        (n0, d0), (n1, d1) = (_rate_terms(kind, accepted, sizes, z) for z in (0, 1))
-        g, d = n0 * d1 - n1 * d0, d0 * d1  # Python's int division rounds correctly
-        r0, r1, gap = (n / d if d else None for n, d in ((n0, d0), (n1, d1), (g, d)))
+        (r0, r1, gap), (g, d) = _mixture_rates(row, kind)
         passed = abs(g) <= _gap_bound(d, t) if d else None
         entries.append(GroupMetric(kind, r0, r1, gap, passed))
     return FairnessReport(
-        accuracy=_correct(accepted, sizes) / sum(sizes),
+        accuracy=_row_accuracy(row),
         metrics=tuple(entries),
         treatment_pairs_checked=len(pairs),
         treatment_violations=_violations(profile, pairs, tolerance),

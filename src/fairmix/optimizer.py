@@ -30,7 +30,8 @@ from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
 from .errors import FairmixError
 from .metrics import CellCounts, LINEAR_KINDS, MetricKind, _correct, _gap_bound
-from .metrics import _exact_tolerance, cell_index, check_kind, check_tolerance
+from .metrics import _exact_tolerance, _mixture_rates, _row_accuracy
+from .metrics import cell_index, check_kind, check_tolerance
 from .simplex import LinearProgram, SimplexResult, SolveStatus, simplex_solve
 
 VALIDATION_TOLERANCE = 1e-9
@@ -144,9 +145,12 @@ def solve_fair_mixture(
     """Solve for fair mixture weights and re-verify the result analytically.
 
     The solution is never reported straight from the tableau: the
-    returned weights are pushed back through the members' cell counts and
-    the recomputed accuracy and gaps must agree with the LP's view within
-    1e-9, otherwise this raises rather than returning a bad certificate.
+    returned weights are pushed back through the members' cell counts as
+    one exact row, the row every report reads. Each constrained gap must
+    be at most the tolerance + 1e-9 exactly, and the recomputed accuracy
+    must agree with the LP objective within 1e-9 in floats, otherwise
+    this raises rather than returning a bad certificate. The reported
+    accuracy and gaps are that row's exact values, correctly rounded.
     """
     constrained = _constrained_kinds(constrained, tolerance)
     members = tuple(members)  # an iterator is read once
@@ -157,15 +161,17 @@ def solve_fair_mixture(
     if result.status is SolveStatus.OPTIMAL:
         weights = result.x / result.x.sum()  # simplex row holds within 1e-9; make it exact
         Ensemble(members, weights)  # rejects weights that are not a distribution
-        accuracy = counts.mixed_accuracy(weights)
+        row = counts._mixture_row(weights)
+        accuracy = _row_accuracy(row)
+        t = _exact_tolerance(float(tolerance) + VALIDATION_TOLERANCE)  # not a float32 sum
         for kind in constrained:
-            g = counts.mixed_gap(weights, kind)
-            if g is None or abs(g) > tolerance + VALIDATION_TOLERANCE:
+            (_, _, gap), (g, d) = _mixture_rates(row, kind)
+            if abs(g) > _gap_bound(d, t):  # an undefined gap, D = 0, fails too
                 raise FairmixError(
                     f"solver returned weights violating the {kind} constraint: "
-                    f"gap {g!r} vs tolerance {tolerance!r}"
+                    f"gap {gap!r} vs tolerance {tolerance!r}"
                 )
-            gaps[kind] = g
+            gaps[kind] = gap
         if objective is Objective.MAX_ACCURACY and abs(accuracy - result.objective) > (
             VALIDATION_TOLERANCE
         ):
@@ -174,8 +180,7 @@ def solve_fair_mixture(
                 f"mixture accuracy {accuracy!r}"
             )
         post_hoc = {
-            kind: counts.mixed_gap(weights, kind)
-            for kind in (MetricKind.PPV, MetricKind.NPV)
+            kind: _mixture_rates(row, kind)[0][2] for kind in (MetricKind.PPV, MetricKind.NPV)
         }
     return MixtureSolution(
         status=result.status,

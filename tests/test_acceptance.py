@@ -135,7 +135,7 @@ def test_criterion_5_linear_kinds_are_closed(capsys):
             members = make_random_members(rng, ds, int(rng.integers(1, 6)))
             ens = Ensemble(members, random_weights(rng, len(members)))
             for kind in LINEAR:
-                report = closure_check(ens, kind, ds)  # raises beyond 1e-9
+                report = closure_check(ens, kind, ds)  # raises if the identity fails
                 if report.ensemble_gap is None:
                     continue
                 assert (

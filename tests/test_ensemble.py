@@ -313,17 +313,21 @@ class TestAnalyticRates:
         assert ensemble_gap(ens, MetricKind.PPV, ds) is None
 
     def test_gap_is_rate_difference(self, rng):
+        # the exact rate difference rounded once, which r0 - r1 of the two
+        # rounded rates can miss by an ulp. The weighted-count ratio is the
+        # rate of the weights normalised to sum 1 for every kind
         ds = make_random_dataset(rng, 16)
         members = make_random_members(rng, ds, 3)
         ens = Ensemble(members, random_weights(rng, 3))
         for kind in MetricKind:
-            r0 = ensemble_group_rate(ens, kind, ds, 0)
-            r1 = ensemble_group_rate(ens, kind, ds, 1)
+            wants = [fraction_ratio_rate(ens, kind, ds, z) for z in (0, 1)]
+            got = [ensemble_group_rate(ens, kind, ds, z) for z in (0, 1)]
+            assert got == [None if w is None else float(w) for w in wants]
             g = ensemble_gap(ens, kind, ds)
-            if r0 is None or r1 is None:
+            if None in wants:
                 assert g is None
             else:
-                assert g == r0 - r1
+                assert g == float(wants[0] - wants[1])
 
     def test_mixture_accuracy_weighted(self, rng):
         for _ in range(20):
@@ -633,6 +637,61 @@ class TestClosure:
         # the two disagree, and closure_check must not raise for ratio kinds
         assert abs(report.ensemble_gap - report.weighted_member_gap_sum) > 0.08
         assert report.kind is MetricKind.PPV
+
+
+class TestZeroWeightMembers:
+    """A member of weight 0 adds nothing to the exact row of a mixture."""
+
+    @staticmethod
+    def undefined_members(ds):
+        """A member that accepts nobody (PPV undefined) and one that accepts
+        everybody (NPV undefined)."""
+        return [TableClassifier(np.full(len(ds), v), ds) for v in (-1, 1)]
+
+    def test_added_members_change_nothing(self, rng):
+        for _ in range(100):
+            ds = make_random_dataset(rng, 20)
+            m = int(rng.integers(1, 5))
+            members = make_random_members(rng, ds, m)
+            weights = random_weights(rng, m).tolist()
+            # the zero-weight members go anywhere in the list, first included
+            more, more_weights = list(members), list(weights)
+            for member in self.undefined_members(ds) + make_random_members(rng, ds, 1):
+                j = int(rng.integers(len(more) + 1))
+                more.insert(j, member)
+                more_weights.insert(j, 0.0)
+            seen = []
+            for ms, ws in ((members, weights), (more, more_weights)):
+                ens = Ensemble(ms, ws)
+                values = [ensemble_group_rate(ens, k, ds, z) for k in MetricKind for z in (0, 1)]
+                values += [ensemble_gap(ens, k, ds) for k in MetricKind]
+                values += [closure_check(ens, k, ds).ensemble_gap for k in MetricKind]
+                values.append(mixture_accuracy(ens, ds))
+                seen.append(repr((values, ensemble_report(ens, ds).to_json_dict())))
+            assert seen[0] == seen[1], weights
+
+    def test_solution_reads_only_its_support(self, rng):
+        # an LP vertex weights few members; its numbers equal the report on
+        # just those members
+        solved = 0
+        for _ in range(60):
+            ds = make_random_dataset(rng, 30)
+            members = make_random_members(rng, ds, int(rng.integers(2, 6)))
+            members += self.undefined_members(ds)
+            sol = solve_fair_mixture(members, ds, [MetricKind.ACCEPTANCE_RATE], 0.01)
+            support = np.flatnonzero(sol.weights)
+            if len(support) == len(members):
+                continue
+            solved += 1
+            ens = Ensemble([members[j] for j in support], sol.weights[support])
+            gaps = {entry.kind: entry.gap for entry in ensemble_report(ens, ds).metrics}
+            want = (
+                mixture_accuracy(ens, ds),
+                {k: gaps[k] for k in sol.gaps},
+                {k: gaps[k] for k in sol.post_hoc_gaps},
+            )
+            assert repr((sol.accuracy, sol.gaps, sol.post_hoc_gaps)) == repr(want)
+        assert solved >= 50
 
 
 class TestSampler:

@@ -20,17 +20,22 @@ from fairmix import (
     Ensemble,
     FairnessReport,
     MetricKind,
+    SolveStatus,
     TableClassifier,
     accuracy,
     build_counterfactual_pairs,
     classifier_report,
+    closure_check,
     dispersion,
+    ensemble_gap,
     ensemble_group_rate,
     ensemble_report,
     fairness_gap,
     group_indices,
     indicator_profile,
+    mixture_accuracy,
     sample,
+    solve_fair_mixture,
     treatment_violations,
 )
 from fairmix import metrics as metrics_mod
@@ -258,7 +263,7 @@ class TestGroupArgument:
             lambda z: counts.rates(MetricKind.TPR, z),
             lambda z: group_indices(ds, z),
             lambda z: ensemble_group_rate(ens, MetricKind.TPR, ds, z),
-            lambda z: counts.mixed_rate(np.ones(1), MetricKind.PPV, z),
+            lambda z: ensemble_group_rate(ens, MetricKind.PPV, ds, z),
             lambda z: dispersion(np.array([0.5, 1.0]), ds).group(z),
         ]
 
@@ -396,18 +401,20 @@ class TestGap:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda c: c.mixed_rate(np.ones(1), [1], 0),
-            lambda c: c.mixed_gap(np.ones(1), [1]),
-            lambda c: c.gaps([1]),
-            lambda c: c.rates([1], 0),
+            lambda ens, ds: ensemble_group_rate(ens, [1], ds, 0),
+            lambda ens, ds: ensemble_gap(ens, [1], ds),
+            lambda ens, ds: closure_check(ens, [1], ds),
+            lambda ens, ds: vector_counts(np.ones(3), ds).gaps([1]),
+            lambda ens, ds: vector_counts(np.ones(3), ds).rates([1], 0),
         ],
-        ids=["mixed_rate", "mixed_gap", "gaps", "rates"],
+        ids=["ensemble_group_rate", "ensemble_gap", "closure_check", "gaps", "rates"],
     )
     def test_unhashable_kind_rejected(self, call):
         # checked before the set or cache lookup, which would raise TypeError
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
+        ens = Ensemble([TableClassifier([1, 1, 1], ds)], [1.0])
         with pytest.raises(FairmixError, match=re.escape("must be a MetricKind, got [1]")):
-            call(vector_counts(np.ones(3), ds))
+            call(ens, ds)
 
     def test_argument_errors_are_fairmix_errors(self):
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
@@ -422,13 +429,18 @@ class TestGap:
                 call()
 
 
-def two_cumsum_rate(counts, weights, kind, z):
-    """The per-group form the cached (hits, size) rows replaced: two separate
-    in-order sums of the weighted counts."""
-    hits, size = counts.counts(kind, z)
-    hits = np.cumsum(weights * hits)[-1]
-    size = np.cumsum(weights * size)[-1]
-    return None if size == 0.0 else float(hits / size)
+def fraction_mixture(counts, weights, kind):
+    """The ``kind`` rates at z=0 and z=1 of the mixture ``weights`` over the
+    counted rows, and their gap, each ``float()`` of the exact ``Fraction``: a
+    group's rate is the weighted hits over the weighted conditioning set, None
+    when that set has weight 0."""
+    w = [Fraction(x) for x in weights.tolist()]
+    rates = []
+    for z in (0, 1):
+        hits, size = (sum(x * v for x, v in zip(w, t.tolist())) for t in counts.counts(kind, z))
+        rates.append(None if size == 0 else hits / size)
+    gap = None if None in rates else rates[0] - rates[1]
+    return [None if v is None else float(v) for v in (*rates, gap)]
 
 
 def as_hex(value):
@@ -453,23 +465,25 @@ def ratio_case(draw):
 
 
 class TestMixedRatios:
+    """Every rate and gap of a mixture of counted rows, read from its exact row."""
+
     @settings(max_examples=300)
     @given(ratio_case())
-    def test_bits_match_two_cumsum_reference(self, case):
+    def test_every_rate_and_gap_is_the_rounded_fraction(self, case):
         counts, weights = case
-        for kind in RATIO_KINDS:
-            want = [two_cumsum_rate(counts, weights, kind, z) for z in (0, 1)]
-            got = [counts.mixed_rate(weights, kind, z) for z in (0, 1)]
-            assert list(map(as_hex, got)) == list(map(as_hex, want))
-            gap = None if None in want else want[0] - want[1]
-            assert as_hex(counts.mixed_gap(weights, kind)) == as_hex(gap)
+        row = counts._mixture_row(weights)
+        for kind in MetricKind:
+            got, _ = metrics_mod._mixture_rates(row, kind)
+            want = fraction_mixture(counts, weights, kind)
+            assert list(map(as_hex, got)) == list(map(as_hex, want)), kind
 
     def test_undefined_side_gives_none(self):
         counts = CellCounts([[0, 0, 2, 1], [0, 0, 1, 1]], [3, 2, 4, 2])
-        weights = np.array([0.25, 0.75])
-        assert counts.mixed_rate(weights, MetricKind.PPV, 0) is None
-        assert counts.mixed_rate(weights, MetricKind.PPV, 1) == (0.25 + 0.75) / (0.75 + 1.5)
-        assert counts.mixed_gap(weights, MetricKind.PPV) is None
+        row = counts._mixture_row(np.array([0.25, 0.75]))
+        (r0, r1, gap), _ = metrics_mod._mixture_rates(row, MetricKind.PPV)
+        assert r0 is None
+        assert r1 == (0.25 + 0.75) / (0.75 + 1.5)
+        assert gap is None
 
 
 class TestKindTaxonomy:
@@ -786,7 +800,8 @@ class TestExactVerdicts:
         # weights are small integer ratios, so exact-zero mixture gaps occur;
         # a float r0 - r1 can read -5.55e-17 for one of them, or
         # 0.30000000000000004 for an exact 3/10. Every verdict and every
-        # printed number is checked: a printed number is the exact value
+        # printed number is checked, and so are the ensemble accessors,
+        # closure_check and the solver's numbers: each is the exact value
         # correctly rounded
         rng = np.random.default_rng(5)
         exact_zeros = 0
@@ -808,6 +823,17 @@ class TestExactVerdicts:
             for member, want in zip(members, member_printed):
                 for kind in MetricKind:
                     assert fairness_gap(kind, member.predictions, ds) == want[0][kind][2]
+            for kind in MetricKind:
+                r0, r1, gap = mixture_printed[0][kind]
+                assert [ensemble_group_rate(ens, kind, ds, z) for z in (0, 1)] == [r0, r1]
+                assert ensemble_gap(ens, kind, ds) == gap
+                gaps = [g[kind] for g in member_gaps]
+                weighted = None if None in gaps else float(
+                    sum(w * g for w, g in zip(reference_weights(weights), gaps))
+                )
+                closure = closure_check(ens, kind, ds)
+                assert (closure.ensemble_gap, closure.weighted_member_gap_sum) == (gap, weighted)
+            assert mixture_accuracy(ens, ds) == mixture_printed[1]
             for tol in self.TOLERANCES:
                 for member, gaps, want in zip(members, member_gaps, member_printed):
                     report = classifier_report(member.predictions, ds, tolerance=tol)
@@ -825,6 +851,16 @@ class TestExactVerdicts:
                 if rule is not None:
                     gaps = {r[:2]: r[2] for r in rules}
                     assert rule.gap == float(gaps[got]), tol
+                try:
+                    sol = solve_fair_mixture(members, ds, LINEAR_KINDS, tol)
+                except FairmixError as exc:  # a float vertex past tol + 1e-9 (ROADMAP item 4)
+                    assert tol == 1e-9 and "violating" in str(exc)
+                    continue
+                if sol.status is SolveStatus.OPTIMAL:
+                    values, acc = reference_printed(rows, sol.weights, ds)
+                    assert sol.accuracy == acc, tol
+                    assert sol.gaps == {k: values[k][2] for k in LINEAR_KINDS}, tol
+                    assert sol.post_hoc_gaps == {k: values[k][2] for k in RATIO_KINDS}, tol
         assert exact_zeros >= 5
 
     def test_gap_of_exactly_three_tenths(self):

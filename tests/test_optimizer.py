@@ -25,7 +25,9 @@ from fairmix import (
     best_fair_single_threshold,
     build_mixture_program,
     ensemble_gap,
+    ensemble_report,
     fairness_gap,
+    figure2,
     grid_oracle,
     load_dataset,
     load_prediction_matrix,
@@ -37,7 +39,6 @@ from fairmix import (
 )
 from fairmix import optimizer as optimizer_mod
 from fairmix.cli import entrypoint
-from fairmix.metrics import RATIO_KINDS, CellCounts
 from fairmix.optimizer import _lattice
 
 from conftest import (
@@ -418,50 +419,92 @@ def sweep_instance(seed=21, n=3000, m=120, d=4):
 
 #: Per tolerance of ``np.geomspace(5e-4, 0.1, 8)``: iterations, accuracy,
 #: the (acceptance_rate, tpr, tnr) gaps, the (ppv, npv) post-hoc gaps and
-#: the nonzero weights by member index, all as ``float.hex``.
+#: the nonzero weights by member index, all as ``float.hex``. The accuracy
+#: and the gaps are :func:`exact_mixture_hex` of the pinned weights.
 SWEEP_PIN = [
     (21, '0x1.98eb5ae661d26p-1',
-     ('0x1.a36e2eb1c0000p-15', '-0x1.0624dd2f1ac00p-11', '-0x1.0624dd2f1ac00p-11'),
-     ('-0x1.084b92f5c2c00p-11', '-0x1.fa22359128800p-12'),
+     ('0x1.a36e2eb1c2513p-15', '-0x1.0624dd2f1abbdp-11', '-0x1.0624dd2f1a800p-11'),
+     ('-0x1.084b92f5c2e9ep-11', '-0x1.fa2235912949ap-12'),
      {55: '0x1.bf482ce6f0b11p-4', 114: '0x1.55875d778df35p-2', 117: '0x1.1d534ba75af04p-1'}),
-    (21, '0x1.98f0857b4da42p-1',
-     ('0x1.bf0acaca04000p-14', '-0x1.1766bebe42a00p-10', '-0x1.1766bebe42a00p-10'),
-     ('-0x1.19919d6377000p-10', '-0x1.0dd7351501800p-10'),
+    (21, '0x1.98f0857b4da43p-1',
+     ('0x1.bf0acaca03a07p-14', '-0x1.1766bebe42b0cp-10', '-0x1.1766bebe429d0p-10'),
+     ('-0x1.19919d6377177p-10', '-0x1.0dd7351501479p-10'),
      {55: '0x1.7ce6ced8b6b37p-4', 114: '0x1.6049581864ce0p-2', 117: '0x1.203e7a18b6c29p-1'}),
     (21, '0x1.98fb88c7c3d0ep-1',
-     ('0x1.dc78bd4ed8000p-13', '-0x1.29cb765147700p-9', '-0x1.29cb765147800p-9'),
-     ('-0x1.2bd20b5cd6600p-9', '-0x1.1fdd39ed92100p-9'),
+     ('0x1.dc78bd4ed84a6p-13', '-0x1.29cb7651477a2p-9', '-0x1.29cb7651476c6p-9'),
+     ('-0x1.2bd20b5cd6735p-9', '-0x1.1fdd39ed9229ep-9'),
      {55: '0x1.decd58d15a666p-5', 114: '0x1.7737e64d397e0p-2', 117: '0x1.2677374c4d9aap-1'}),
-    (21, '0x1.990ea0a000fe9p-1',
-     ('0x1.f68b7d35ffc00p-11', '-0x1.f0ac3be9d6e00p-9', '-0x1.3d662954a9480p-8'),
-     ('-0x1.2f7da42106700p-8', '-0x1.f656b24b00700p-9'),
+    (21, '0x1.990ea0a000feap-1',
+     ('0x1.f68b7d35ff948p-11', '-0x1.f0ac3be9d6eabp-9', '-0x1.3d662954a9479p-8'),
+     ('-0x1.2f7da4210672fp-8', '-0x1.f656b24b00743p-9'),
      {114: '0x1.a36a530ba7978p-2', 117: '0x1.2e4ad67a2c344p-1'}),
     (24, '0x1.991363453c672p-1',
-     ('0x1.a3d7d80e60d80p-8', '0x1.a82d0ff17ba00p-10', '-0x1.524b3fe002a80p-7'),
-     ('-0x1.f8159778b2900p-8', '-0x1.36d94146c0000p-12'),
+     ('0x1.a3d7d80e60d69p-8', '0x1.a82d0ff17ba0fp-10', '-0x1.524b3fe002a9ep-7'),
+     ('-0x1.f8159778b28fcp-8', '-0x1.36d94146c054fp-12'),
      {114: '0x1.db33535bd8bb2p-2', 117: '0x1.1266565213a27p-1'}),
-    (28, '0x1.991d8903116e0p-1',
-     ('0x1.27399d5dd9bc0p-6', '0x1.aebb58694d080p-7', '-0x1.689079f3ec5e0p-6'),
-     ('-0x1.d2b60ef467740p-7', '0x1.d8e410e291880p-8'),
+    (28, '0x1.991d8903116e1p-1',
+     ('0x1.27399d5dd9bb2p-6', '0x1.aebb58694d059p-7', '-0x1.689079f3ec5d8p-6'),
+     ('-0x1.d2b60ef467706p-7', '0x1.d8e410e2916fcp-8'),
      {114: '0x1.290ecdfa20d74p-1', 117: '0x1.ade2640bbe517p-2'}),
     (25, '0x1.99332a85944fbp-1',
-     ('0x1.5e66f639f0358p-5', '0x1.34f87106ea7c0p-5', '-0x1.804d061ddd9e0p-5'),
-     ('-0x1.d07940821af40p-6', '0x1.7b1fef6811c20p-6'),
+     ('0x1.5e66f639f0355p-5', '0x1.34f87106ea7c1p-5', '-0x1.804d061ddd9e5p-5'),
+     ('-0x1.d07940821af74p-6', '0x1.7b1fef6811bdcp-6'),
      {114: '0x1.a7cd26b102ee2p-1', 117: '0x1.60cb653bf4479p-3'}),
     (29, '0x1.994237fa89e61p-1',
-     ('0x1.eb851eb851ec0p-5', '0x1.c10aff9ee8de0p-5', '-0x1.0723107231070p-4'),
-     ('-0x1.39c37d570c7d0p-5', '0x1.17f9f56d7fa00p-5'),
+     ('0x1.eb851eb851eb8p-5', '0x1.c10aff9ee8dd8p-5', '-0x1.0723107231072p-4'),
+     ('-0x1.39c37d570c7cfp-5', '0x1.17f9f56d7f9f5p-5'),
      {114: '0x1.0000000000000p+0'}),
 ]
 
 
+#: per kind, (in the conditioning set, a hit) from a +-1 prediction and label row
+CONDITIONS = {
+    MetricKind.ACCEPTANCE_RATE: lambda p, y: (np.ones_like(p, dtype=bool), p == 1),
+    MetricKind.TPR: lambda p, y: (y == 1, p == 1),
+    MetricKind.TNR: lambda p, y: (y == -1, p == -1),
+    MetricKind.PPV: lambda p, y: (p == 1, y == 1),
+    MetricKind.NPV: lambda p, y: (p == -1, y == -1),
+}
+
+
+def exact_mixture_hex(ds, members, weights):
+    """The accuracy, the (acceptance_rate, tpr, tnr) gaps and the (ppv, npv)
+    gaps of the mixture ``{member index: weight}``, each the exact
+    ``Fraction`` from the instances, the weights taken as the binary fractions
+    they are and normalised to sum 1, then correctly rounded, as ``float.hex``."""
+    w = {j: Fraction(x) for j, x in weights.items()}
+    y, groups = ds.labels, ds.sensitive
+
+    def gap(kind):
+        rates = []
+        for z in (0, 1):
+            hits = size = Fraction(0)
+            for j, wj in w.items():
+                cond, hit = CONDITIONS[kind](members[j].predictions, y)
+                cond = cond & (groups == z)
+                size += wj * int(cond.sum())
+                hits += wj * int((cond & hit).sum())
+            rates.append(hits / size)
+        return float(rates[0] - rates[1]).hex()
+
+    correct = sum(wj * int((members[j].predictions == y).sum()) for j, wj in w.items())
+    return (
+        float(correct / (sum(w.values()) * len(y))).hex(),
+        tuple(gap(k) for k in ALL_LINEAR),
+        tuple(gap(k) for k in (MetricKind.PPV, MetricKind.NPV)),
+    )
+
+
 class TestSweepPin:
     def test_curve_is_bit_for_bit(self):
-        # the values were taken from the solver before its bookkeeping was
-        # cut; any change to a pivot, a rate or a sum order moves a bit here
+        # the iterations and weights were taken from the solver before its
+        # bookkeeping was cut, so any change to a pivot moves a bit here; the
+        # accuracy and gaps are the exact values of those weights
         ds, members = sweep_instance()
         tolerances = np.geomspace(5e-4, 0.1, 8).tolist()
         for tol, pin in zip(tolerances, SWEEP_PIN):
+            weights = {j: float.fromhex(w) for j, w in pin[4].items()}
+            assert pin[1:4] == exact_mixture_hex(ds, members, weights), tol
             sol = solve_fair_mixture(members, ds, ALL_LINEAR, tol)
             assert sol.status is SolveStatus.OPTIMAL
             weights = sol.weights.tolist()
@@ -480,24 +523,37 @@ class TestSweepPin:
             )
 
 
-def test_sweep_builds_ratio_terms_once(monkeypatch):
-    # the post-hoc PPV/NPV gaps of every solve read one cached set of rows
-    ds, members = sweep_instance()
-    calls = []
-    counts = CellCounts.counts
-
-    def counting(self, kind, z):
-        calls.append((kind, z))
-        return counts(self, kind, z)
-
-    monkeypatch.setattr(CellCounts, "counts", counting)
-    for tol in np.geomspace(5e-4, 0.1, 8).tolist():
-        sol = solve_fair_mixture(members, ds, ALL_LINEAR, tol)
-        assert set(sol.post_hoc_gaps) == RATIO_KINDS
-    ratio_calls = [call for call in calls if call[0] in RATIO_KINDS]
-    assert sorted(ratio_calls, key=str) == sorted(
-        ((kind, z) for kind in RATIO_KINDS for z in (0, 1)), key=str
-    )
+class TestSolutionMeetsReport:
+    @pytest.mark.parametrize("tol", [1e-9, 0.01])
+    def test_solution_numbers_equal_the_report(self, rng, tol):
+        # the solve and a report on its weights read one exact row, so they
+        # print the same bytes. On figure 2 a float evaluation of the solve
+        # read -9.99999999474e-10 where the report reads -1.00000000873e-09
+        fig2 = figure2()
+        cases = [(fig2.dataset, list(fig2.members), [MetricKind.ACCEPTANCE_RATE])]
+        for _ in range(80):
+            ds = make_random_dataset(rng, 30)
+            members = make_random_members(rng, ds, int(rng.integers(2, 6)))
+            cases.append((ds, members, ALL_LINEAR[: int(rng.integers(1, 4))]))
+        solved = 0
+        for ds, members, kinds in cases:
+            try:
+                sol = solve_fair_mixture(members, ds, kinds, tol)
+            except FairmixError as exc:  # a float vertex past tol + 1e-9 (ROADMAP item 4)
+                assert tol == 1e-9 and "violating" in str(exc)
+                continue
+            if sol.status is not SolveStatus.OPTIMAL:
+                continue
+            solved += 1
+            report = ensemble_report(Ensemble(members, sol.weights), ds, tolerance=tol)
+            gaps = {entry.kind: entry.gap for entry in report.metrics}
+            want = (
+                report.accuracy,
+                {k: gaps[k] for k in sol.gaps},
+                {k: gaps[k] for k in sol.post_hoc_gaps},
+            )
+            assert repr((sol.accuracy, sol.gaps, sol.post_hoc_gaps)) == repr(want)
+        assert solved >= 30
 
 
 def recursive_compositions(total, parts):
