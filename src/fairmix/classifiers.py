@@ -9,7 +9,6 @@ are deterministic and immutable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -17,10 +16,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dataset import (
+    _BLOCK_BYTES,
     Dataset,
     PathArg,
     _as_given,
-    _canonical_body,
+    _canonical_blocks,
     _read_bytes,
     _read_cells,
     _read_only,
@@ -77,7 +77,7 @@ class TableClassifier:
     from the dataset itself.
     """
 
-    __slots__ = ("_predictions", "_dataset")
+    __slots__ = ("_predictions", "_dataset", "__weakref__")
 
     def __init__(self, predictions, dataset: Dataset):
         if not isinstance(dataset, Dataset):
@@ -144,24 +144,30 @@ def _prediction_header(m: int) -> Optional[list[str]]:
 def _canonical_prediction_matrix(data: bytes) -> Optional[np.ndarray]:
     """The (M, N) int8 matrix in ``data`` when every entry is spelled ``1``
     or ``-1``, M to a row, else None."""
-    canonical = _canonical_body(data, _prediction_header)
+    canonical = _canonical_blocks(data, _prediction_header)
     if canonical is None:
         return None
-    m, body = canonical
-    row, ones = b"1," * (m - 1) + b"1\n", body.translate(None, b"-")
-    if ones != row * (len(ones) // len(row)):
-        return None
-    # Without its dashes the body is all 1s, m to a line. So when every
-    # dash is followed by a 1, each dash starts a token "-1": a dash after
-    # a 1 would leave "11" in that pattern.
-    buf = np.frombuffer(body, dtype=np.uint8)
-    one = buf == ord("1")
-    after_dash = np.zeros(len(buf), dtype=bool)
-    after_dash[1:] = buf[:-1] == ord("-")
-    if np.any(after_dash & ~one):
-        return None
-    negative = np.compress(one, after_dash).view(np.int8)
-    return (1 - 2 * negative).reshape(-1, m).T
+    m, blocks = canonical
+    matrix = np.empty((m, len(data) // (2 * m)), dtype=np.int8)  # rows are 2m bytes or more
+    row, column = b"1," * (m - 1) + b"1\n", 0
+    for block in blocks:
+        ones = block.translate(None, b"-")
+        k = len(ones) // len(row)
+        if ones != row * k:
+            return None
+        # Without its dashes the block is all 1s, m to a line. So when every
+        # dash is followed by a 1, each dash starts a token "-1": a dash after
+        # a 1 would leave "11" in that pattern.
+        buf = np.frombuffer(block, dtype=np.uint8)
+        one = buf == ord("1")
+        after_dash = np.zeros(len(buf), dtype=bool)
+        after_dash[1:] = buf[:-1] == ord("-")
+        if np.any(after_dash & ~one):
+            return None
+        negative = np.compress(one, after_dash).view(np.int8)
+        matrix[:, column : column + k] = (1 - 2 * negative).reshape(k, m).T
+        column += k
+    return matrix[:, :column]
 
 
 def _prediction_cells(path: PathArg, data: bytes) -> np.ndarray:
@@ -196,7 +202,7 @@ def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassif
             f"{path}: row count mismatch: {matrix.shape[1]} rows for a dataset "
             f"of {len(dataset)} instances"
         )
-    return [TableClassifier(row, dataset) for row in np.ascontiguousarray(matrix)]
+    return [TableClassifier(row, dataset) for row in matrix]
 
 
 def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
@@ -216,14 +222,21 @@ def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
         raise DataFormatError(
             f"prediction matrix must be (M, N) with M, N >= 1, got shape {matrix.shape}"
         )
-    bad = ~np.isin(matrix, (-1, 1))
+    bad = ~((matrix == 1) | (matrix == -1))  # np.isin's test, as in check_predictions
     if bad.any():
         row, column = np.argwhere(bad.T)[0]
         raise DataFormatError(
             f"invalid prediction for clf_{column + 1} at row {row + 1}: must be -1 or 1"
         )
-    matrix = matrix.astype(int)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_matrix_header(matrix.shape[0]))
-        writer.writerows(matrix.T.tolist())
+    # csv.writer's bytes: each row is 1 or b per entry, commas and CRLF, with b
+    # then spelled -1; a block of rows is about _BLOCK_BYTES
+    m, n = matrix.shape
+    step = max(1, _BLOCK_BYTES // (2 * m + 1))
+    rows = np.empty((step, 2 * m + 1), dtype=np.uint8)
+    rows[:] = np.frombuffer(b"b," * (m - 1) + b"b\r\n", dtype=np.uint8)
+    with open(path, "wb") as fh:
+        fh.write(",".join(_matrix_header(m)).encode() + b"\r\n")
+        for start in range(0, n, step):
+            block = rows[: min(step, n - start)]
+            block[:, :-1:2] = np.where(matrix[:, start : start + step].T == 1, ord("1"), ord("b"))
+            fh.write(block.tobytes().replace(b"b", b"-1"))

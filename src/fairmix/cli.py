@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -76,6 +77,7 @@ def _flag(*args, **kwargs) -> argparse.ArgumentParser:
     return parent
 
 
+@functools.cache  # built at the first entrypoint call, not at import; parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="fairmix",

@@ -13,7 +13,7 @@ import io
 import numbers
 import sys
 from os import PathLike
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -54,9 +54,9 @@ class Dataset:
     """Immutable, array-backed collection of instances.
 
     All operations on a dataset are pure reads, so sharing one across
-    threads is safe. One private slot keeps the last all-table member
-    tuple with its count table, which keeps those tables alive; only
-    ``member_counts`` uses it.
+    threads is safe. One private slot keeps weak references to the last
+    all-table member list with its count table, which it keeps alive;
+    only ``member_counts`` uses it.
     """
 
     __slots__ = ("_features", "_labels", "_sensitive", "_member_counts")
@@ -152,25 +152,40 @@ def _read_bytes(path: PathArg) -> bytes:
         return fh.read()
 
 
-def _canonical_body(
+#: Bytes per block of the canonical loaders, about a core's share of L2; a
+#: block runs on to the end of the row it stops in.
+_BLOCK_BYTES = 1 << 18
+
+
+def _canonical_blocks(
     data: bytes, header_for: Callable[[int], Optional[list[str]]]
-) -> Optional[tuple[int, bytes]]:
-    """The column count and data rows of a file in canonical layout, else None.
+) -> Optional[tuple[int, Iterator[bytes]]]:
+    """The column count and data rows of a file in canonical layout, the
+    rows in blocks of about ``_BLOCK_BYTES``, else None.
 
     Canonical: the first line is exactly ``header_for(k)`` joined by
     commas, at least one line follows it, and every line ends in LF or
-    CRLF (as ``csv.writer`` writes). The rows come back with CRLF turned
-    into LF, which ``csv.reader`` reads alike; any other CR stays in the
-    rows, for the caller's byte check to reject.
+    CRLF (as ``csv.writer`` writes). Each block holds whole rows, with
+    CRLF turned into LF, which ``csv.reader`` reads alike; any other CR
+    stays in the rows, for the caller's byte check to reject.
     """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    head, _, body = data.partition(b"\n")
+    start = data.find(b"\n") + 1
+    head = data[: start - 1].removesuffix(b"\r")
     width = head.count(b",") + 1
     header = header_for(width)
-    if header is None or head != ",".join(header).encode() or not body.endswith(b"\n"):
+    # a body ending in LF follows the header's LF (a file with no LF has neither)
+    if header is None or head != ",".join(header).encode() or not data.endswith(b"\n", start):
         return None
-    return width, body
+
+    def blocks():
+        begin = start
+        while begin < len(data):
+            end = data.index(b"\n", min(begin + _BLOCK_BYTES, len(data)) - 1) + 1
+            block = data[begin:end]
+            yield block.replace(b"\r\n", b"\n") if b"\r" in block else block
+            begin = end
+
+    return width, blocks()
 
 
 def _read_cells(
@@ -231,39 +246,50 @@ def _csv_rows(path: PathArg, text: str):
 _DATASET_BYTES = b"0123456789+-.eE,\n"
 
 
-def _canonical_table(data: bytes) -> Optional[np.ndarray]:
-    """The (N, k) float table of a dataset file spelled canonically, else None.
+def _canonical_table(data: bytes) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The features, labels and groups of a dataset file spelled canonically, else None.
 
-    Canonical rows hold only ``_DATASET_BYTES``, end in label 1 or -1 and
-    group 0 or 1, and are no longer than ``csv.field_size_limit()``; a
-    longer line goes to ``_read_cells``, which rejects a cell past that
-    limit. ``np.loadtxt`` then reads every token as a float, as ``float()``
-    would (both call ``PyOS_string_to_double``); its integer parsing is
-    not used, as it has changed across numpy versions.
+    Canonical rows hold only ``_DATASET_BYTES`` and as many fields as the
+    header, end in label 1 or -1 and group 0 or 1, read from those bytes,
+    and are no longer than ``csv.field_size_limit()``; a longer line goes
+    to ``_read_cells``, which rejects a cell past that limit. ``np.loadtxt``
+    then reads every feature as a float, as ``float()`` would (both call
+    ``PyOS_string_to_double``).
     """
-    canonical = _canonical_body(data, _dataset_header)
+    canonical = _canonical_blocks(data, _dataset_header)
     if canonical is None:
         return None
-    width, body = canonical
-    chars = np.frombuffer(body, dtype=np.uint8)
-    line_ends = np.flatnonzero(chars == ord("\n"))
-    # rows end in ",1" or ",-1", then ",0" or ",1"; a first row too short for
-    # that (under 4 bytes, or 4 from a "-") would have the checks index before it
-    if body.translate(None, _DATASET_BYTES) or line_ends[0] < 4 + (body[0] == ord("-")):
-        return None
-    comma = line_ends - 4 - (chars[line_ends - 4] == ord("-"))
-    if not np.all(
-        (chars[comma] == ord(",")) & (chars[line_ends - 3] == ord("1"))
-        & (chars[line_ends - 2] == ord(",")) & np.isin(chars[line_ends - 1], list(b"01"))
-    ) or np.diff(line_ends, prepend=-1).max() - 1 > csv.field_size_limit():
-        return None  # no cell is longer than its line, so none is past the limit
-    try:
-        table = np.loadtxt(
-            io.BytesIO(body), delimiter=",", comments=None, dtype=float, ndmin=2
-        )
-    except ValueError:
-        return None
-    return table if table.shape == (line_ends.size, width) else None
+    width, blocks = canonical
+    d = width - 2
+    features, labels, groups = [], [], []
+    for block in blocks:
+        chars = np.frombuffer(block, dtype=np.uint8)
+        line_ends = np.flatnonzero(chars == ord("\n"))
+        # rows end in ",1" or ",-1", then ",0" or ",1"; a first row too short for
+        # that (under 4 bytes, or 4 from a "-") would have the checks index before it
+        if block.translate(None, _DATASET_BYTES) or line_ends[0] < 4 + (block[0] == ord("-")):
+            return None
+        dash = chars[line_ends - 4] == ord("-")
+        if not np.all(
+            (chars[line_ends - 4 - dash] == ord(",")) & (chars[line_ends - 3] == ord("1"))
+            & (chars[line_ends - 2] == ord(",")) & np.isin(chars[line_ends - 1], list(b"01"))
+        ) or np.diff(line_ends, prepend=-1).max() - 1 > csv.field_size_limit():
+            return None  # no cell is longer than its line, so none is past the limit
+        # np.loadtxt's usecols reads a row of any field count: the i-th LF
+        # must have i * (width - 1) commas before it
+        commas = np.searchsorted(np.flatnonzero(chars == ord(",")), line_ends)
+        if not np.array_equal(commas, np.arange(1, len(line_ends) + 1) * (width - 1)):
+            return None
+        try:
+            features.append(np.loadtxt(
+                io.BytesIO(block), delimiter=",", comments=None, dtype=float, ndmin=2,
+                usecols=range(d),
+            ))
+        except ValueError:
+            return None
+        labels.append(1 - 2 * dash.view(np.int8))
+        groups.append(chars[line_ends - 1] - ord("0"))
+    return np.concatenate(features), np.concatenate(labels), np.concatenate(groups)
 
 
 def _load_canonical_dataset(data: bytes) -> Optional[Dataset]:
@@ -276,7 +302,7 @@ def _load_canonical_dataset(data: bytes) -> Optional[Dataset]:
     if table is None:
         return None
     try:
-        return Dataset.from_arrays(table[:, :-2], table[:, -2], table[:, -1])
+        return Dataset.from_arrays(*table)
     except DataFormatError:
         return None
 

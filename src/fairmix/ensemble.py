@@ -21,8 +21,8 @@ correctly rounded.
 from __future__ import annotations
 
 import numbers
-import operator
 import sys
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -123,9 +123,11 @@ def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts
 
     ``members`` is read once, so an iterator works. When every member is a
     table bound to this very ``dataset`` object (identity, not ``==``), the
-    dataset keeps the member tuple and the result, replacing the pair it
-    kept before: the same member objects in the same order get that table
-    back, with every array it has computed. Any other list, a re-ordered
+    dataset keeps weak references to the members, and the result, replacing
+    the pair it kept before: the same member objects in the same order get
+    that table back, with every array it has computed. The tables refer to
+    the dataset, so strong references back would make a cycle that only
+    the garbage collector frees. Any other list, a re-ordered
     or shortened one included, is counted whole, so the errors and the
     integers are the same either way. Concurrent calls write equal values.
     """
@@ -133,11 +135,11 @@ def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts
     if not members:
         raise FairmixError("need at least one member")
     kept = getattr(dataset, "_member_counts", None)  # a non-dataset fails in prediction_matrix
-    if kept and len(kept[0]) == len(members) and all(map(operator.is_, kept[0], members)):
+    if kept and len(kept[0]) == len(members) and all(r() is m for r, m in zip(kept[0], members)):
         return kept[1]
     counts = metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
     if all(isinstance(m, TableClassifier) and m.dataset is dataset for m in members):
-        dataset._member_counts = members, counts
+        dataset._member_counts = tuple(map(weakref.ref, members)), counts
     return counts
 
 

@@ -481,6 +481,18 @@ class TestSolveCommands:
         doc = json.loads(out)
         assert set(doc["gaps"]) == {"acceptance_rate", "tpr"}
 
+    def test_consecutive_calls_share_no_flags(self, fig2_dir, capsys):
+        """One parser serves every call in a process; a flag given to one
+        call does not carry over to the next."""
+        files = [str(fig2_dir / "dataset.csv"), str(fig2_dir / "predictions.csv")]
+        gaps = []
+        for flags in (["--metric", "tpr"], [], ["--metric", "tnr", "--metric", "tpr"], []):
+            code, out, _ = run(["optimize", *files, *flags, "--tol", "0.5"], capsys)
+            assert code == 0
+            gaps.append(sorted(json.loads(out)["gaps"]))
+        assert gaps == [["tpr"], ["acceptance_rate"], ["tnr", "tpr"], ["acceptance_rate"]]
+        assert fairmix.cli._build_parser() is fairmix.cli._build_parser()
+
     def test_ratio_metric_not_a_choice(self, fig2_dir, capsys):
         code, _, err = run(
             [
@@ -1004,6 +1016,22 @@ class TestFuzz:
     def test_general_parser_reads_mutated_exports_alike(self, fig2_exports, data):
         """A mutated dataset or prediction file gives the same arrays, or the
         same error, with the canonical fast paths on and off."""
+        self.check_mutated_export(fig2_exports, data)
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_general_parser_reads_mutated_exports_alike_in_small_blocks(
+        self, fig2_exports, block_bytes, data
+    ):
+        """The same, with the fast paths reading a row or a few rows per
+        block, so that a mutation lands in the first, a middle or the last
+        block of the file."""
+        with mock.patch.object(dataset_module, "_BLOCK_BYTES", block_bytes):
+            self.check_mutated_export(fig2_exports, data)
+
+    @staticmethod
+    def check_mutated_export(fig2_exports, data):
         originals, root = fig2_exports
         name = data.draw(st.sampled_from(["dataset.csv", "predictions.csv"]), label="file")
         path = root / name

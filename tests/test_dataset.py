@@ -695,6 +695,99 @@ class TestLoaderDifferential:
             assert np.array_equal(fast.T, expected)
 
 
+BLOCK_SIZES = [1, 7, 64]
+
+
+@pytest.fixture(params=BLOCK_SIZES)
+def small_blocks(request, monkeypatch):
+    """The canonical loaders read ``request.param`` bytes a block, or to the
+    end of the row that starts there."""
+    monkeypatch.setattr(dataset_module, "_BLOCK_BYTES", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoaderDifferentialInSmallBlocks(TestLoaderDifferential):
+    """The same differential with a row or a few rows to a block, so that
+    every check meets the edges between blocks."""
+
+
+def _fast_and_general(load, path):
+    """``load(path)`` as arrays or an error message, with the canonical
+    fast paths, then with the general parser alone."""
+
+    def outcome_of():
+        try:
+            return [(a.dtype, a.shape, a.tobytes()) for a in load(path)]
+        except DataFormatError as exc:
+            return str(exc)
+
+    fast = outcome_of()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_module, "_load_canonical_dataset", lambda data: None)
+        patch.setattr(classifiers_module, "_canonical_prediction_matrix", lambda data: None)
+        return fast, outcome_of()
+
+
+#: One fault for row k of a canonical dataset (d=2) or prediction matrix
+#: (M=3) file. "extra" and "missing" keep a valid row end, which
+#: np.loadtxt's usecols alone would read as two features.
+DATASET_FAULTS = {
+    "none": lambda row: row,
+    "token": lambda row: "1-2" + row[row.index(","):],
+    "extra": lambda row: "2.5," + row,
+    "missing": lambda row: row[row.index(",") + 1:],
+}
+PREDICTION_FAULTS = {
+    "none": lambda row: row,
+    "token": lambda row: "11" + row[row.index(","):],
+    "extra": lambda row: row + ",1",
+    "missing": lambda row: row[row.index(",") + 1:],
+}
+
+
+@pytest.mark.usefixtures("small_blocks")
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("row", [1, 15, 30])  # in the first, a middle and the last block
+class TestFaultsAtBlockEdges:
+    """A fault in one row of a 30-row file gives the general parser's
+    arrays or message, wherever the row falls among the blocks."""
+
+    @pytest.mark.parametrize("fault", sorted(DATASET_FAULTS))
+    def test_dataset(self, tmp_path, row, ending, fault):
+        rows = [f"{k / 4},{-k}.5,{1 - 2 * (k % 3 == 0)},{k % 2}" for k in range(1, 31)]
+        rows[row - 1] = DATASET_FAULTS[fault](rows[row - 1])
+        data = "".join(line + ending for line in ["f_1,f_2,y,z", *rows]).encode()
+        (tmp_path / "data.csv").write_bytes(data)
+
+        def load(path):
+            ds = load_dataset(path)
+            return ds.features, ds.labels, ds.sensitive
+
+        fast, general = _fast_and_general(load, tmp_path / "data.csv")
+        assert fast == general
+        assert (dataset_module._load_canonical_dataset(data) is None) == (fault != "none")
+        if fault != "none":
+            assert f"row {row}" in general
+
+    @pytest.mark.parametrize("fault", sorted(PREDICTION_FAULTS))
+    def test_prediction_matrix(self, tmp_path, row, ending, fault):
+        rows = [",".join(str(1 - 2 * (k >> j & 1)) for j in range(3)) for k in range(30)]
+        rows[row - 1] = PREDICTION_FAULTS[fault](rows[row - 1])
+        data = "".join(line + ending for line in ["clf_1,clf_2,clf_3", *rows]).encode()
+        (tmp_path / "preds.csv").write_bytes(data)
+        dataset = Dataset.from_arrays(np.zeros((30, 1)), [1] * 30, [0] * 30)
+
+        def load(path):
+            return [t.predictions for t in load_prediction_matrix(path, dataset)]
+
+        fast, general = _fast_and_general(load, tmp_path / "preds.csv")
+        assert fast == general
+        canonical = classifiers_module._canonical_prediction_matrix(data)
+        assert (canonical is None) == (fault != "none")
+        if fault != "none":
+            assert f"row {row}" in general
+
+
 #: Spellings that a byte check alone would misread, each put in turn into
 #: every column of an otherwise canonical file.
 ODD_TOKENS = [

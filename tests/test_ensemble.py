@@ -8,7 +8,9 @@ both formulas in ``Fraction`` arithmetic over the exact rational values
 of the float weights. They share no code with the cell-count core.
 """
 
+import gc
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -498,6 +500,23 @@ class TestStoredCounts:
         member_counts(members[:2], ds)  # a sub-list: counted, then kept
         member_counts(members[:2], ds)
         assert counted == [4, 4, 2]
+
+    def test_kept_members_are_freed_without_the_collector(self, rng):
+        """The dataset refers to its kept members weakly: tables that refer
+        to the dataset and a dataset that kept them form no cycle, so both
+        are freed by reference counting, and a later list is counted."""
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, 3)
+        kept = member_counts(members, ds)
+        first = weakref.ref(members[0])
+        gc.disable()
+        try:
+            del members
+            assert first() is None
+        finally:
+            gc.enable()
+        again = make_random_members(rng, ds, 3)
+        assert member_counts(again, ds) is not kept
 
     def test_linear_members_counted_on_every_call(self, rng, counted):
         ds = make_random_dataset(rng, 40)

@@ -163,6 +163,31 @@ def test_loaders_memory_is_linear(tmp_path):
         assert np.array_equal(member.predictions, np.where(signs >> j & 1, 1, -1))
 
 
+def test_wide_prediction_loader_memory(tmp_path):
+    """The canonical prediction loader at N=1e5, M=256 (a 61 MiB file)
+    peaks under the file, three int8 copies of the matrix and 64 MiB: it
+    decodes the file a block at a time, with no temporary as large as the
+    file. The file is joined from a pool of CRLF rows, as
+    ``save_prediction_matrix`` spells them."""
+    n, m = 100_000, 256
+    rng = np.random.default_rng(1)
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=(500, m))
+    pool = rng.integers(0, len(signs), size=n)
+    rows = [",".join(map(str, row)).encode() + b"\r\n" for row in signs.tolist()]
+    header = ",".join(f"clf_{j}" for j in range(1, m + 1)).encode()
+    path = tmp_path / "preds.csv"
+    path.write_bytes(header + b"\r\n" + b"".join([rows[i] for i in pool.tolist()]))
+    ds = Dataset.from_arrays(np.zeros((n, 1)), np.ones(n, dtype=int), np.arange(n) % 2)
+
+    members, peak_mb, _ = _traced_mb(load_prediction_matrix, path, ds)
+
+    assert peak_mb * 2**20 < path.stat().st_size + 3 * n * m + 64 * 2**20
+    expected = signs[pool].T
+    for member, row in zip(members, expected, strict=True):
+        assert member.predictions.dtype == np.int8
+        assert member.predictions.tobytes() == row.tobytes()
+
+
 PAIRS_BUDGET_MB = 160
 
 
