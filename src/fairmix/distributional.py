@@ -17,24 +17,18 @@ measures and are flagged as such in serialized output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
+from ._record import _Record
 from .dataset import Dataset, check_group, check_length, check_profile, group_indices
 
 DETERMINISM_CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class GroupDispersion:
-    """Dispersion summary of the benefit profile within one group."""
+class GroupDispersion(_Record):
+    """Dispersion summary of the benefit profile within one group; a float or None each."""
 
-    mean_q: Optional[float]
-    variance_q: Optional[float]
-    gini_q: Optional[float]
-    determinism_index: Optional[float]
+    __slots__ = ("mean_q", "variance_q", "gini_q", "determinism_index")
 
     def to_json_dict(self) -> dict:
         return {
@@ -45,10 +39,8 @@ class GroupDispersion:
         }
 
 
-@dataclass(frozen=True)
-class DispersionReport:
-    group_z0: GroupDispersion
-    group_z1: GroupDispersion
+class DispersionReport(_Record):
+    __slots__ = ("group_z0", "group_z1")
 
     def group(self, z: int) -> GroupDispersion:
         check_group(z)

@@ -23,12 +23,12 @@ from __future__ import annotations
 import numbers
 import sys
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._record import _Record
 from .classifiers import Classifier, TableClassifier, prediction_matrix
 from .dataset import Dataset, _read_only, check_group, check_integer
 from .distributional import dispersion
@@ -172,8 +172,7 @@ def mixture_accuracy(ensemble: Ensemble, dataset: Dataset) -> float:
     return metrics._row_accuracy(_mixture(ensemble, dataset))
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(_Record):
     """Whether mixing preserved a fairness gap identity for one kind.
 
     ``ensemble_gap`` is the mixture's exact gap and
@@ -186,10 +185,7 @@ class ClosureReport:
     measured.
     """
 
-    kind: MetricKind
-    linear: bool
-    ensemble_gap: Optional[float]
-    weighted_member_gap_sum: Optional[float]
+    __slots__ = ("kind", "linear", "ensemble_gap", "weighted_member_gap_sum")
 
 
 def closure_check(
@@ -213,8 +209,7 @@ def closure_check(
     return ClosureReport(kind, linear, gap, None if weighted is None else float(weighted))
 
 
-@dataclass(frozen=True)
-class SampleResult:
+class SampleResult(_Record):
     """Seeded Monte Carlo draw log plus empirical per-group rates.
 
     ``labels`` has one row per draw. In per-draw mode one member is
@@ -224,19 +219,14 @@ class SampleResult:
     O(draws + N*M) values. In per-instance mode every instance draws its
     own member independently, ``member_indices`` is None and the
     (draws, N) labels are stored. Identical seeds give bit-identical
-    results.
+    results. ``_rows`` holds the (M, N) member label rows in per-draw
+    mode, the labels otherwise.
     """
 
-    member_indices: Optional[np.ndarray]
-    per_draw_rates: dict
-    group_rates: dict
-    standard_errors: dict
-    n_draws: int
-    seed: int
-    per_instance: bool
-    generator: str
-    #: the (M, N) member label rows in per-draw mode, the labels otherwise
-    _rows: np.ndarray
+    __slots__ = (
+        "member_indices", "per_draw_rates", "group_rates", "standard_errors",
+        "n_draws", "seed", "per_instance", "generator", "_rows",
+    )
 
     @property
     def labels(self) -> np.ndarray:

@@ -13,12 +13,12 @@ stated in every serialized report.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._record import _Record
 from .dataset import (
     Dataset,
     _as_given,
@@ -72,8 +72,7 @@ def accuracy(predictions, dataset: Dataset) -> float:
     return float(_vector_counts(predictions, dataset)[0].accuracies()[0])
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no single truth value
-class CellCounts:
+class CellCounts(_Record, private=("_cache",), eq=False):  # arrays have no single truth value
     """Accepted counts of M prediction rows in the four (z, y) cells.
 
     Cell ``k = 2*z + (y == +1)`` orders the cells (z0,y-), (z0,y+),
@@ -86,13 +85,12 @@ class CellCounts:
     ``_mixture_rates`` and ``_row_accuracy`` give every number it has.
     """
 
-    accepted: np.ndarray
-    sizes: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("accepted", "sizes", "_cache")
 
     def __post_init__(self):
         for name in ("accepted", "sizes"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name))))
+        object.__setattr__(self, "_cache", {})
 
     def counts(self, kind: MetricKind, z: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-row integer (numerator, denominator) of a group rate."""
@@ -303,8 +301,7 @@ def indicator_profile(predictions) -> np.ndarray:
     return (predictions == 1).astype(float)
 
 
-@dataclass(frozen=True)
-class GroupMetric:
+class GroupMetric(_Record):
     """One metric kind evaluated on both groups, with its gap.
 
     ``None`` values mean the rate (or the gap, when either rate is
@@ -312,11 +309,7 @@ class GroupMetric:
     check is not assessable rather than failed.
     """
 
-    kind: MetricKind
-    value_z0: Optional[float]
-    value_z1: Optional[float]
-    gap: Optional[float]
-    passed: Optional[bool]
+    __slots__ = ("kind", "value_z0", "value_z1", "gap", "passed")
 
     def to_json_dict(self) -> dict:
         return {
@@ -328,19 +321,18 @@ class GroupMetric:
         }
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no single truth value
-class FairnessReport:
+class FairnessReport(_Record, defaults=(None,), eq=False):  # arrays have no single truth value
     """Accuracy, all five group metrics, and treatment-test results.
 
     ``treatment_violations`` holds the twin pairs that fail the test, 0-based,
-    as a read-only (V, 2) intp array; the JSON lists them 1-based."""
+    as a read-only (V, 2) intp array; the JSON lists them 1-based. ``metrics``
+    is a tuple of :class:`GroupMetric`; ``distributional`` a :class:`DispersionReport`
+    or None."""
 
-    accuracy: float
-    metrics: tuple[GroupMetric, ...]
-    treatment_pairs_checked: int
-    treatment_violations: np.ndarray
-    tolerance: float
-    distributional: Optional[DispersionReport] = None
+    __slots__ = (
+        "accuracy", "metrics", "treatment_pairs_checked", "treatment_violations",
+        "tolerance", "distributional",
+    )
 
     def to_json_dict(self) -> dict:
         doc = {

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._record import _Record
 from .classifiers import Classifier, LinearClassifier, TableClassifier
 from .dataset import Dataset, check_integer
 from .ensemble import Ensemble, member_counts
@@ -45,8 +45,7 @@ class Objective(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class MixtureSolution:
+class MixtureSolution(_Record):
     """Outcome of a fair-mixture solve.
 
     ``weights``/``accuracy``/``gaps`` are populated only when ``status``
@@ -55,14 +54,10 @@ class MixtureSolution:
     which may be undefined (None) on the solution.
     """
 
-    status: SolveStatus
-    weights: Optional[np.ndarray]
-    accuracy: Optional[float]
-    gaps: dict
-    post_hoc_gaps: dict
-    objective: Objective
-    tolerance: float
-    iterations: int
+    __slots__ = (
+        "status", "weights", "accuracy", "gaps", "post_hoc_gaps", "objective",
+        "tolerance", "iterations",
+    )
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,14 +193,10 @@ GRID_MAX_MEMBERS = 4
 GRID_MIN_RESOLUTION = 10
 
 
-@dataclass(frozen=True)
-class GridOracleResult:
+class GridOracleResult(_Record):
     """Best feasible lattice point, or None fields when nothing is feasible."""
 
-    weights: Optional[np.ndarray]
-    accuracy: Optional[float]
-    feasible_count: int
-    resolution: int
+    __slots__ = ("weights", "accuracy", "feasible_count", "resolution")
 
     def to_json_dict(self) -> dict:
         return {
@@ -311,15 +302,13 @@ def grid_oracle(
     return GridOracleResult(weights, accuracy, count, resolution)
 
 
-@dataclass(frozen=True)
-class ThresholdRule:
-    """A single-feature threshold classifier found by the sweep."""
+class ThresholdRule(_Record):
+    """A single-feature threshold classifier found by the sweep.
 
-    threshold: float
-    direction: str  # "+" accepts feature >= threshold, "-" accepts <=
-    accuracy: float
-    gap: float
-    classifier: LinearClassifier
+    ``direction`` "+" accepts feature >= threshold, "-" accepts <=.
+    """
+
+    __slots__ = ("threshold", "direction", "accuracy", "gap", "classifier")
 
 
 def _threshold_classifier(
@@ -389,21 +378,16 @@ def best_fair_single_threshold(
     return ThresholdRule(threshold, direction, float(accuracies[best]), gap, rule)
 
 
-@dataclass(frozen=True)
-class PPVWitness:
+class PPVWitness(_Record):
     """A PPV non-closure certificate: fair members, unfair uniform mixture.
 
     Both members have PPV gap exactly zero (verified on integer counts);
     the uniform two-member ensemble has |PPV gap| of at least 0.05.
     """
 
-    dataset: Dataset
-    members: tuple[TableClassifier, TableClassifier]
-    weights: tuple[float, float]
-    member_gaps: tuple[float, float]
-    ensemble_gap: float
-    seed: int
-    trial_index: int
+    __slots__ = (
+        "dataset", "members", "weights", "member_gaps", "ensemble_gap", "seed", "trial_index",
+    )
 
 
 MIN_WITNESS_GAP = Fraction(1, 20)

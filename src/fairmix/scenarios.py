@@ -21,11 +21,10 @@ is sampled and regeneration is bit-stable. Each one exhibits one effect:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import metrics, optimizer
+from ._record import _Record
 from .classifiers import LinearClassifier, prediction_matrix
 from .dataset import Dataset, twin_pairs
 from .ensemble import Ensemble, acceptance_probability, ensemble_report
@@ -36,25 +35,17 @@ from .errors import FairmixError
 _COPIES = 2
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    description: str
-    dataset: Dataset
-    members: tuple[LinearClassifier, ...]
-    prescribed_weights: np.ndarray
-    expectations: dict
+class Scenario(_Record):
+    __slots__ = (
+        "name", "description", "dataset", "members", "prescribed_weights", "expectations",
+    )
 
     def ensemble(self) -> Ensemble:
         return Ensemble(self.members, self.prescribed_weights)
 
 
-@dataclass(frozen=True)
-class ScenarioCheck:
-    name: str
-    expected: object
-    actual: object
-    ok: bool
+class ScenarioCheck(_Record):
+    __slots__ = ("name", "expected", "actual", "ok")
 
     def to_json_dict(self) -> dict:
         return {

@@ -13,11 +13,10 @@ tiny, so the guarantee is worth far more than the speed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from ._record import _Record
 from .errors import FairmixError
 
 PIVOT_TOLERANCE = 1e-9
@@ -93,12 +92,8 @@ class LinearProgram:
         return self.c.shape[0]
 
 
-@dataclass(frozen=True)
-class SimplexResult:
-    status: SolveStatus
-    x: Optional[np.ndarray]
-    objective: Optional[float]
-    iterations: int
+class SimplexResult(_Record):
+    __slots__ = ("status", "x", "objective", "iterations")
 
 
 def _pivot(tableau: np.ndarray, basis: list | np.ndarray, row: int, col: int) -> None:

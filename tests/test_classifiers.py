@@ -206,6 +206,34 @@ class TestPredictionMatrix:
         rebuilt = prediction_matrix(tables, ds)
         assert np.array_equal(rebuilt, matrix)
 
+    @pytest.mark.parametrize("spelling", ["canonical", "general"])
+    def test_loaded_tables_share_one_read_only_owner(self, ds, tmp_path, spelling):
+        """The tables are rows of one frozen (M, N) int8 matrix that holds
+        N*M bytes: with -1 everywhere the canonical decoder's buffer is half
+        as wide again, and the general parser's matrix is (N, M)."""
+        sign = "-1" if spelling == "canonical" else " -1"
+        path = tmp_path / "preds.csv"
+        path.write_text("clf_1,clf_2,clf_3\n" + f"{sign},{sign},{sign}\n" * len(ds))
+        tables = load_prediction_matrix(path, ds)
+        owners = {id(t.predictions.base) for t in tables}
+        assert len(owners) == 1
+        owner = tables[0].predictions.base
+        assert owner.base is None and owner.nbytes == 3 * len(ds)
+        assert owner.dtype == np.int8 and owner.flags.c_contiguous
+        assert not owner.flags.writeable
+        for j, table in enumerate(tables):
+            assert np.shares_memory(table.predictions, owner[j])
+            assert table.predictions.tolist() == [-1] * len(ds)
+            with pytest.raises(ValueError):
+                table.predictions.flags.writeable = True
+            assert table.dataset is ds and table.predict_all(ds) is table.predictions
+
+    def test_loader_binds_only_to_a_dataset(self, ds, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("clf_1\n1\n-1\n1\n-1\n")
+        with pytest.raises(FairmixError, match="a table must be bound to a Dataset, got list"):
+            load_prediction_matrix(path, [0, 1, 2, 3])
+
     def test_save_rejects_values_other_than_signs(self, tmp_path):
         # used to be truncated and written as the rows 1,0 and -1,1
         path = tmp_path / "preds.csv"
