@@ -79,8 +79,9 @@ class CellCounts(_Record, private=("_cache",), eq=False):  # arrays have no sing
     (z1,y-), (z1,y+). ``accepted[j, k]`` counts the instances of cell k
     that row j accepts and ``sizes[k]`` counts the cell. Every group
     rate and the accuracy of a row, and of any random mixture of rows,
-    follow from these integers, held as read-only copies; each per-row
-    rate, gap and accuracy array is kept, read-only, once computed. A
+    follow from these integers, held as read-only copies. The per-row
+    accuracies and each constrained kind's gap row are kept, read-only,
+    once computed, as every solve of a tolerance sweep re-reads them. A
     mixture is read as one exact row (``_mixture_row``), from which
     ``_mixture_rates`` and ``_row_accuracy`` give every number it has.
     """
@@ -100,21 +101,10 @@ class CellCounts(_Record, private=("_cache",), eq=False):  # arrays have no sing
         return num, den if isinstance(den, np.ndarray) else np.full(len(num), den)
 
     def rates(self, kind: MetricKind, z: int) -> np.ndarray:
-        """Per-row group rates, read-only; NaN where the conditioning set is empty."""
-        check_kind(kind)
-        check_group(z)  # before the lookup: 1.0 and True would find the key of 1
-        if (kind, z) not in self._cache:
-            num, den = self.counts(kind, z)
-            with np.errstate(invalid="ignore"):
-                self._cache[kind, z] = _read_only(num / den)
-        return self._cache[kind, z]
-
-    def gaps(self, kind: MetricKind) -> np.ndarray:
-        """Per-row ``rate(z=0) - rate(z=1)``, read-only; NaN where either is undefined."""
-        check_kind(kind)  # before the lookup: a list has no hash
-        if kind not in self._cache:
-            self._cache[kind] = _read_only(self.rates(kind, 0) - self.rates(kind, 1))
-        return self._cache[kind]
+        """Per-row group rates; NaN where the conditioning set is empty."""
+        num, den = self.counts(kind, z)
+        with np.errstate(invalid="ignore"):
+            return num / den
 
     def accuracies(self) -> np.ndarray:
         """Per-row fraction of instances predicted correctly, read-only."""
@@ -130,6 +120,23 @@ class CellCounts(_Record, private=("_cache",), eq=False):  # arrays have no sing
         (n0, d0), (n1, d1) = (self.counts(kind, z) for z in (0, 1))
         n0, d0, n1, d1 = (v.astype(dtype, copy=False) for v in (n0, d0, n1, d1))
         return n0 * d1 - n1 * d0, d0 * d1
+
+    def _defined_gap_terms(self, kind: MetricKind) -> tuple[np.ndarray, np.ndarray]:
+        """``_gap_terms`` of a kind to constrain, which is linear: all rows share one D,
+        and where D is 0 the gap is undefined for every row, whatever the tolerance."""
+        g, d = self._gap_terms(kind)
+        if not d.all():
+            raise FairmixError(f"{kind} is undefined for member 1; cannot constrain it")
+        return g, d
+
+    def _gap_row(self, kind: MetricKind) -> np.ndarray:
+        """Per-row gap G/D of a kind to constrain, read-only and kept. Each is divided as
+        Python ints, so correctly rounded: int64 D past 2**53 would round twice in float64."""
+        if kind not in self._cache:
+            g, d = self._defined_gap_terms(kind)
+            row = [x / y for x, y in zip(g.tolist(), d.tolist())]
+            self._cache[kind] = _read_only(np.array(row, dtype=float))
+        return self._cache[kind]
 
     def _mixture_row(self, weights) -> tuple[list[int], list[int]]:
         """The mixture ``weights`` as one row of Python-int (accepted, sizes): float weight j

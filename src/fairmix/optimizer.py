@@ -88,17 +88,9 @@ def _constrained_kinds(constrained, tolerance: float) -> list:
 
 
 def _gap_rows(counts: CellCounts, constrained: Sequence[MetricKind]) -> np.ndarray:
-    """(K, M): each constrained kind's per-member gaps, all defined."""
-    rows = [counts.gaps(kind) for kind in constrained]
-    gaps = np.array(rows) if rows else np.empty((0, len(counts.accepted)))
-    if np.isnan(gaps).any():
-        for kind, row in zip(constrained, gaps):  # names the first kind at fault
-            undefined = np.flatnonzero(np.isnan(row))
-            if undefined.size:
-                raise FairmixError(
-                    f"{kind} is undefined for member {undefined[0] + 1}; cannot constrain it"
-                )
-    return gaps
+    """(K, M): each constrained kind's per-member gaps G/D; raises at the first undefined kind."""
+    rows = [counts._gap_row(kind) for kind in constrained]
+    return np.array(rows) if rows else np.empty((0, len(counts.accepted)))
 
 
 def build_mixture_program(
@@ -259,9 +251,7 @@ def grid_oracle(
     r, n = int(resolution), int(counts.sizes.sum())
     gaps, bounds, tol = [], [], _exact_tolerance(tolerance)
     for kind in constrained:
-        g, d = counts._gap_terms(kind)
-        if d[0] == 0:  # a linear kind has one D, so every member is undefined, even at inf
-            raise FairmixError(f"{kind} is undefined for member 1; cannot constrain it")
+        g, d = counts._defined_gap_terms(kind)
         gaps.append(g)
         bounds.append(_gap_bound(r * int(d[0]), tol))
     size = math.comb(resolution + m - 1, m - 1)  # lattice points

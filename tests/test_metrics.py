@@ -207,7 +207,7 @@ class TestCellCountsDifferential:
 
 
 class TestFrozenCounts:
-    """A ``CellCounts`` holds read-only copies, so its memoized rates stay true."""
+    """A ``CellCounts`` holds read-only copies, so its kept arrays stay true."""
 
     def counted(self):
         rng = np.random.default_rng(4)
@@ -236,16 +236,18 @@ class TestFrozenCounts:
     def test_repeated_rates_equal_and_read_only(self, kind):
         counts = self.counted()
         for z in (0, 1, np.int64(1)):
-            first = counts.rates(kind, z)
-            again = counts.rates(kind, z)
             num, den = counts.counts(kind, z)
-            assert again is first  # computed once per instance
-            assert first.tobytes() == (num / den).tobytes()
-            for rates in (first, again):
-                with pytest.raises(ValueError, match="read-only"):
-                    rates[0] = 0.5
-                with pytest.raises(ValueError):
-                    rates.setflags(write=True)
+            for rates in (counts.rates(kind, z), counts.rates(kind, z)):
+                assert rates.tobytes() == (num / den).tobytes()
+        if kind in LINEAR_KINDS:  # the LP's gap row is kept: computed once per instance
+            row = counts._gap_row(kind)
+            assert counts._gap_row(kind) is row
+            g, d = counts._gap_terms(kind)
+            assert row.tolist() == [float(Fraction(int(x), int(y))) for x, y in zip(g, d)]
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.5
+            with pytest.raises(ValueError):
+                row.setflags(write=True)
 
 
 class TestGroupArgument:
@@ -404,10 +406,10 @@ class TestGap:
             lambda ens, ds: ensemble_group_rate(ens, [1], ds, 0),
             lambda ens, ds: ensemble_gap(ens, [1], ds),
             lambda ens, ds: closure_check(ens, [1], ds),
-            lambda ens, ds: vector_counts(np.ones(3), ds).gaps([1]),
+            lambda ens, ds: vector_counts(np.ones(3), ds)._gap_terms([1]),
             lambda ens, ds: vector_counts(np.ones(3), ds).rates([1], 0),
         ],
-        ids=["ensemble_group_rate", "ensemble_gap", "closure_check", "gaps", "rates"],
+        ids=["ensemble_group_rate", "ensemble_gap", "closure_check", "gap_terms", "rates"],
     )
     def test_unhashable_kind_rejected(self, call):
         # checked before the set or cache lookup, which would raise TypeError

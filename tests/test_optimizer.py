@@ -39,6 +39,7 @@ from fairmix import (
 )
 from fairmix import optimizer as optimizer_mod
 from fairmix.cli import entrypoint
+from fairmix.metrics import CellCounts
 from fairmix.optimizer import _lattice
 
 from conftest import (
@@ -120,6 +121,49 @@ class TestBuildProgram:
                 row = program.a_ub[2 * pos]
                 want = ensemble_gap(ens, kind, ds)
                 assert float(row @ p) == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(ALL_LINEAR), min_size=1, max_size=3, unique=True),
+    )
+    def test_gap_rows_are_the_exact_gaps_correctly_rounded(self, seed, kinds):
+        # each coefficient is G/D rounded once, as every verdict reads it, not
+        # a difference of two rounded rates
+        rng = np.random.default_rng(seed)
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, int(rng.integers(1, 8)))
+        program = build_mixture_program(
+            member_counts(members, ds), kinds, 0.1, Objective.MAX_ACCURACY
+        )
+
+        def exact_gap(member, kind):
+            rates = []
+            for z in (0, 1):
+                cond, hit = CONDITIONS[kind](member.predictions, ds.labels)
+                cond = cond & (ds.sensitive == z)
+                rates.append(Fraction(int((cond & hit).sum()), int(cond.sum())))
+            return float(rates[0] - rates[1])
+
+        want = [[exact_gap(member, kind) for member in members] for kind in kinds]
+        assert program.a_ub[0::2].tolist() == want
+
+    def test_gap_rows_past_2_53_are_rounded_once(self):
+        # groups of about 1e8 instances: the acceptance rate's D = d0*d1 is
+        # odd and past 2**53, so float(G) / float(D) and the difference of the
+        # two rates each miss the correctly rounded G/D on these rows
+        sizes = [50_000_000, 50_000_017, 50_000_029, 50_000_040]
+        accepted = [[14985594, 24053078, 21134373, 20161940], [1415983, 267632, 6214167, 414215]]
+        assert (sizes[0] + sizes[1]) * (sizes[2] + sizes[3]) > 2**53
+        counts = CellCounts(accepted, sizes)
+        program = build_mixture_program(counts, ALL_LINEAR, 0.1, Objective.MAX_ACCURACY)
+        for pos, kind in enumerate(ALL_LINEAR):
+            (n0, d0), (n1, d1) = (counts.counts(kind, z) for z in (0, 1))
+            want = [
+                float(Fraction(int(a), int(b)) - Fraction(int(c), int(d)))
+                for a, b, c, d in zip(n0, d0, n1, d1)
+            ]
+            assert program.a_ub[2 * pos].tolist() == want, kind
 
     def test_iterator_of_kinds_read_once(self, rng):
         ds = make_random_dataset(rng, 10)
@@ -368,12 +412,24 @@ class TestSolveFairMixture:
         with pytest.raises(FairmixError, match="must be >= 0"):
             solve_fair_mixture(members, ds, [MetricKind.ACCEPTANCE_RATE], math.nan)
 
-    def test_undefined_member_gap_rejected(self):
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda ms, ds, kinds: solve_fair_mixture(ms, ds, kinds, 0.1),
+            lambda ms, ds, kinds: build_mixture_program(
+                member_counts(ms, ds), kinds, 0.1, Objective.MAX_ACCURACY
+            ),
+            lambda ms, ds, kinds: grid_oracle(ms, ds, kinds, 0.1, 10),
+        ],
+        ids=["solve_fair_mixture", "build_mixture_program", "grid_oracle"],
+    )
+    def test_undefined_member_gap_rejected(self, solve):
         # no positive labels in group 0: TPR gap undefined for everyone
         ds = Dataset.from_arrays([[0.0], [1.0]], [-1, 1], [0, 1])
         members = [TableClassifier([1, 1], ds)]
-        with pytest.raises(FairmixError, match="undefined for member 1"):
-            solve_fair_mixture(members, ds, [MetricKind.TPR], 0.1)
+        message = "^tpr is undefined for member 1; cannot constrain it$"
+        with pytest.raises(FairmixError, match=message):
+            solve(members, ds, [MetricKind.TPR])
 
     def test_post_hoc_ratio_gaps_reported(self):
         ds, members = thirds_pair()
@@ -423,33 +479,33 @@ def sweep_instance(seed=21, n=3000, m=120, d=4):
 #: and the gaps are :func:`exact_mixture_hex` of the pinned weights.
 SWEEP_PIN = [
     (21, '0x1.98eb5ae661d26p-1',
-     ('0x1.a36e2eb1c2513p-15', '-0x1.0624dd2f1abbdp-11', '-0x1.0624dd2f1a800p-11'),
-     ('-0x1.084b92f5c2e9ep-11', '-0x1.fa2235912949ap-12'),
-     {55: '0x1.bf482ce6f0b11p-4', 114: '0x1.55875d778df35p-2', 117: '0x1.1d534ba75af04p-1'}),
+     ('0x1.a36e2eb1c4f7ep-15', '-0x1.0624dd2f1a958p-11', '-0x1.0624dd2f1aadcp-11'),
+     ('-0x1.084b92f5c3051p-11', '-0x1.fa223591291a2p-12'),
+     {55: '0x1.bf482ce6f0b03p-4', 114: '0x1.55875d778df43p-2', 117: '0x1.1d534ba75aefdp-1'}),
     (21, '0x1.98f0857b4da43p-1',
-     ('0x1.bf0acaca03a07p-14', '-0x1.1766bebe42b0cp-10', '-0x1.1766bebe429d0p-10'),
-     ('-0x1.19919d6377177p-10', '-0x1.0dd7351501479p-10'),
-     {55: '0x1.7ce6ced8b6b37p-4', 114: '0x1.6049581864ce0p-2', 117: '0x1.203e7a18b6c29p-1'}),
+     ('0x1.bf0acaca045e8p-14', '-0x1.1766bebe42a61p-10', '-0x1.1766bebe42a9ep-10'),
+     ('-0x1.19919d63771f2p-10', '-0x1.0dd7351501410p-10'),
+     {55: '0x1.7ce6ced8b6b30p-4', 114: '0x1.6049581864ce9p-2', 117: '0x1.203e7a18b6c26p-1'}),
     (21, '0x1.98fb88c7c3d0ep-1',
-     ('0x1.dc78bd4ed84a6p-13', '-0x1.29cb7651477a2p-9', '-0x1.29cb7651476c6p-9'),
-     ('-0x1.2bd20b5cd6735p-9', '-0x1.1fdd39ed9229ep-9'),
-     {55: '0x1.decd58d15a666p-5', 114: '0x1.7737e64d397e0p-2', 117: '0x1.2677374c4d9aap-1'}),
+     ('0x1.dc78bd4ed8acdp-13', '-0x1.29cb76514773dp-9', '-0x1.29cb765147726p-9'),
+     ('-0x1.2bd20b5cd6769p-9', '-0x1.1fdd39ed9225bp-9'),
+     {55: '0x1.decd58d15a669p-5', 114: '0x1.7737e64d397e6p-2', 117: '0x1.2677374c4d9a5p-1'}),
     (21, '0x1.990ea0a000feap-1',
-     ('0x1.f68b7d35ff948p-11', '-0x1.f0ac3be9d6eabp-9', '-0x1.3d662954a9479p-8'),
-     ('-0x1.2f7da4210672fp-8', '-0x1.f656b24b00743p-9'),
-     {114: '0x1.a36a530ba7978p-2', 117: '0x1.2e4ad67a2c344p-1'}),
+     ('0x1.f68b7d35ffa7bp-11', '-0x1.f0ac3be9d6e5ep-9', '-0x1.3d662954a94a0p-8'),
+     ('-0x1.2f7da42106744p-8', '-0x1.f656b24b00711p-9'),
+     {114: '0x1.a36a530ba797ep-2', 117: '0x1.2e4ad67a2c341p-1'}),
     (24, '0x1.991363453c672p-1',
-     ('0x1.a3d7d80e60d69p-8', '0x1.a82d0ff17ba0fp-10', '-0x1.524b3fe002a9ep-7'),
-     ('-0x1.f8159778b28fcp-8', '-0x1.36d94146c054fp-12'),
-     {114: '0x1.db33535bd8bb2p-2', 117: '0x1.1266565213a27p-1'}),
+     ('0x1.a3d7d80e60d7cp-8', '0x1.a82d0ff17ba5ap-10', '-0x1.524b3fe002aa7p-7'),
+     ('-0x1.f8159778b2906p-8', '-0x1.36d94146c048dp-12'),
+     {114: '0x1.db33535bd8bb4p-2', 117: '0x1.1266565213a25p-1'}),
     (28, '0x1.991d8903116e1p-1',
-     ('0x1.27399d5dd9bb2p-6', '0x1.aebb58694d059p-7', '-0x1.689079f3ec5d8p-6'),
-     ('-0x1.d2b60ef467706p-7', '0x1.d8e410e2916fcp-8'),
-     {114: '0x1.290ecdfa20d74p-1', 117: '0x1.ade2640bbe517p-2'}),
+     ('0x1.27399d5dd9b98p-6', '0x1.aebb58694d027p-7', '-0x1.689079f3ec5bfp-6'),
+     ('-0x1.d2b60ef4676e9p-7', '0x1.d8e410e2916bap-8'),
+     {114: '0x1.290ecdfa20d6cp-1', 117: '0x1.ade2640bbe527p-2'}),
     (25, '0x1.99332a85944fbp-1',
-     ('0x1.5e66f639f0355p-5', '0x1.34f87106ea7c1p-5', '-0x1.804d061ddd9e5p-5'),
-     ('-0x1.d07940821af74p-6', '0x1.7b1fef6811bdcp-6'),
-     {114: '0x1.a7cd26b102ee2p-1', 117: '0x1.60cb653bf4479p-3'}),
+     ('0x1.5e66f639f0368p-5', '0x1.34f87106ea7d4p-5', '-0x1.804d061ddd9f8p-5'),
+     ('-0x1.d07940821af8ap-6', '0x1.7b1fef6811bf5p-6'),
+     {114: '0x1.a7cd26b102eeep-1', 117: '0x1.60cb653bf4449p-3'}),
     (29, '0x1.994237fa89e61p-1',
      ('0x1.eb851eb851eb8p-5', '0x1.c10aff9ee8dd8p-5', '-0x1.0723107231072p-4'),
      ('-0x1.39c37d570c7cfp-5', '0x1.17f9f56d7f9f5p-5'),
@@ -497,9 +553,9 @@ def exact_mixture_hex(ds, members, weights):
 
 class TestSweepPin:
     def test_curve_is_bit_for_bit(self):
-        # the iterations and weights were taken from the solver before its
-        # bookkeeping was cut, so any change to a pivot moves a bit here; the
-        # accuracy and gaps are the exact values of those weights
+        # the iterations and weights are the solver's on the exact G/D gap
+        # rows, so any change to a pivot moves a bit here; the accuracy and
+        # gaps are the exact values of those weights
         ds, members = sweep_instance()
         tolerances = np.geomspace(5e-4, 0.1, 8).tolist()
         for tol, pin in zip(tolerances, SWEEP_PIN):

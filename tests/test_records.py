@@ -251,9 +251,12 @@ def test_cell_counts_keep_read_only_copies_and_a_private_cache():
     for given, kept in ((accepted, counts.accepted), (sizes, counts.sizes)):
         assert kept is not given and not np.shares_memory(kept, given)
         assert not kept.flags.writeable
-    rates = counts.rates(MetricKind.ACCEPTANCE_RATE, 0)
-    assert counts.rates(MetricKind.ACCEPTANCE_RATE, 0) is rates
+    row = counts._gap_row(MetricKind.ACCEPTANCE_RATE)
+    assert counts._gap_row(MetricKind.ACCEPTANCE_RATE) is row
+    assert not row.flags.writeable
     assert "_cache" not in repr(counts)
     clone = pickle.loads(pickle.dumps(counts))
+    assert np.array_equal(clone._gap_row(MetricKind.ACCEPTANCE_RATE), row)
+    rates = counts.rates(MetricKind.ACCEPTANCE_RATE, 0)
     assert np.array_equal(clone.rates(MetricKind.ACCEPTANCE_RATE, 0), rates)
 
