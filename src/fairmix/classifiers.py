@@ -21,6 +21,7 @@ from .dataset import (
     PathArg,
     _as_given,
     _canonical_blocks,
+    _code_faults,
     _read_bytes,
     _read_cells,
     _read_only,
@@ -83,9 +84,8 @@ class TableClassifier:
 
     def __init__(self, predictions, dataset: Dataset):
         _check_bound(dataset)
-        preds = _as_given(predictions)
+        preds = check_predictions(predictions)
         check_length(preds, dataset, "prediction vector", DataFormatError)
-        check_predictions(preds)
         # a copy, checked first: 255 would wrap to -1
         self._predictions = _read_only(preds.astype(np.int8))
         self._dataset = dataset
@@ -227,6 +227,7 @@ def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
     :func:`prediction_matrix`; the file has one row per instance. Every
     entry must be -1 or 1; anything else is rejected, not truncated.
     """
+    given = matrix
     try:
         matrix = np.asarray(matrix)
     except ValueError:  # numpy's "inhomogeneous shape"
@@ -237,7 +238,7 @@ def save_prediction_matrix(path: PathArg, matrix: np.ndarray) -> None:
         raise DataFormatError(
             f"prediction matrix must be (M, N) with M, N >= 1, got shape {matrix.shape}"
         )
-    bad = ~((matrix == 1) | (matrix == -1))  # np.isin's test, as in check_predictions
+    bad = _code_faults(_as_given(given), (-1, 1))  # as given: numpy reads [True, -1] as [1, -1]
     if bad.any():
         row, column = np.argwhere(bad.T)[0]
         raise DataFormatError(

@@ -81,9 +81,8 @@ def _group_dispersion(q: np.ndarray) -> GroupDispersion:
 
 def dispersion(benefit_profile, dataset: Dataset) -> DispersionReport:
     """Per-group dispersion of a benefit profile of length N."""
-    q = np.asarray(benefit_profile, dtype=float)
+    q = check_profile(benefit_profile)
     check_length(q, dataset, "benefit profile")
-    check_profile(q)
     return DispersionReport(
         group_z0=_group_dispersion(q[group_indices(dataset, 0)]),
         group_z1=_group_dispersion(q[group_indices(dataset, 1)]),

@@ -20,8 +20,6 @@ correctly rounded.
 
 from __future__ import annotations
 
-import numbers
-import sys
 import weakref
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -30,7 +28,7 @@ import numpy as np
 
 from ._record import _Record
 from .classifiers import Classifier, TableClassifier, prediction_matrix
-from .dataset import Dataset, _read_only, check_group, check_integer
+from .dataset import Dataset, _read_only, check_group, check_integer, check_reals
 from .distributional import dispersion
 from .errors import FairmixError
 from . import metrics
@@ -59,23 +57,10 @@ class Ensemble:
         members = tuple(members)
         if len(members) < 1:
             raise FairmixError("ensemble needs at least one member")
-        # each weight is checked as given, before any float conversion; a
-        # finite float vector in one pass, any other array as its list
-        checked = isinstance(weights, np.ndarray) and weights.dtype == float and weights.ndim == 1
-        checked = checked and np.isfinite(weights).all()
-        w = weights.tolist() if isinstance(weights, np.ndarray) and not checked else weights
-        # a scalar is one weight, so it fails the shape check below
-        for x in () if checked else w if isinstance(w, (list, tuple)) else [w]:
-            if isinstance(x, bool) or not isinstance(x, numbers.Real):
-                raise FairmixError(f"non-numeric weight {x!r}")
-            # false for NaN, infinities and integers past the float range
-            if not abs(x) <= sys.float_info.max:
-                # the decimal text of such an integer can exceed str()'s limit
-                if isinstance(x, int):
-                    bits = x.bit_length()
-                    raise FairmixError(f"non-finite weight: integer of {bits} bits")
-                raise FairmixError(f"non-finite weight {x!r}")
-        w = np.array(w, dtype=float)
+        w = check_reals(weights, "weight")
+        finite = np.isfinite(w)
+        if not finite.all():
+            raise FairmixError(f"non-finite weight {float(w[~finite][0])!r}")
         if w.shape != (len(members),):
             raise FairmixError(
                 f"{len(members)} members but {w.shape} weights"
@@ -87,7 +72,7 @@ class Ensemble:
                 f"weights sum to {float(np.sum(w))!r}, expected 1"
             )
         self._members = members
-        self._weights = _read_only(w)
+        self._weights = _read_only(np.array(w))  # a copy: the caller's may be float64
 
     @property
     def members(self) -> tuple[Classifier, ...]:

@@ -22,6 +22,7 @@ from ._record import _Record
 from .dataset import (
     Dataset,
     _as_given,
+    _bool_entries,
     _read_only,
     check_group,
     check_length,
@@ -60,9 +61,8 @@ RATIO_KINDS = frozenset({MetricKind.PPV, MetricKind.NPV})
 def _vector_counts(predictions, dataset: Dataset) -> tuple[CellCounts, np.ndarray]:
     """Cell counts of one prediction vector, as a single-row matrix, and
     its (N,) bool accepts, from one check of the vector."""
-    predictions = _as_given(predictions)
+    predictions = check_predictions(predictions)
     check_length(predictions, dataset, "prediction vector")
-    check_predictions(predictions)
     accepts = predictions == 1
     return cell_counts(accepts[None, :], dataset), accepts
 
@@ -259,8 +259,7 @@ def _violations(profile, pairs: Pairs, tolerance: float) -> np.ndarray:
     """The pairs whose two profile values differ by more than ``tolerance``,
     as a read-only (V, 2) intp array in the order given."""
     check_tolerance(tolerance)
-    q = np.asarray(profile, dtype=float)
-    check_profile(q)
+    q = check_profile(profile)
     idx = _index_pairs(pairs, len(q))
     violations = idx[np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance]
     violations.setflags(write=False)
@@ -282,6 +281,7 @@ def _index_pairs(pairs: Pairs, n: int) -> np.ndarray:
         and idx.dtype.kind in "iu"
         and idx.min() >= 0
         and idx.max() < n
+        and not _bool_entries(_as_given(pairs)).any()  # numpy reads (True, 0) as (1, 0)
     ):
         return idx.astype(np.intp, copy=False)
     if len(pairs) > 1:
@@ -303,9 +303,7 @@ def check_tolerance(tolerance: float) -> None:
 
 def indicator_profile(predictions) -> np.ndarray:
     """0/1 benefit profile of a deterministic prediction vector."""
-    predictions = _as_given(predictions)
-    check_predictions(predictions)
-    return (predictions == 1).astype(float)
+    return (check_predictions(predictions) == 1).astype(float)
 
 
 class GroupMetric(_Record):

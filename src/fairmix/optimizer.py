@@ -108,6 +108,11 @@ def build_mixture_program(
     """
     constrained = tuple(constrained)  # an iterator is read once
     _constrained_kinds(constrained, tolerance)
+    return _mixture_program(counts, constrained, tolerance, objective)
+
+
+def _mixture_program(counts, constrained, tolerance, objective) -> LinearProgram:
+    """``build_mixture_program`` for kinds and a tolerance already checked."""
     if not isinstance(objective, Objective):
         raise FairmixError(f"objective must be an Objective, got {objective!r}")
     m = counts.accepted.shape[0]
@@ -142,7 +147,7 @@ def solve_fair_mixture(
     constrained = _constrained_kinds(constrained, tolerance)
     members = tuple(members)  # an iterator is read once
     counts = member_counts(members, dataset)
-    program = build_mixture_program(counts, constrained, tolerance, objective)
+    program = _mixture_program(counts, constrained, tolerance, objective)
     result: SimplexResult = simplex_solve(program)
     weights, accuracy, gaps, post_hoc = None, None, {}, {}
     if result.status is SolveStatus.OPTIMAL:
@@ -433,8 +438,6 @@ def ppv_counterexample_search(seed: int, max_trials: int) -> Optional[PPVWitness
             np.asarray(labels),
             np.asarray(sensitive),
         )
-        if np.array_equal(pred_a, pred_b):
-            continue  # identical members can never witness non-closure
         member_a = TableClassifier(pred_a, dataset)
         member_b = TableClassifier(pred_b, dataset)
         g, d = member_counts((member_a, member_b), dataset)._gap_terms(MetricKind.PPV)

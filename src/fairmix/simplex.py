@@ -17,6 +17,7 @@ import enum
 import numpy as np
 
 from ._record import _Record
+from .dataset import check_reals
 from .errors import FairmixError
 
 PIVOT_TOLERANCE = 1e-9
@@ -31,24 +32,11 @@ class SolveStatus(enum.Enum):
         return self.value
 
 
-def _as_floats(a, name: str) -> np.ndarray:
-    """``a`` as a float array; raises for ragged rows or a non-numeric entry."""
-    try:
-        given = np.asarray(a)
-        if given.dtype.kind in "biufO":  # not text, which numpy would parse: "1.5" as 1.5
-            return given.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):  # ragged, or an entry float() rejects
-        pass
-    raise FairmixError(f"{name} has ragged rows or a non-numeric entry")
-
-
 def _as_matrix(a, n: int, name: str) -> np.ndarray:
-    if a is None:
-        return np.zeros((0, n))
-    a = np.atleast_2d(_as_floats(a, name))
+    a = np.atleast_2d(check_reals(() if a is None else a, f"{name} entry"))
     if a.ndim > 2:
         raise FairmixError(f"{name} must be a matrix, got {a.ndim} dimensions")
-    if a.size == 0:
+    if a.size == 0:  # None, or no rows
         return np.zeros((0, n))
     if a.shape[1] != n:
         raise FairmixError(f"{name} has {a.shape[1]} columns, expected {n}")
@@ -56,9 +44,7 @@ def _as_matrix(a, n: int, name: str) -> np.ndarray:
 
 
 def _as_vector(b, m: int, name: str) -> np.ndarray:
-    if b is None:
-        b = np.zeros(0)
-    b = np.atleast_1d(_as_floats(b, name))
+    b = np.atleast_1d(check_reals(() if b is None else b, f"{name} entry"))
     if b.shape != (m,):
         raise FairmixError(f"{name} has shape {b.shape}, expected ({m},)")
     return b
@@ -70,7 +56,7 @@ class LinearProgram:
     __slots__ = ("c", "a_ub", "b_ub", "a_eq", "b_eq")
 
     def __init__(self, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-        c = np.atleast_1d(_as_floats(c, "c"))
+        c = np.atleast_1d(check_reals(c, "c entry"))
         if c.ndim != 1 or c.shape[0] < 1:
             raise FairmixError("objective must be a non-empty vector")
         n = c.shape[0]

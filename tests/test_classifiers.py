@@ -91,9 +91,13 @@ class TestLinearClassifier:
             ({"weights": (False, 1.0)}, "must be a real number, got False"),
             ({"weights": (10**400,)}, "an integer of 1329 bits, past the float range"),
             ({"weights": (1.0,), "sensitive_weight": -(10**400)}, "an integer of 1329 bits"),
+            ({"weights": (np.True_,)}, "must be a real number, got np.True_"),
+            ({"weights": (1.0,), "bias": None}, "must be a real number, got None"),
+            ({"weights": (1.0,), "sensitive_weight": 1j}, "must be a real number, got 1j"),
         ],
         ids=["string weight", "string bias", "bool bias", "bool weight", "huge weight",
-             "huge sensitive weight"],
+             "huge sensitive weight", "numpy bool weight", "none bias",
+             "complex sensitive weight"],
     )
     def test_parameters_checked_as_given(self, kwargs, message):
         """Text is not parsed, a bool is not a number, and an integer past the

@@ -401,6 +401,33 @@ class TestSolveCommands:
         assert oracle["feasible_count"] == 67
         assert oracle["accuracy"] == pytest.approx(doc["accuracy"], abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "m, status, exit_code",
+        [(2, "optimal", 0), (1, "infeasible", 2)],
+        ids=["fair-point-between-lattice-points", "no-fair-point"],
+    )
+    def test_oracle_with_no_feasible_point_is_consistent(
+        self, fig2_dir, tmp_path, capsys, m, status, exit_code
+    ):
+        # members 1 and 2 are fair only at p = (1/3, 2/3), which no lattice
+        # point k/10 hits; member 1 alone is not fair at all
+        data = str(fig2_dir / "dataset.csv")
+        dataset = load_dataset(data)
+        members = load_prediction_matrix(fig2_dir / "predictions.csv", dataset)
+        preds = tmp_path / "first.csv"
+        save_prediction_matrix(preds, prediction_matrix(members[:m], dataset))
+        code, out, _ = run(
+            ["optimize", data, str(preds), "--verify", "--tol", "0", "--oracle-resolution", "10"],
+            capsys,
+        )
+        assert code == exit_code
+        doc = json.loads(out)
+        assert doc["status"] == status
+        assert doc["oracle"] == {
+            "accuracy": None, "consistent": True, "feasible_count": 0, "resolution": 10,
+            "weights": None,
+        }
+
     def test_out_of_memory_is_an_error_not_a_traceback(self, fig2_dir, capsys, monkeypatch):
         # what a lattice too large to allocate raises, without allocating it
         def exhausted(*args, **kwargs):
@@ -655,11 +682,17 @@ class TestSample:
 
 
     @pytest.mark.parametrize(
-        "literal",
-        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        "literal, message",
+        [
+            ("NaN", "non-finite weight nan"),
+            ("Infinity", "non-finite weight inf"),
+            ("-Infinity", "non-finite weight -inf"),
+            ("1e999", "non-finite weight inf"),
+            ("1" + "0" * 400, "weight is an integer of 1329 bits, past the float range"),
+        ],
         ids=["NaN", "Infinity", "-Infinity", "1e999", "int_past_float_range"],
     )
-    def test_non_finite_weights_rejected(self, fig2_dir, tmp_path, capsys, literal):
+    def test_non_finite_weights_rejected(self, fig2_dir, tmp_path, capsys, literal, message):
         # NaN used to pass the sign and sum checks and report z0=0, z1=0.667
         bad = tmp_path / "w.json"
         bad.write_text('{"weights": [%s, 0.5, 0.5]}' % literal)
@@ -674,7 +707,7 @@ class TestSample:
         )
         assert code == 1
         assert out == ""
-        assert f"fairmix: error: {bad}: non-finite weight" in err
+        assert f"fairmix: error: {bad}: {message}\n" in err
         assert "Traceback" not in err
 
 @pytest.fixture

@@ -162,7 +162,8 @@ class TestFromArrays:
             Dataset.from_arrays([[0.0], [float("nan")]], [1, -1], [0, 1])
 
     def test_inconsistent_dimension(self):
-        with pytest.raises(DataFormatError, match=r"features must be an \(N, d\) array"):
+        message = "feature value must be a real number, got [0.0]"  # a ragged row
+        with pytest.raises(DataFormatError, match=f"^{re.escape(message)}$"):
             Dataset.from_arrays([[0.0], [0.0, 1.0]], [1, 1], [0, 0])
         with pytest.raises(DataFormatError, match=r"features must be an \(N, d\) array"):
             Dataset.from_arrays(np.zeros((2, 1, 1)), [1, 1], [0, 0])

@@ -129,18 +129,22 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "weights, message",
         [
-            (["x", 1.0], "non-numeric weight 'x'"),
-            ([None, 1.0], "non-numeric weight None"),
-            ([True, False], "non-numeric weight True"),
-            (np.array(["0.5", "0.5"]), "non-numeric weight '0.5'"),
-            (np.array([True, False]), "non-numeric weight True"),
-            ([10**400, 0], "non-finite weight: integer of 1329 bits"),
-            ([10**5000, 0], "non-finite weight: integer of 16610 bits"),
+            (["x", 1.0], "weight must be a real number, got 'x'"),
+            ([None, 1.0], "weight must be a real number, got None"),
+            ([True, False], "weight must be a real number, got True"),
+            (np.array(["0.5", "0.5"]), "weight must be a real number, got '0.5'"),
+            (np.array([True, False]), "weight must be a real number, got True"),
+            ([10**400, 0], "weight is an integer of 1329 bits, past the float range"),
+            ([10**5000, 0], "weight is an integer of 16610 bits, past the float range"),
             (np.array([0.5, np.nan]), "non-finite weight nan"),
+            ([0.5, np.True_], "weight must be a real number, got np.True_"),
+            ([0.5, "0.5"], "weight must be a real number, got '0.5'"),
+            ([0.5, 1j], "weight must be a real number, got 1j"),
         ],
         ids=[
             "str", "none", "bools", "str-array", "bool-array",
             "huge-int", "huge-int-past-str-limit", "nan-array",
+            "numpy-bool", "numeric-str", "complex",
         ],
     )
     def test_weights_checked_as_given(self, rng, weights, message):
@@ -158,8 +162,10 @@ class TestConstruction:
             np.array([0.25, 0.75], dtype=np.float32),
             [np.float64(0.25), np.float64(0.75)],
             np.array([1, 0], dtype=np.uint8),
+            [0, 1],
+            [0.25, 0.75],
         ],
-        ids=["numpy-int", "float32-array", "numpy-floats", "uint8-array"],
+        ids=["numpy-int", "float32-array", "numpy-floats", "uint8-array", "ints", "floats"],
     )
     def test_numpy_real_weights_accepted(self, rng, weights):
         ds = make_random_dataset(rng, 8)

@@ -29,3 +29,42 @@ def test_no_module_imports_dataclasses(path):
         else:
             continue
         assert not any(n.split(".")[0] == "dataclasses" for n in names), (path.name, node.lineno)
+
+
+def _reads_a_number_by_hand(node) -> bool:
+    """Whether ``node`` imports ``numbers``, reads ``float_info`` or calls
+    ``isinstance`` with ``bool`` among its types."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numbers" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "numbers" or any(
+            alias.name == "float_info" for alias in node.names
+        )
+    if isinstance(node, ast.Attribute):
+        return node.attr == "float_info"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        types = node.args[1:2]
+        types = types[0].elts if types and isinstance(types[0], ast.Tuple) else types
+        return any(getattr(t, "id", None) == "bool" for t in types)
+    return False
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "dataset.py"), ids=lambda p: p.name
+)
+def test_numbers_are_checked_in_one_module(path):
+    """Whether a value given from outside is a number (not a bool, not text, within
+    the float range) is decided by ``dataset``'s checks alone, not again elsewhere."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        assert not _reads_a_number_by_hand(node), (path.name, node.lineno)
+
+
+def test_number_guard_sees_each_spelling():
+    for source in (
+        "import numbers", "from numbers import Real", "sys.float_info.max",
+        "from sys import float_info", "isinstance(x, bool)", "isinstance(x, (int, bool))",
+    ):
+        assert any(map(_reads_a_number_by_hand, ast.walk(ast.parse(source)))), source
+    assert not any(map(_reads_a_number_by_hand, ast.walk(ast.parse("isinstance(x, int)"))))
+    dataset = (SRC / "dataset.py").read_text(encoding="utf-8")
+    assert any(map(_reads_a_number_by_hand, ast.walk(ast.parse(dataset))))

@@ -39,6 +39,7 @@ from fairmix import (
     treatment_violations,
 )
 from fairmix import metrics as metrics_mod
+from fairmix import dataset as dataset_mod
 from fairmix.dataset import twin_pairs
 from fairmix.errors import FairmixError
 from fairmix.metrics import (
@@ -307,14 +308,18 @@ class TestPredictionValues:
 
     def test_classifier_report_checks_the_vector_once(self, monkeypatch):
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [1, -1, 1], [0, 1, 1])
-        calls = []
-        for name in ("_as_given", "check_predictions"):
-            real = getattr(metrics_mod, name)
-            monkeypatch.setattr(
-                metrics_mod, name, lambda v, real=real, name=name: calls.append(name) or real(v)
-            )
-        report = classifier_report([1, -1, -1], ds)
-        assert calls == ["_as_given", "check_predictions"]
+        vector, calls = [1, -1, -1], []
+        # check_predictions converts the vector as given, in its own module
+        for module, name in ((dataset_mod, "_as_given"), (metrics_mod, "check_predictions")):
+
+            def spy(v, real=getattr(module, name), name=name):
+                if v is vector:
+                    calls.append(name)
+                return real(v)
+
+            monkeypatch.setattr(module, name, spy)
+        report = classifier_report(vector, ds)
+        assert calls == ["check_predictions", "_as_given"]
         assert report.accuracy == 2 / 3
 
     def test_valid_values_in_any_numeric_type_accepted(self):
@@ -604,9 +609,15 @@ class TestTreatment:
             ([0, 1], "0"),
             ([(0, 1), "ab"], "'ab'"),
             ([(0, 2**64)], f"(0, {2**64})"),
+            ([(True, 1)], "(True, 1)"),
+            ([(0, 1), (np.True_, 1)], "(np.True_, 1)"),
+            ([(0, "1")], "(0, '1')"),
+            ([(None, 1)], "(None, 1)"),
+            ([(0, 1), (1j, 1)], "(1j, 1)"),
         ],
         ids=["triples", "ragged", "negative", "past-end", "floats", "bools",
-             "flat", "string", "huge"],
+             "flat", "string", "huge", "bool-and-int", "numpy-bool-and-int", "numeric-string",
+             "none", "complex"],
     )
     def test_malformed_pairs_rejected(self, pairs, bad):
         # each of these used to be read as some other pair of rows

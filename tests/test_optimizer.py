@@ -173,22 +173,36 @@ class TestBuildProgram:
         assert got.a_ub.shape == (6, 2)
         assert got.a_ub.tobytes() == want.a_ub.tobytes()
 
-    def test_each_solve_builds_through_the_public_builder(self, rng, monkeypatch):
+    def test_each_solve_checks_once_and_builds_once(self, rng, monkeypatch):
+        """A solve checks its kinds and tolerance once, then builds with the private
+        builder that ``build_mixture_program`` returns from after its own checks."""
         ds = make_random_dataset(rng, 20)
         members = make_random_members(rng, ds, 3)
-        calls = []
+        checks, builds = [], []
+        check, build = optimizer_mod._constrained_kinds, optimizer_mod._mixture_program
 
-        def counting(counts, constrained, tolerance, objective):
-            calls.append(tuple(constrained))
-            return build_mixture_program(counts, constrained, tolerance, objective)
+        def counting_check(constrained, tolerance):
+            checks.append(tuple(constrained))
+            return check(constrained, tolerance)
 
-        monkeypatch.setattr(optimizer_mod, "build_mixture_program", counting)
+        def counting_build(*args):
+            builds.append((args, build(*args)))
+            return builds[-1][1]
+
         kinds = ALL_LINEAR[::-1]
         for k, tolerance in enumerate((0.0, 0.1, math.inf), start=1):
-            solve_fair_mixture(members, ds, kinds, tolerance)
-            assert len(calls) == k
-        # the solver passes its sorted kinds
-        assert set(calls) == {tuple(sorted(kinds, key=lambda kind: kind.value))}
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer_mod, "_constrained_kinds", counting_check)
+                patch.setattr(optimizer_mod, "_mixture_program", counting_build)
+                solve_fair_mixture(members, ds, kinds, tolerance)
+            assert (len(checks), len(builds)) == (k, k)
+        # the solver checks the kinds as given and builds with them sorted
+        assert set(checks) == {tuple(kinds)}
+        for (counts, constrained, tolerance, objective), program in builds:
+            assert tuple(constrained) == tuple(sorted(kinds, key=lambda kind: kind.value))
+            public = build_mixture_program(counts, constrained, tolerance, objective)
+            for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+                assert getattr(program, name).tobytes() == getattr(public, name).tobytes()
 
     def test_feasibility_objective_is_zero(self, rng):
         ds = make_random_dataset(rng, 10)

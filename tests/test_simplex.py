@@ -43,11 +43,12 @@ class TestValidation:
         [
             (np.ones((2, 2, 2)), "a_ub must be a matrix, got 3 dimensions"),
             (np.ones((1, 1, 2)), "a_ub must be a matrix, got 3 dimensions"),
-            ([[1.0, 0.0], [1.0]], "a_ub has ragged rows or a non-numeric entry"),
-            ([[1.0, "x"], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
-            ([[1.0, "1.5"], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
-            ([[1.0, 1j], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
-            ([[1.0, 10**400], [0.0, 1.0]], "a_ub has ragged rows or a non-numeric entry"),
+            ([[1.0, 0.0], [1.0]], "a_ub entry must be a real number, got [1.0, 0.0]"),
+            ([[1.0, "x"], [0.0, 1.0]], "a_ub entry must be a real number, got 'x'"),
+            ([[1.0, "1.5"], [0.0, 1.0]], "a_ub entry must be a real number, got '1.5'"),
+            ([[1.0, 1j], [0.0, 1.0]], "a_ub entry must be a real number, got 1j"),
+            ([[1.0, 10**400], [0.0, 1.0]],
+             "a_ub entry is an integer of 1329 bits, past the float range"),
         ],
         ids=["2x2x2", "1x1x2", "ragged", "string", "numeric string", "complex", "huge int"],
     )
@@ -56,16 +57,19 @@ class TestValidation:
             LinearProgram([1.0, 2.0], a_ub=a_ub, b_ub=[1.0, 1.0])
 
     @pytest.mark.parametrize(
-        "kwargs, name",
+        "kwargs, message",
         [
-            ({"c": ["1"]}, "c"),
-            ({"c": [1.0], "a_eq": [[1.0], []], "b_eq": [1.0, 1.0]}, "a_eq"),
-            ({"c": [1.0], "a_ub": [[1.0]], "b_ub": [[1.0], []]}, "b_ub"),
-            ({"c": [1.0], "a_eq": [[1.0]], "b_eq": ["1"]}, "b_eq"),
+            ({"c": ["1"]}, "c entry must be a real number, got '1'"),
+            ({"c": [1.0], "a_eq": [[1.0], []], "b_eq": [1.0, 1.0]},
+             "a_eq entry must be a real number, got [1.0]"),
+            ({"c": [1.0], "a_ub": [[1.0]], "b_ub": [[1.0], []]},
+             "b_ub entry must be a real number, got [1.0]"),
+            ({"c": [1.0], "a_eq": [[1.0]], "b_eq": ["1"]},
+             "b_eq entry must be a real number, got '1'"),
         ],
+        ids=["kwargs0-c", "kwargs1-a_eq", "kwargs2-b_ub", "kwargs3-b_eq"],
     )
-    def test_malformed_argument_named(self, kwargs, name):
-        message = f"{name} has ragged rows or a non-numeric entry"
+    def test_malformed_argument_named(self, kwargs, message):
         with pytest.raises(FairmixError, match=f"^{re.escape(message)}$"):
             LinearProgram(**kwargs)
 
