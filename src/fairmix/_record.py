@@ -1,4 +1,4 @@
-"""The base of the package's frozen result records.
+"""The base of the package's frozen records.
 
 A record lists its fields once, as ``__slots__``, and gets the methods of
 a frozen data class (``__init__``, ``__repr__``, ``__eq__``, ``__hash__``)
@@ -21,7 +21,8 @@ class _Record:
     set by ``__post_init__`` and kept out of the constructor, repr and
     comparison; ``eq=False`` for equality and hash by identity. A
     ``__post_init__`` runs after the fields are set. Assigning or deleting
-    any attribute raises ``AttributeError``; pickle and copy carry every slot.
+    any attribute raises ``AttributeError``. Pickle and copy carry the
+    fields only and run ``__post_init__`` again, which rebuilds the rest.
     """
 
     __slots__ = ()
@@ -60,8 +61,10 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setstate__(self, state):
-        for name, value in zip(self.__slots__, state):
+        for name, value in zip(self._fields, state):
             _set(self, name, value)
+        if hasattr(self, "__post_init__"):
+            self.__post_init__()

@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._record import _Record
+from ._record import _Record, _set
 from .dataset import (
     _BLOCK_BYTES,
     Dataset,
@@ -70,25 +70,25 @@ def _check_bound(dataset) -> None:
         raise FairmixError(f"a table must be bound to a Dataset, got {type(dataset).__name__}")
 
 
-class TableClassifier:
+class TableClassifier(_Record, private=("__weakref__",)):
     """A column of precomputed labels bound to one dataset.
 
     A table has no functional form to evaluate off-dataset, so it can
     only answer queries addressed by row index within its bound dataset.
     In particular it cannot score a synthesized flipped-attribute
     instance; treatment tests on tables need counterfactual pairs drawn
-    from the dataset itself.
+    from the dataset itself. ``predictions`` is kept as a read-only int8
+    copy.
     """
 
-    __slots__ = ("_predictions", "_dataset", "__weakref__")
+    __slots__ = ("predictions", "dataset", "__weakref__")
 
-    def __init__(self, predictions, dataset: Dataset):
-        _check_bound(dataset)
-        preds = check_predictions(predictions)
-        check_length(preds, dataset, "prediction vector", DataFormatError)
+    def __post_init__(self):
+        _check_bound(self.dataset)
+        preds = check_predictions(self.predictions)
+        check_length(preds, self.dataset, "prediction vector", DataFormatError)
         # a copy, checked first: 255 would wrap to -1
-        self._predictions = _read_only(preds.astype(np.int8))
-        self._dataset = dataset
+        _set(self, "predictions", _read_only(preds.astype(np.int8)))
 
     @classmethod
     def _over_rows(cls, matrix: np.ndarray, dataset: Dataset) -> list[TableClassifier]:
@@ -98,35 +98,25 @@ class TableClassifier:
         tables = []
         for row in _read_only(matrix):
             table = cls.__new__(cls)
-            table._predictions, table._dataset = row, dataset
+            _set(table, "predictions", row)
+            _set(table, "dataset", dataset)
             tables.append(table)
         return tables
 
-    @property
-    def predictions(self) -> np.ndarray:
-        return self._predictions
-
-    @property
-    def dataset(self) -> Dataset:
-        return self._dataset
-
     def predict_all(self, dataset: Dataset) -> np.ndarray:
-        if dataset is not self._dataset and dataset != self._dataset:
+        if dataset is not self.dataset and dataset != self.dataset:
             raise CompatibilityError(
                 "table classifier applied to a dataset it is not bound to"
             )
-        return self._predictions
+        return self.predictions
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TableClassifier):
             return NotImplemented
-        return (
-            np.array_equal(self._predictions, other._predictions)
-            and self._dataset == other._dataset
-        )
+        return np.array_equal(self.predictions, other.predictions) and self.dataset == other.dataset
 
     def __hash__(self):
-        return hash(self._predictions.tobytes())
+        return hash(self.predictions.tobytes())
 
 
 Classifier = Union[LinearClassifier, TableClassifier]

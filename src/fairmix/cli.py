@@ -27,7 +27,7 @@ from .classifiers import (
     save_prediction_matrix,
 )
 from .dataset import Dataset, load_dataset, save_dataset, twin_pairs
-from .ensemble import Ensemble, ensemble_report
+from .ensemble import Ensemble, ensemble_gap, ensemble_group_rate, ensemble_report
 from .errors import FairmixError
 from .metrics import LINEAR_KINDS, MetricKind
 from .optimizer import GRID_MIN_RESOLUTION, Objective
@@ -349,7 +349,8 @@ def cmd_counterexample(args) -> int:
         return EXIT_NOT_FOUND
     counts = ensemble_mod.member_counts(witness.members, witness.dataset)
     ppv = [counts.counts(MetricKind.PPV, z) for z in (0, 1)]  # (hits, sizes) by group
-    (r0, r1, gap), _ = metrics._mixture_rates(counts._mixture_row(witness.weights), MetricKind.PPV)
+    mixture = Ensemble(witness.members, witness.weights)
+    r0, r1 = (ensemble_group_rate(mixture, MetricKind.PPV, witness.dataset, z) for z in (0, 1))
     verification = {
         "member_ppv": [
             {f"z{z}": {"hits": int(h[j]), "size": int(s[j])} for z, (h, s) in enumerate(ppv)}
@@ -357,7 +358,7 @@ def cmd_counterexample(args) -> int:
         ],
         "ensemble_ppv_z0": r0,
         "ensemble_ppv_z1": r1,
-        "ensemble_gap_recomputed": gap,
+        "ensemble_gap_recomputed": ensemble_gap(mixture, MetricKind.PPV, witness.dataset),
     }
     if args.out_dir is not None:
         _export(args.out_dir, witness.dataset, witness.members, witness.weights)

@@ -17,6 +17,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
+from ._record import _Record, _set
 from .errors import DataFormatError, FairmixError
 
 PathArg = Union[str, PathLike]
@@ -24,7 +25,7 @@ PathArg = Union[str, PathLike]
 VALID_LABELS = (-1, 1)
 VALID_SENSITIVE = (0, 1)
 
-#: What ``Dataset.from_arrays`` reports, in the order it checks a row.
+#: What ``Dataset`` construction reports, in the order it checks a row.
 _FAULTS = ("non-finite feature value", "invalid label", "invalid sensitive value")
 
 
@@ -37,10 +38,18 @@ def _as_given(values) -> np.ndarray:
     return values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
 
 
+def _entry_types(values: np.ndarray) -> set:
+    """The distinct types of the entries of an array of objects."""
+    return set(map(type, values.ravel().tolist()))
+
+
 def _bool_entries(values: np.ndarray) -> np.ndarray:
-    """Where ``values`` holds a bool as given; one dtype test on an array not of objects."""
+    """Where ``values`` holds a bool as given: one dtype test on an array not of objects,
+    on one of objects a test per entry type, then per entry only if a type is a bool."""
     if values.dtype != object:
         return np.bool_(values.dtype.kind == "b")
+    if not any(issubclass(t, (bool, np.bool_)) for t in _entry_types(values)):
+        return np.bool_(False)
     return np.vectorize(lambda x: isinstance(x, (bool, np.bool_)), otypes=[bool])(values)
 
 
@@ -65,34 +74,30 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array.view()
 
 
-class Dataset:
-    """Immutable, array-backed collection of instances.
+class Dataset(_Record, private=("_member_counts",)):
+    """Immutable, array-backed collection of instances: read-only copies of the
+    (N, d) ``features``, the (N,) ``labels`` in {-1,+1} and the (N,) ``sensitive``
+    attribute in {0,1}. All operations on a dataset are pure reads, so sharing
+    one across threads is safe. One private slot keeps weak references to the
+    last all-table member list with its count table, which it keeps alive; only
+    ``member_counts`` uses it.
 
-    All operations on a dataset are pure reads, so sharing one across
-    threads is safe. One private slot keeps weak references to the last
-    all-table member list with its count table, which it keeps alive;
-    only ``member_counts`` uses it.
+    Construction is the one place that checks labels, groups and features,
+    features by :func:`check_reals`. Labels and groups are checked as given,
+    before the cast to int, so 1.7, NaN, True or the string "1" is rejected
+    instead of truncated. An error names the first faulty 1-based row.
     """
 
-    __slots__ = ("_features", "_labels", "_sensitive", "_member_counts")
+    __slots__ = ("features", "labels", "sensitive", "_member_counts")
 
-    @classmethod
-    def from_arrays(cls, features, labels, sensitive) -> "Dataset":
-        """Build a dataset from parallel arrays, validating every field.
-
-        This is the only constructor, so it is the one place that checks
-        labels, groups and features, features by :func:`check_reals`. Labels
-        and groups are checked as given, before the cast to int, so 1.7, NaN,
-        True or the string "1" is rejected instead of truncated. An error
-        names the first faulty 1-based row.
-        """
-        features = np.atleast_2d(check_reals(features, "feature value", DataFormatError))
+    def __post_init__(self):
+        features = np.atleast_2d(check_reals(self.features, "feature value", DataFormatError))
         if features.ndim != 2:
             raise DataFormatError(
                 f"features must be an (N, d) array of numbers: got shape {features.shape}"
             )
-        labels = _as_given(labels)
-        sensitive = _as_given(sensitive)
+        labels = _as_given(self.labels)
+        sensitive = _as_given(self.sensitive)
         n = features.shape[0]
         if n == 0:
             raise DataFormatError("dataset must contain at least one instance")
@@ -106,49 +111,33 @@ class Dataset:
         if faults.any():
             row, fault = np.argwhere(faults)[0]
             raise DataFormatError(f"{_FAULTS[fault]} at row {row + 1}")
-        ds = object.__new__(cls)
-        ds._features = _read_only(np.array(features))  # a copy: the caller's may be float64
-        ds._labels = _read_only(labels.astype(int))
-        ds._sensitive = _read_only(sensitive.astype(int))
-        ds._member_counts = None
-        return ds
+        # a copy: the caller's may be float64
+        _set(self, "features", _read_only(np.array(features)))
+        _set(self, "labels", _read_only(labels.astype(int)))
+        _set(self, "sensitive", _read_only(sensitive.astype(int)))
+        _set(self, "_member_counts", None)
 
-    @property
-    def features(self) -> np.ndarray:
-        """(N, d) feature matrix, read-only."""
-        return self._features
-
-    @property
-    def labels(self) -> np.ndarray:
-        """(N,) true labels in {-1,+1}, read-only."""
-        return self._labels
-
-    @property
-    def sensitive(self) -> np.ndarray:
-        """(N,) sensitive attribute in {0,1}, read-only."""
-        return self._sensitive
+    @classmethod
+    def from_arrays(cls, features, labels, sensitive) -> "Dataset":
+        """Build a dataset from parallel arrays: ``Dataset(features, labels, sensitive)``."""
+        return cls(features, labels, sensitive)
 
     @property
     def dimension(self) -> int:
-        return self._features.shape[1]
+        return self.features.shape[1]
 
     def __len__(self) -> int:
-        return self._features.shape[0]
+        return self.features.shape[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self._features.shape == other._features.shape
-            and np.array_equal(self._features, other._features)
-            and np.array_equal(self._labels, other._labels)
-            and np.array_equal(self._sensitive, other._sensitive)
-        )
+        return all(map(np.array_equal, self._values(self), self._values(other)))
 
     def __hash__(self):
         # -0.0 == 0.0 but their bytes differ; adding 0.0 maps -0.0 to 0.0
         # (NaN, which would break the contract too, is rejected at construction)
-        return hash((self._features.shape, (self._features + 0.0).tobytes()))
+        return hash((self.features.shape, (self.features + 0.0).tobytes()))
 
 
 def _expected_header(d: int) -> list[str]:
@@ -406,12 +395,25 @@ def check_real(value, what: str, error=FairmixError) -> None:
 
 def check_reals(values, what: str, error=FairmixError) -> np.ndarray:
     """``values`` as a float array, each entry a real number as given (:func:`check_real`):
-    a numeric array passes on its dtype alone, a float64 one uncopied."""
+    a numeric array passes on its dtype alone, a float64 one uncopied. Other entries are
+    checked once per type, and one by one only when a type may hold a fault."""
     given = _as_given(values)
-    if given.dtype.kind not in "iuf":  # entry by entry, so the error names the first bad one
-        for value in given.ravel().tolist():
+    if given.dtype.kind in "iuf":
+        return given.astype(float, copy=False)
+    types, reals = _entry_types(given), None
+    if all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in types):
+        try:
+            reals = given.astype(float)
+        except OverflowError:  # an integer past the float range
+            pass
+    # an integer past the float range may also round to the largest float
+    if reals is None or (
+        any(issubclass(t, numbers.Integral) for t in types)
+        and (np.abs(reals) == sys.float_info.max).any()
+    ):
+        for value in given.ravel().tolist():  # so the error names the first bad entry
             check_real(value, what, error)
-    return given.astype(float, copy=False)
+    return given.astype(float) if reals is None else reals
 
 
 def check_length(values: np.ndarray, dataset: Dataset, what: str, error=FairmixError):

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._record import _Record
+from ._record import _Record, _set
 from .classifiers import Classifier, TableClassifier, prediction_matrix
 from .dataset import Dataset, _read_only, check_group, check_integer, check_reals
 from .distributional import dispersion
@@ -48,16 +48,16 @@ WEIGHT_SUM_TOLERANCE = 1e-12
 GENERATOR_NAME = f"numpy.random.PCG64 (numpy {np.__version__}), inverse-CDF selection"
 
 
-class Ensemble:
-    """M classifiers plus a probability vector over them."""
+class Ensemble(_Record, eq=False):
+    """M classifiers, kept as a tuple, plus a probability vector over them, a read-only copy."""
 
-    __slots__ = ("_members", "_weights")
+    __slots__ = ("members", "weights")
 
-    def __init__(self, members: Sequence[Classifier], weights):
-        members = tuple(members)
+    def __post_init__(self):
+        members = tuple(self.members)
         if len(members) < 1:
             raise FairmixError("ensemble needs at least one member")
-        w = check_reals(weights, "weight")
+        w = check_reals(self.weights, "weight")
         finite = np.isfinite(w)
         if not finite.all():
             raise FairmixError(f"non-finite weight {float(w[~finite][0])!r}")
@@ -71,19 +71,11 @@ class Ensemble:
             raise FairmixError(
                 f"weights sum to {float(np.sum(w))!r}, expected 1"
             )
-        self._members = members
-        self._weights = _read_only(np.array(w))  # a copy: the caller's may be float64
-
-    @property
-    def members(self) -> tuple[Classifier, ...]:
-        return self._members
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+        _set(self, "members", members)
+        _set(self, "weights", _read_only(np.array(w)))  # a copy: the caller's may be float64
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.members)
 
 
 def acceptance_probability(ensemble: Ensemble, dataset: Dataset) -> np.ndarray:
@@ -124,7 +116,7 @@ def member_counts(members: Sequence[Classifier], dataset: Dataset) -> CellCounts
         return kept[1]
     counts = metrics.cell_counts(prediction_matrix(members, dataset) == 1, dataset)
     if all(isinstance(m, TableClassifier) and m.dataset is dataset for m in members):
-        dataset._member_counts = tuple(map(weakref.ref, members)), counts
+        object.__setattr__(dataset, "_member_counts", (tuple(map(weakref.ref, members)), counts))
     return counts
 
 

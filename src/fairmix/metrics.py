@@ -252,13 +252,13 @@ def treatment_violations(
     integer array of row indices of the profile; the error names the
     first bad pair, if one is bad on its own.
     """
+    check_tolerance(tolerance)
     return list(map(tuple, _violations(benefit_profile, pairs, tolerance).tolist()))
 
 
 def _violations(profile, pairs: Pairs, tolerance: float) -> np.ndarray:
-    """The pairs whose two profile values differ by more than ``tolerance``,
-    as a read-only (V, 2) intp array in the order given."""
-    check_tolerance(tolerance)
+    """The pairs whose two profile values differ by more than ``tolerance``, already
+    checked by the caller, as a read-only (V, 2) intp array in the order given."""
     q = check_profile(profile)
     idx = _index_pairs(pairs, len(q))
     violations = idx[np.abs(q[idx[:, 0]] - q[idx[:, 1]]) > tolerance]

@@ -16,8 +16,8 @@ import enum
 
 import numpy as np
 
-from ._record import _Record
-from .dataset import check_reals
+from ._record import _Record, _set
+from .dataset import _read_only, check_reals
 from .errors import FairmixError
 
 PIVOT_TOLERANCE = 1e-9
@@ -50,28 +50,27 @@ def _as_vector(b, m: int, name: str) -> np.ndarray:
     return b
 
 
-class LinearProgram:
-    """maximize c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0."""
+class LinearProgram(_Record, defaults=(None, None, None, None), eq=False):
+    """maximize c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x >= 0, as read-only copies."""
 
     __slots__ = ("c", "a_ub", "b_ub", "a_eq", "b_eq")
 
-    def __init__(self, c, a_ub=None, b_ub=None, a_eq=None, b_eq=None):
-        c = np.atleast_1d(check_reals(c, "c entry"))
+    def __post_init__(self):
+        c = np.atleast_1d(check_reals(self.c, "c entry"))
         if c.ndim != 1 or c.shape[0] < 1:
             raise FairmixError("objective must be a non-empty vector")
         n = c.shape[0]
-        a_ub = _as_matrix(a_ub, n, "a_ub")
-        a_eq = _as_matrix(a_eq, n, "a_eq")
-        b_ub = _as_vector(b_ub, a_ub.shape[0], "b_ub")
-        b_eq = _as_vector(b_eq, a_eq.shape[0], "b_eq")
+        a_ub = _as_matrix(self.a_ub, n, "a_ub")
+        a_eq = _as_matrix(self.a_eq, n, "a_eq")
+        b_ub = _as_vector(self.b_ub, a_ub.shape[0], "b_ub")
+        b_eq = _as_vector(self.b_eq, a_eq.shape[0], "b_eq")
         arrays = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq}
         if not np.isfinite(np.concatenate(list(arrays.values()), axis=None)).all():
             for name, arr in arrays.items():  # names the first one at fault
                 if not np.isfinite(arr).all():
                     raise FairmixError(f"{name} contains a non-finite entry")
-        self.c = c
-        self.a_ub, self.b_ub = a_ub, b_ub
-        self.a_eq, self.b_eq = a_eq, b_eq
+        for name, arr in arrays.items():
+            _set(self, name, _read_only(np.array(arr)))  # a copy: the caller's may be float64
 
     @property
     def n_variables(self) -> int:

@@ -37,6 +37,7 @@ from fairmix.cli import entrypoint
 from fairmix import classifiers as classifiers_module
 from fairmix import dataset as dataset_module
 from fairmix import jsonio, optimizer
+from fairmix.simplex import SimplexResult, SolveStatus
 
 from conftest import make_grid_ensemble
 
@@ -427,6 +428,22 @@ class TestSolveCommands:
             "accuracy": None, "consistent": True, "feasible_count": 0, "resolution": 10,
             "weights": None,
         }
+
+    def test_unbounded_solve_prints_and_exits_1(self, fig2_dir, capsys, monkeypatch):
+        # the LP over a probability simplex is bounded; a solver that says
+        # otherwise is an error, not an infeasible problem
+        monkeypatch.setattr(
+            optimizer, "simplex_solve",
+            lambda problem: SimplexResult(SolveStatus.UNBOUNDED, None, None, 3),
+        )
+        code, out, err = run(
+            ["optimize", str(fig2_dir / "dataset.csv"), str(fig2_dir / "predictions.csv")],
+            capsys,
+        )
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["status"] == "unbounded"
+        assert (doc["weights"], doc["accuracy"], doc["iterations"]) == (None, None, 3)
 
     def test_out_of_memory_is_an_error_not_a_traceback(self, fig2_dir, capsys, monkeypatch):
         # what a lattice too large to allocate raises, without allocating it

@@ -126,6 +126,18 @@ def reference_load_prediction_matrix(path, n):
 
 
 class TestFromArrays:
+    def test_construction_needs_every_field(self):
+        with pytest.raises(TypeError, match=r"^Dataset\.__init__\(\) missing 3 required"):
+            Dataset()
+        with pytest.raises(TypeError):
+            Dataset([[0.0]], [1])
+
+    def test_constructor_is_from_arrays(self):
+        ds = small_dataset()
+        assert Dataset(ds.features, ds.labels, ds.sensitive) == ds
+        with pytest.raises(DataFormatError, match="^invalid label at row 1$"):
+            Dataset([[0.0]], [0], [0])
+
     def test_round_trip_through_instances(self):
         ds = small_dataset()
         rebuilt = Dataset.from_arrays(

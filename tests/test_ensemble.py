@@ -9,6 +9,7 @@ of the float weights. They share no code with the cell-count core.
 """
 
 import gc
+import pickle
 import re
 import weakref
 from fractions import Fraction
@@ -524,6 +525,23 @@ class TestStoredCounts:
         again = make_random_members(rng, ds, 3)
         assert member_counts(again, ds) is not kept
 
+    def test_dataset_pickles_after_a_solve_on_bound_tables(self, rng):
+        """The kept pair holds weak references, which do not pickle: a dataset
+        pickles its fields only, and the copy keeps nothing."""
+        ds = make_random_dataset(rng, 40)
+        members = make_random_members(rng, ds, 3)
+        solve_fair_mixture(members, ds, [MetricKind.ACCEPTANCE_RATE], 0.1)
+        assert ds._member_counts is not None
+        for clone_ds, clone_members in (
+            (pickle.loads(pickle.dumps(ds)), None),
+            *[pickle.loads(pickle.dumps((ds, members), protocol)) for protocol in (0, 5)],
+        ):
+            assert clone_ds == ds and clone_ds._member_counts is None
+            if clone_members is not None:
+                assert clone_members == members
+                assert all(m.dataset is clone_ds for m in clone_members)
+                assert member_counts(clone_members, clone_ds) is clone_ds._member_counts[1]
+
     def test_linear_members_counted_on_every_call(self, rng, counted):
         ds = make_random_dataset(rng, 40)
         members = [*make_random_members(rng, ds, 2), LinearClassifier((1.0, -1.0))]
@@ -644,6 +662,25 @@ class TestClosure:
                     assert report.ensemble_gap == pytest.approx(
                         report.weighted_member_gap_sum, abs=1e-9
                     )
+
+    def test_broken_identity_raises(self, rng, monkeypatch):
+        """A member gap that disagrees with the mixture's row is reported, not averaged."""
+        ds = make_random_dataset(rng, 14)
+        members = make_random_members(rng, ds, 3)
+        ens = Ensemble(members, random_weights(rng, 3))
+        real = CellCounts._gap_terms
+
+        def perturbed(counts, kind):
+            g, d = real(counts, kind)
+            return g + np.array([1, 0, 0]), d
+
+        monkeypatch.setattr(CellCounts, "_gap_terms", perturbed)
+        with pytest.raises(
+            FairmixError,
+            match=r"^linearity identity violated for acceptance_rate: ensemble gap ",
+        ):
+            closure_check(ens, MetricKind.ACCEPTANCE_RATE, ds)
+        assert not closure_check(ens, MetricKind.PPV, ds).linear  # not checked: no raise
 
     def test_ratio_kinds_reported_not_asserted(self):
         # ensemble PPV gap and weighted member gap sum genuinely differ

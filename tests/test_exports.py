@@ -68,3 +68,39 @@ def test_number_guard_sees_each_spelling():
     assert not any(map(_reads_a_number_by_hand, ast.walk(ast.parse("isinstance(x, int)"))))
     dataset = (SRC / "dataset.py").read_text(encoding="utf-8")
     assert any(map(_reads_a_number_by_hand, ast.walk(ast.parse(dataset))))
+
+
+def _slotted_classes_off_the_base(source: str) -> list[str]:
+    """The classes in ``source`` that declare ``__slots__`` but name no ``_Record`` base."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        slotted = any(
+            isinstance(target, ast.Name) and target.id == "__slots__"
+            for stmt in node.body
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+            for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        )
+        if slotted and not any(getattr(base, "id", None) == "_Record" for base in node.bases):
+            found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "_record.py"), ids=lambda p: p.name
+)
+def test_every_slotted_class_is_a_record(path):
+    """One object model: a class with ``__slots__`` is a ``_record._Record``, which gives
+    it its constructor, repr, equality, frozen fields, pickling and copying."""
+    assert _slotted_classes_off_the_base(path.read_text(encoding="utf-8")) == []
+
+
+def test_record_guard_sees_a_slotted_class():
+    assert _slotted_classes_off_the_base("class A:\n    __slots__ = ('x',)\n") == ["A"]
+    assert _slotted_classes_off_the_base("class A(B):\n    __slots__: tuple = ()\n") == ["A"]
+    assert _slotted_classes_off_the_base("class A(_Record):\n    __slots__ = ('x',)\n") == []
+    assert _slotted_classes_off_the_base("class A:\n    x = 1\n") == []
+    assert _slotted_classes_off_the_base((SRC / "_record.py").read_text(encoding="utf-8")) == [
+        "_Record"
+    ]

@@ -30,7 +30,9 @@ from fairmix import (
     save_prediction_matrix,
     treatment_violations,
 )
+from fairmix import dataset as dataset_module
 from fairmix import jsonio
+from fairmix.dataset import check_reals
 
 DS = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
 
@@ -81,6 +83,10 @@ BAD_REALS = {
     "none": (None, "must be a real number, got None"),
     "complex": (1j, "must be a real number, got 1j"),
     "huge-int": (10**400, "is an integer of 1329 bits, past the float range"),
+    # float() rounds it down to the largest float instead of overflowing
+    "int-rounding-to-float-max": (
+        2**1024 - 2**971 + 1, "is an integer of 1024 bits, past the float range"
+    ),
     "bool-array": (np.array([True, False]), "must be a real number, got True"),
     "text-array": (np.array(["1", "0"]), "must be a real number, got '1'"),
 }
@@ -112,6 +118,26 @@ def test_real_entry_accepts_numbers(entry, good):
     assert type(got) is type(want) and np.array_equal(got, want)
     if isinstance(got, np.ndarray):  # an array the entry point keeps is float64
         assert got.dtype == np.float64
+
+
+def test_list_entries_checked_once_per_type(monkeypatch):
+    """A list is checked one entry type at a time; only a type that may hold
+    a fault (a bool, an integer, a non-real) has its entries checked one by one."""
+    calls = []
+    real = dataset_module.check_real
+    monkeypatch.setattr(
+        dataset_module, "check_real", lambda value, *args: calls.append(value) or real(value, *args)
+    )
+    largest = 2**1024 - 2**971  # the largest float, as an integer
+    for values in ([0.5, 1.0], [0.5, 1], [np.float32(0.5), np.int64(1)], [0.5, largest]):
+        assert check_reals(values, "x").tolist() == [float(v) for v in values]
+    assert calls == [0.5, largest]  # the largest float is walked to, and passes
+    calls.clear()
+    for values in ([0.5, True, "x"], [0.5, 2**1024]):
+        with pytest.raises(FairmixError):
+            check_reals(values, "x")
+        assert calls == values[:2]
+        calls.clear()
 
 
 #: (entry point of an integer-coded value at row 2, its error class and message)

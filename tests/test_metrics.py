@@ -322,6 +322,22 @@ class TestPredictionValues:
         assert calls == ["check_predictions", "_as_given"]
         assert report.accuracy == 2 / 3
 
+    def test_report_checks_the_tolerance_once(self, monkeypatch):
+        ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
+        calls = []
+        real = metrics_mod.check_tolerance
+        monkeypatch.setattr(metrics_mod, "check_tolerance", lambda t: calls.append(t) or real(t))
+        classifier_report([1, 1], ds, [(0, 1)], 0.25)
+        assert calls == [0.25]
+        assert treatment_violations([0.0, 1.0], [(0, 1)], 0.5) == [(0, 1)]
+        assert calls == [0.25, 0.5]
+        for call in (
+            lambda: classifier_report([1, 1], ds, [(0, 1)], -1.0),
+            lambda: treatment_violations([0.0, 1.0], [(0, 1)], -1.0),
+        ):
+            with pytest.raises(FairmixError, match=r"^tolerance must be >= 0, got -1\.0$"):
+                call()
+
     def test_valid_values_in_any_numeric_type_accepted(self):
         ds = Dataset.from_arrays([[0.0], [1.0]], [1, -1], [0, 1])
         for preds in ([1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8)):

@@ -41,6 +41,7 @@ from fairmix import optimizer as optimizer_mod
 from fairmix.cli import entrypoint
 from fairmix.metrics import CellCounts
 from fairmix.optimizer import _lattice
+from fairmix.simplex import SimplexResult
 
 from conftest import (
     make_random_dataset,
@@ -286,6 +287,26 @@ class TestSolveFairMixture:
         assert sol.weights == pytest.approx([0.5, 0.5], abs=1e-9)
         assert sol.accuracy == pytest.approx(0.5, abs=1e-9)
         assert abs(sol.gaps[MetricKind.ACCEPTANCE_RATE]) <= 1e-9
+
+    def test_objective_disagreeing_with_the_weights_raises(self, monkeypatch):
+        ds, members = thirds_pair()
+        real = optimizer_mod.simplex_solve
+
+        def shifted(problem):
+            result = real(problem)
+            return SimplexResult(result.status, result.x, result.objective + 1e-6, 0)
+
+        monkeypatch.setattr(optimizer_mod, "simplex_solve", shifted)
+        with pytest.raises(
+            FairmixError,
+            match=r"^LP objective \S+ disagrees with recomputed mixture accuracy \S+$",
+        ):
+            solve_fair_mixture(members, ds, [MetricKind.ACCEPTANCE_RATE], 0.0)
+        # a feasibility solve has no objective to compare
+        sol = solve_fair_mixture(
+            members, ds, [MetricKind.ACCEPTANCE_RATE], 0.0, Objective.FEASIBILITY_ONLY
+        )
+        assert sol.status is SolveStatus.OPTIMAL
 
     def test_thirds_instance(self):
         ds, members = thirds_pair()

@@ -1,10 +1,12 @@
-"""The contract of fairmix's 15 frozen result records.
+"""The contract of fairmix's 19 frozen records.
 
 Each record is built by position and by keyword, printed, compared,
-hashed, assigned to, pickled and copied. The records do not check the
-types of their fields (only ``LinearClassifier`` and ``CellCounts``
+hashed, assigned to, pickled and copied. The result records do not check
+the types of their fields (only ``LinearClassifier`` and ``CellCounts``
 convert theirs), so most examples hold small hashable values, which lets
-``hash`` be checked field by field.
+``hash`` be checked field by field. The four model objects (``Dataset``,
+``TableClassifier``, ``Ensemble`` and ``LinearProgram``) check and
+convert every field, so theirs hold arrays.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import numpy as np
 import pytest
 
 import fairmix
-from fairmix.classifiers import LinearClassifier
+from fairmix.classifiers import LinearClassifier, TableClassifier
+from fairmix.dataset import Dataset
 from fairmix.distributional import DispersionReport, GroupDispersion
-from fairmix.ensemble import ClosureReport, SampleResult
+from fairmix.ensemble import ClosureReport, Ensemble, SampleResult
 from fairmix.metrics import CellCounts, FairnessReport, GroupMetric, MetricKind
 from fairmix.optimizer import (
     GridOracleResult,
@@ -28,7 +31,7 @@ from fairmix.optimizer import (
     ThresholdRule,
 )
 from fairmix.scenarios import Scenario, ScenarioCheck
-from fairmix.simplex import SimplexResult, SolveStatus
+from fairmix.simplex import LinearProgram, SimplexResult, SolveStatus
 
 _GD = GroupDispersion(0.5, 0.25, None, 1.0)
 _GD_REPR = "GroupDispersion(mean_q=0.5, variance_q=0.25, gini_q=None, determinism_index=1.0)"
@@ -39,6 +42,8 @@ _GM_REPR = (
 )
 _RULE = LinearClassifier((1.0,), 0.0, -1.5)
 _RULE_REPR = "LinearClassifier(weights=(1.0,), sensitive_weight=0.0, bias=-1.5)"
+_DS = Dataset([[0.0, 1.5]], [1], [0])
+_DS_REPR = "Dataset(features=array([[0. , 1.5]]), labels=array([1]), sensitive=array([0]))"
 
 #: (record, the field names in order, positional arguments, its repr)
 RECORDS = [
@@ -147,10 +152,45 @@ RECORDS = [
         "SimplexResult(status=<SolveStatus.OPTIMAL: 'optimal'>, x=(1.0,), objective=2.0, "
         "iterations=3)",
     ),
+    (
+        Dataset,
+        ("features", "labels", "sensitive"),
+        ([[0.0, 1.5]], [1], [0]),
+        _DS_REPR,
+    ),
+    (
+        TableClassifier,
+        ("predictions", "dataset"),
+        ([1], _DS),
+        f"TableClassifier(predictions=array([1], dtype=int8), dataset={_DS_REPR})",
+    ),
+    (
+        Ensemble,
+        ("members", "weights"),
+        ((_RULE, _RULE), [0.25, 0.75]),
+        f"Ensemble(members=({_RULE_REPR}, {_RULE_REPR}), weights=array([0.25, 0.75]))",
+    ),
+    (
+        LinearProgram,
+        ("c", "a_ub", "b_ub", "a_eq", "b_eq"),
+        ([1.0, 2.0], [[1.0, 1.0]], [1.0], [[1.0, 0.0]], [0.5]),
+        "LinearProgram(c=array([1., 2.]), a_ub=array([[1., 1.]]), b_ub=array([1.]), "
+        "a_eq=array([[1., 0.]]), b_eq=array([0.5]))",
+    ),
 ]
 
 #: records that compare and hash by identity: they hold arrays
-IDENTITY = (CellCounts, FairnessReport)
+IDENTITY = (CellCounts, FairnessReport, Ensemble, LinearProgram)
+
+#: records that compare arrays by value, so their hash is not that of a tuple of fields
+ARRAY_VALUED = (Dataset, TableClassifier)
+
+#: per record that checks its fields, a valid value for each field that differs from the example
+OTHER = {
+    LinearClassifier: ((9.0,), 9.0, 9.0),
+    Dataset: ([[0.0, 2.5]], [-1], [1]),
+    TableClassifier: ([-1], Dataset([[9.0, 9.0]], [1], [0])),
+}
 
 IDS = [spec[0].__name__ for spec in RECORDS]
 
@@ -167,8 +207,8 @@ def _same(a, b, names):
     )
 
 
-def test_all_fifteen_records_are_covered():
-    assert len({spec[0] for spec in RECORDS}) == 15
+def test_all_nineteen_records_are_covered():
+    assert len({spec[0] for spec in RECORDS}) == 19
 
 
 @pytest.mark.parametrize("cls, names, args, text", RECORDS, ids=IDS)
@@ -195,9 +235,11 @@ class TestRecordContract:
             assert hash(a) == object.__hash__(a)
             return
         assert a == b and not a != b
-        assert hash(a) == hash(b) == hash(_values(a, names))
+        assert hash(a) == hash(b)
+        if cls not in ARRAY_VALUED:
+            assert hash(a) == hash(_values(a, names))
         for k, name in enumerate(names):
-            value = ("other",) if cls is not LinearClassifier else (9.0,) if k == 0 else 9.0
+            value = OTHER[cls][k] if cls in OTHER else ("other",)
             other = cls(*args[:k], value, *args[k + 1:])
             assert a != other and not a == other, name
 
@@ -256,6 +298,7 @@ def test_cell_counts_keep_read_only_copies_and_a_private_cache():
     assert not row.flags.writeable
     assert "_cache" not in repr(counts)
     clone = pickle.loads(pickle.dumps(counts))
+    assert clone._cache == {}  # pickled without its cache, which is rebuilt on demand
     assert np.array_equal(clone._gap_row(MetricKind.ACCEPTANCE_RATE), row)
     rates = counts.rates(MetricKind.ACCEPTANCE_RATE, 0)
     assert np.array_equal(clone.rates(MetricKind.ACCEPTANCE_RATE, 0), rates)

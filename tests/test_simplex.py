@@ -14,6 +14,24 @@ def solve(c, **kw):
 
 
 class TestValidation:
+    def test_program_keeps_read_only_copies(self):
+        c, a_ub, b_ub = np.array([2.0, 1.0]), np.array([[1.0, 1.0]]), np.array([1.0])
+        problem = LinearProgram(c, a_ub=a_ub, b_ub=b_ub)
+        before = simplex_solve(problem)
+        c[:], a_ub[0, 0], b_ub[0] = (1.0, 3.0), np.nan, 5.0
+        after = simplex_solve(problem)
+        assert after.status is before.status is SolveStatus.OPTIMAL
+        assert after.x.tolist() == before.x.tolist() == [1.0, 0.0]
+        assert after.objective == before.objective == 2.0
+        for name in ("c", "a_ub", "b_ub", "a_eq", "b_eq"):
+            assert not getattr(problem, name).flags.writeable, name
+
+    def test_fields_cannot_be_assigned(self):
+        problem = LinearProgram([1.0], a_ub=[[1.0]], b_ub=[1.0])
+        with pytest.raises(AttributeError, match="^cannot assign to field 'b_ub'$"):
+            problem.b_ub = np.array([np.nan])
+        assert simplex_solve(problem).x.tolist() == [1.0]
+
     def test_empty_objective(self):
         with pytest.raises(FairmixError, match="non-empty"):
             LinearProgram([])
